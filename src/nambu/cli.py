@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .polyalg import (
     InputError,
-    Poly,
     PreconditionError,
     RatMatrix,
     SolveInconsistencyError,
@@ -23,9 +22,7 @@ from .polyalg import (
 )
 from .exterior import (
     DiffForm,
-    FormalMap,
     Multivector,
-    embed,
     extend_map,
     form_to_tensor,
     formal_map_to_json,
@@ -35,7 +32,6 @@ from .exterior import (
     restrict,
     standard_volume,
     tensor_to_form,
-    wedge_all,
 )
 from .verify import is_conambu, is_nambu
 from .linclass import classify_linear, classify_linear_tensor, normal_form_generator
@@ -160,10 +156,12 @@ def _cmd_generate(args) -> int:
     else:
         if args.matrix is None:
             raise InputError("type2 needs --matrix")
-        rows = []
-        for row in args.matrix.split(";"):
-            rows.append([Fraction(v.strip()) for v in row.split(",")])
-        P, w = normal_form_generator("type2", n, q, matrix=RatMatrix(rows))
+        try:
+            matrix = RatMatrix([[Fraction(v.strip()) for v in row.split(",")]
+                                for row in args.matrix.split(";")])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"bad --matrix {args.matrix!r}: {exc}")
+        P, w = normal_form_generator("type2", n, q, matrix=matrix)
     obj = w if args.form else P
     _emit(obj.to_json_obj(), args)
     return EXIT_OK
@@ -249,7 +247,8 @@ def _linearize_type2(obj, N, args) -> int:
         raise
     full = extend_map(pres.change, yidx, n)
     total = full.compose(pre.change, N).compose(report.change, N)
-    multiplier = pre.multiplier.substitute(full.inverse(N).comps, N)
+    # P_n is the normalized tensor divided by det, so Phi_* P = det * f * Lambda
+    multiplier = pre.multiplier.substitute(full.inverse(N).comps, N).scale(det)
     payload = {
         "map": formal_map_to_json(total),
         "multiplier": multiplier.to_str(),

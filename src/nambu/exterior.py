@@ -9,19 +9,15 @@ the library derive from this single choice.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .polyalg import (
-    Fraction,
     InputError,
-    NambuError,
     Poly,
     PreconditionError,
     RatMatrix,
     parse_poly,
-    solve_linear,
 )
 
 IndexTuple = Tuple[int, ...]
@@ -200,10 +196,6 @@ class _Alternating:
     def truncate(self, max_degree: int):
         return self.map_coeffs(lambda p: p.truncate(max_degree))
 
-    def max_coeff_degree(self):
-        degs = [p.degree for p in self.comps.values()]
-        return max(degs) if degs else float("-inf")
-
     def min_coeff_degree(self):
         degs = [p.min_degree() for p in self.comps.values()]
         return min(degs) if degs else float("inf")
@@ -266,7 +258,7 @@ def graded_from_json(data: dict, kind: Optional[str] = None):
         raise InputError(f"unknown kind {kind!r}")
     cls = Multivector if kind == "vector" else DiffForm
     nvars, grade = data["nvars"], data["grade"]
-    if not isinstance(nvars, int) or not isinstance(grade, int):
+    if any(not isinstance(v, int) or isinstance(v, bool) for v in (nvars, grade)):
         raise InputError("nvars and grade must be integers")
     if not 0 <= grade <= nvars:
         raise InputError(f"grade {grade} out of range for nvars={nvars}")
@@ -667,9 +659,6 @@ class FormalMap:
             minors = new
         return minors.get(tuple(range(n)), Poly.zero(n))
 
-    def apply_poly(self, p: Poly, trunc: Optional[int] = None) -> Poly:
-        return p.substitute(self.comps, trunc)
-
     def compose(self, inner: "FormalMap", trunc: Optional[int] = None) -> "FormalMap":
         """self after inner: (self o inner)(x) = self(inner(x))."""
         if self.nvars != inner.nvars:
@@ -717,23 +706,6 @@ class FormalMap:
                 corr.append(psi.comps[i] - acc)
             psi = FormalMap(corr, trunc)
         return FormalMap(psi.comps, trunc)
-
-
-def _perm_parity(perm) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def _combine_trunc(a, b):

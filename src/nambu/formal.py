@@ -21,36 +21,27 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .polyalg import (
-    EigenData,
-    Fraction,
+    GradedSystem,
     Poly,
     PreconditionError,
     RatMatrix,
     SolveInconsistencyError,
     eigen_data,
-    solve_linear,
 )
 from .exterior import (
     DiffForm,
     FormalMap,
     Multivector,
     apply_vector,
-    basis_multivector,
     coordinate_field,
     coordinate_form,
     dform,
-    embed,
-    embed_poly,
-    extend_map,
-    form_to_tensor,
-    interior,
     lie_bracket,
     lie_derivative,
     merge_sign,
     prefix_blocks,
     pullback_form,
     pushforward_tensor,
-    restrict,
     scalar_form,
     tensor_to_form,
     wedge,
@@ -144,6 +135,13 @@ def _param_pattern(exps, active_set):
     return tuple(0 if i in active_set else e for i, e in enumerate(exps))
 
 
+def _group_by_pattern(mons, active_set) -> Dict[tuple, List[tuple]]:
+    groups: Dict[tuple, List[tuple]] = {}
+    for mon in mons:
+        groups.setdefault(_param_pattern(mon, active_set), []).append(mon)
+    return groups
+
+
 def graded_divide(divisor, target, active: Sequence[int], N: int,
                   report: Optional[GradedSolveReport] = None, label: str = "",
                   require_nondegenerate: bool = True):
@@ -221,15 +219,11 @@ def _solve_wedge_degree(lin_divisor, rhs, active, d, res_tuples, tgt_tuples,
         raise SolveInconsistencyError(
             f"divisor has no linear part{': ' + label if label else ''}", degree=d)
     active_set = set(active)
-    lin = {key[0]: poly for key, poly in lin_divisor.comps.items()}
-    lin_coeffs = {j: {t: c for t, c in enumerate(poly.linear_coefficients()) if c}
-                  for j, poly in lin.items()}
+    lin_coeffs = {key[0]: {t: c for t, c in enumerate(poly.linear_coefficients()) if c}
+                  for key, poly in lin_divisor.comps.items()}
 
     # group unknown monomials by inert pattern
-    unknown_mons = _monomials_of_degree(n, d)
-    groups: Dict[tuple, List[tuple]] = {}
-    for mon in unknown_mons:
-        groups.setdefault(_param_pattern(mon, active_set), []).append(mon)
+    groups = _group_by_pattern(_monomials_of_degree(n, d), active_set)
 
     # rhs rows grouped the same way
     rhs_entries: Dict[tuple, Dict[Tuple[tuple, tuple], Fraction]] = {}
@@ -238,40 +232,25 @@ def _solve_wedge_degree(lin_divisor, rhs, active, d, res_tuples, tgt_tuples,
             pat = _param_pattern(exps, active_set)
             rhs_entries.setdefault(pat, {})[(exps, key)] = c
 
-    total = kind(n, len(res_tuples[0]) if res_tuples else 0, {})
-    out_comps: Dict[tuple, Poly] = {}
+    out_terms: Dict[tuple, dict] = {}
     for pat, mons in sorted(groups.items()):
-        rows_map: Dict[Tuple[tuple, tuple], int] = {}
-        cols: List[Tuple[tuple, tuple]] = []
-        entries: List[Tuple[int, int, Fraction]] = []
-        for mon in mons:
-            for J in res_tuples:
-                col = len(cols)
-                cols.append((mon, J))
-                for j, coeffs in lin_coeffs.items():
-                    ms = merge_sign((j,), J)
-                    if ms is None:
-                        continue
-                    key, sign = ms
-                    for t, c in coeffs.items():
-                        new = list(mon)
-                        new[t] += 1
-                        row_key = (tuple(new), key)
-                        idx = rows_map.setdefault(row_key, len(rows_map))
-                        entries.append((idx, col, sign * c))
-        target_entries = rhs_entries.get(pat, {})
-        for row_key in target_entries:
-            rows_map.setdefault(row_key, len(rows_map))
-        nrows, ncols = len(rows_map), len(cols)
-        M = [[Fraction(0)] * ncols for _ in range(nrows)]
-        for i, jcol, v in entries:
-            M[i][jcol] += v
-        b = [Fraction(0)] * nrows
-        for row_key, v in target_entries.items():
-            b[rows_map[row_key]] = v
-        res = solve_linear(RatMatrix(M), b)
+        cols = [(mon, J) for mon in mons for J in res_tuples]
+        system = GradedSystem(len(cols))
+        for col, (mon, J) in enumerate(cols):
+            for j, coeffs in lin_coeffs.items():
+                ms = merge_sign((j,), J)
+                if ms is None:
+                    continue
+                key, sign = ms
+                for t, c in coeffs.items():
+                    new = list(mon)
+                    new[t] += 1
+                    system.add((tuple(new), key), col, sign * c)
+        for row_key, v in rhs_entries.get(pat, {}).items():
+            system.rhs(row_key, v)
+        res = system.solve()
         if report is not None:
-            report.add(d, nrows, ncols, res.consistent, label)
+            report.add(d, len(system.rows), system.ncols, res.consistent, label)
         if not res.consistent:
             raise SolveInconsistencyError(
                 f"inconsistent wedge division at degree {d}"
@@ -279,11 +258,9 @@ def _solve_wedge_degree(lin_divisor, rhs, active, d, res_tuples, tgt_tuples,
                 degree=d, residual=rhs)
         for (mon, J), v in zip(cols, res.solution):
             if v:
-                cur = out_comps.get(J)
-                add = Poly.monomial(n, mon, v)
-                out_comps[J] = add if cur is None else cur + add
+                out_terms.setdefault(J, {})[mon] = v
     return kind(n, len(res_tuples[0]) if res_tuples else 0,
-                {k: v for k, v in out_comps.items() if not v.is_zero()})
+                {J: Poly(n, terms) for J, terms in out_terms.items()})
 
 
 def derham_divide(alpha: DiffForm, beta: DiffForm, active: Sequence[int], N: int,
@@ -565,14 +542,8 @@ def _split_multiplier(alpha1, rho, y, r, n, report):
     active_set = set(y)
     diag = {key[0]: poly.linear_coefficients()[key[0]]
             for key, poly in alpha1.comps.items()}
-    f_mons = _monomials_of_degree(n, r - 1)
-    h_mons = _monomials_of_degree(n, r + 1, active=y)
-    groups_f: Dict[tuple, List[tuple]] = {}
-    for mon in f_mons:
-        groups_f.setdefault(_param_pattern(mon, active_set), []).append(mon)
-    groups_h: Dict[tuple, List[tuple]] = {}
-    for mon in h_mons:
-        groups_h.setdefault(_param_pattern(mon, active_set), []).append(mon)
+    groups_f = _group_by_pattern(_monomials_of_degree(n, r - 1), active_set)
+    groups_h = _group_by_pattern(_monomials_of_degree(n, r + 1, active=y), active_set)
 
     rho_entries: Dict[tuple, Dict[Tuple[tuple, int], Fraction]] = {}
     for (j,), poly in rho.comps.items():
@@ -580,55 +551,35 @@ def _split_multiplier(alpha1, rho, y, r, n, report):
             pat = _param_pattern(exps, active_set)
             rho_entries.setdefault(pat, {})[(exps, j)] = c
 
-    f_poly = Poly.zero(n)
-    h_poly = Poly.zero(n)
+    terms = {"f": {}, "h": {}}
     patterns = sorted(set(groups_f) | set(groups_h) | set(rho_entries))
     for pat in patterns:
-        rows_map: Dict[Tuple[tuple, int], int] = {}
-        cols = []
-        entries = []
-        for mon in groups_f.get(pat, []):
-            col = len(cols)
-            cols.append(("f", mon))
-            for j, dj in diag.items():
-                new = list(mon)
-                new[j] += 1
-                key = (tuple(new), j)
-                idx = rows_map.setdefault(key, len(rows_map))
-                entries.append((idx, col, dj))
-        for mon in groups_h.get(pat, []):
-            col = len(cols)
-            cols.append(("h", mon))
+        cols = ([("f", mon) for mon in groups_f.get(pat, [])]
+                + [("h", mon) for mon in groups_h.get(pat, [])])
+        system = GradedSystem(len(cols))
+        for col, (kind_, mon) in enumerate(cols):
+            if kind_ == "f":
+                for j, dj in diag.items():
+                    new = list(mon)
+                    new[j] += 1
+                    system.add((tuple(new), j), col, dj)
+                continue
             for j in y:
                 if mon[j] == 0:
                     continue
                 new = list(mon)
                 new[j] -= 1
-                key = (tuple(new), j)
-                idx = rows_map.setdefault(key, len(rows_map))
-                entries.append((idx, col, Fraction(mon[j])))
-        target = rho_entries.get(pat, {})
-        for key in target:
-            rows_map.setdefault(key, len(rows_map))
-        M = [[Fraction(0)] * len(cols) for _ in range(len(rows_map))]
-        for i, j, v in entries:
-            M[i][j] += v
-        b = [Fraction(0)] * len(rows_map)
-        for key, v in target.items():
-            b[rows_map[key]] = v
-        res = solve_linear(RatMatrix(M), b)
-        report.add(r, len(rows_map), len(cols), res.consistent, "multiplier split")
+                system.add((tuple(new), j), col, Fraction(mon[j]))
+        for key, v in rho_entries.get(pat, {}).items():
+            system.rhs(key, v)
+        res = system.solve()
+        report.add(r, len(system.rows), system.ncols, res.consistent, "multiplier split")
         if not res.consistent:
             raise SolveInconsistencyError(
                 "multiplier split inconsistent", degree=r, residual=rho)
         for (kind_, mon), v in zip(cols, res.solution):
-            if not v:
-                continue
-            if kind_ == "f":
-                f_poly = f_poly + Poly.monomial(n, mon, v)
-            else:
-                h_poly = h_poly + Poly.monomial(n, mon, v)
-    return f_poly, h_poly
+            terms[kind_][mon] = v
+    return Poly(n, terms["f"]), Poly(n, terms["h"])
 
 
 # ---------------------------------------------------------------------------
@@ -852,27 +803,16 @@ def _solve_lie_multiplier(P1: Multivector, f_r: Poly, active: Sequence[int],
             basis.append(("E", (s, pmon if param_slots else ())))
             images.append(lie_derivative(X, P1))
 
-    target = P1.poly_scale(f_r)
-    rows_map: Dict[Tuple[tuple, tuple], int] = {}
-    entries = []
+    system = GradedSystem(len(images))
     for col, img in enumerate(images):
         for key, poly in img.comps.items():
             for exps, c in poly.terms.items():
-                rk = (key, exps)
-                idx = rows_map.setdefault(rk, len(rows_map))
-                entries.append((idx, col, c))
-    for key, poly in target.comps.items():
+                system.add((key, exps), col, c)
+    for key, poly in P1.poly_scale(f_r).comps.items():
         for exps, c in poly.terms.items():
-            rows_map.setdefault((key, exps), len(rows_map))
-    M = [[Fraction(0)] * len(images) for _ in range(len(rows_map))]
-    for i, j, v in entries:
-        M[i][j] += v
-    b = [Fraction(0)] * len(rows_map)
-    for key, poly in target.comps.items():
-        for exps, c in poly.terms.items():
-            b[rows_map[(key, exps)]] = c
-    res = solve_linear(RatMatrix(M), b)
-    report.add(r, len(rows_map), len(images), res.consistent, "Lie multiplier")
+            system.rhs((key, exps), c)
+    res = system.solve()
+    report.add(r, len(system.rows), system.ncols, res.consistent, "Lie multiplier")
     if not res.consistent:
         raise SolveInconsistencyError("multiplier Lie solve inconsistent", degree=r)
     X = Multivector(n, 1, {})
@@ -1149,22 +1089,18 @@ def _straighten_flow(V: Multivector, i: int, N: int) -> FormalMap:
     for k in range(0, N + 1):
         # defect at order u_i^k
         image = [V.component((j,)).substitute(comps, N) for j in range(n)]
-        fixed = True
         for j in range(n):
             dcomp = comps[j].partial(i)
             defect = image[j] - dcomp
             piece = _ui_coefficient(defect, i, k)
             if piece.is_zero():
                 continue
-            fixed = False
             lift = {}
             for exps, c in piece.terms.items():
                 new = list(exps)
                 new[i] = k + 1
                 lift[tuple(new)] = c / (k + 1)
             comps[j] = comps[j] + Poly(n, lift)
-        if fixed and k > 0:
-            pass
     comps = [c.truncate(N) for c in comps]
     return FormalMap(comps, trunc=N)
 
@@ -1247,39 +1183,25 @@ def _homological_solve(L: Multivector, R: Multivector, d: int,
     n = L.nvars
     mons = _monomials_of_degree(n, d)
     basis = [(mon, i) for mon in mons for i in range(n)]
-    col_of = {bk: idx for idx, bk in enumerate(basis)}
-    rows_map: Dict[Tuple[tuple, int], int] = {}
-    entries = []
-    for (mon, i), col in col_of.items():
+    system = GradedSystem(len(basis))
+    for col, (mon, i) in enumerate(basis):
         U = Multivector(n, 1, {(i,): Poly.monomial(n, mon)})
         img = lie_bracket(L, U)
         for (j,), poly in img.comps.items():
             for exps, c in poly.terms.items():
-                rk = (exps, j)
-                idx = rows_map.setdefault(rk, len(rows_map))
-                entries.append((idx, col, c))
+                system.add((exps, j), col, c)
     for (j,), poly in R.comps.items():
         for exps, c in poly.terms.items():
-            rows_map.setdefault((exps, j), len(rows_map))
-    Mt = [[Fraction(0)] * len(basis) for _ in range(len(rows_map))]
-    for i, j, v in entries:
-        Mt[i][j] += v
-    b = [Fraction(0)] * len(rows_map)
-    for (j,), poly in R.comps.items():
-        for exps, c in poly.terms.items():
-            b[rows_map[(exps, j)]] = c
-    res = solve_linear(RatMatrix(Mt), b)
-    report.add(d, len(rows_map), len(basis), res.consistent, "homological")
+            system.rhs((exps, j), c)
+    res = system.solve()
+    report.add(d, len(system.rows), system.ncols, res.consistent, "homological")
     if not res.consistent:
         raise SolveInconsistencyError("homological equation inconsistent", degree=d)
-    comps: Dict[tuple, Poly] = {}
-    for (mon, i), col in col_of.items():
-        v = res.solution[col]
+    terms: Dict[tuple, dict] = {}
+    for (mon, i), v in zip(basis, res.solution):
         if v:
-            cur = comps.get((i,))
-            add = Poly.monomial(n, mon, v)
-            comps[(i,)] = add if cur is None else cur + add
-    return Multivector(n, 1, {k: v for k, v in comps.items() if not v.is_zero()})
+            terms.setdefault((i,), {})[mon] = v
+    return Multivector(n, 1, {k: Poly(n, t) for k, t in terms.items()})
 
 
 # ---------------------------------------------------------------------------

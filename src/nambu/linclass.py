@@ -27,7 +27,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .polyalg import (
     EigenData,
-    Fraction,
     InputError,
     Poly,
     PreconditionError,
@@ -35,7 +34,6 @@ from .polyalg import (
     SolveInconsistencyError,
     eigen_data,
     inertia,
-    solve_linear,
 )
 from .exterior import (
     DiffForm,
@@ -51,7 +49,7 @@ from .exterior import (
     tensor_to_form,
     wedge,
 )
-from .verify import ConambuVerdict, is_conambu
+from .verify import is_conambu
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,11 @@ of symmetric forms, and exact characteristic polynomials.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 Rational = Fraction
 
@@ -683,35 +683,143 @@ class RatMatrix:
 
 @dataclass
 class LinearSolveResult:
-    """Outcome of an exact linear solve M x = b."""
+    """Outcome of an exact linear solve M x = b.
+
+    `pivots` are the pivot columns of the RREF of M. `echelon` holds one row
+    per pivot, as (pivot column, row scaled to 1 there, its right-hand side),
+    with every entry at or right of the pivot; the kernel basis is read off
+    these rows when first asked for.
+    """
 
     solution: Optional[List[Fraction]]
-    kernel: List[List[Fraction]]
     witness: Optional[List[Fraction]]  # y with y.M = 0, y.b != 0 when inconsistent
+    pivots: List[int]
+    echelon: list = field(repr=False)
 
     @property
     def consistent(self) -> bool:
         return self.solution is not None
 
+    @functools.cached_property
+    def kernel(self) -> List[List[Fraction]]:
+        """Basis of the right kernel of M, one vector per free column f with
+        x_f = 1 and the other free variables zero (empty when inconsistent)."""
+        if self.solution is None:
+            return []
+        pivot_set = set(self.pivots)
+        ncols = len(self.solution)
+        return [_back_substitute(self.echelon, ncols, f)
+                for f in range(ncols) if f not in pivot_set]
+
+
+def _back_substitute(echelon, ncols: int, free: Optional[int] = None) -> List[Fraction]:
+    """Solve the echelon rows from the last pivot up, free variables zero.
+
+    With `free` given, solves the homogeneous system with x_free = 1.
+    """
+    x = [Fraction(0)] * ncols
+    if free is not None:
+        x[free] = Fraction(1)
+    for c, row, rhs in reversed(echelon):
+        acc = Fraction(0) if free is not None else rhs
+        for k, v in row.items():
+            if k != c and x[k]:
+                acc -= v * x[k]
+        x[c] = acc
+    return x
+
+
+def solve_sparse(rows: Sequence[dict], ncols: int, rhs: Sequence) -> LinearSolveResult:
+    """Solve M x = b exactly, M given as sparse rows ``{column: value}``.
+
+    Columns are eliminated left to right. At each column the pivot is the
+    remaining row with the fewest nonzeros, which keeps fill-in low
+    (Markowitz 1957); no transform matrix is built. Column c is a pivot
+    exactly when it is not in the span of columns 0..c-1, whichever row is
+    chosen, so the pivots are the RREF's leftmost pivots and the particular
+    solution (free variables zero) is the RREF's, byte for byte. When the
+    system is inconsistent the Farkas witness y (y.M = 0, y.b = 1) comes from
+    one more solve of [M^T; b^T] y = [0; 1].
+    """
+    given = [_as_fraction(v) for v in rhs]
+    if len(given) != len(rows):
+        raise ValueError("right-hand side has wrong length")
+    b = list(given)
+    work = [{c: v for c, v in row.items() if v} for row in rows]
+    unpivoted = set(range(len(work)))
+    echelon = []
+    for c in range(ncols):
+        holders = [i for i in unpivoted if c in work[i]]
+        if not holders:
+            continue
+        p = min(holders, key=lambda i: (len(work[i]), i))
+        unpivoted.discard(p)
+        prow = work[p]
+        inv = Fraction(1) / prow[c]
+        if inv != 1:
+            prow = {k: v * inv for k, v in prow.items()}
+            b[p] *= inv
+        for i in holders:
+            if i == p:
+                continue
+            row = work[i]
+            f = row[c]
+            for k, v in prow.items():
+                s = row.get(k, 0) - f * v
+                if s:
+                    row[k] = s
+                else:
+                    del row[k]
+            b[i] -= f * b[p]
+        echelon.append((c, prow, b[p]))
+    pivots = [c for c, _, _ in echelon]
+    if any(b[i] for i in unpivoted):
+        transposed = [{} for _ in range(ncols)]
+        for i, row in enumerate(rows):
+            for c, v in row.items():
+                transposed[c][i] = v
+        transposed.append(dict(enumerate(given)))
+        witness = solve_sparse(transposed, len(rows), [0] * ncols + [1]).solution
+        return LinearSolveResult(None, witness, pivots, echelon)
+    return LinearSolveResult(_back_substitute(echelon, ncols), None, pivots, echelon)
+
 
 def solve_linear(M: RatMatrix, b: Sequence) -> LinearSolveResult:
-    """Solve M x = b exactly.
+    """Solve M x = b exactly by one sparse elimination (`solve_sparse`).
 
-    Returns a particular solution (free variables zero) plus a kernel basis,
-    or an inconsistency witness row y (y.M = 0 and y.b != 0).
+    The pivots are the leftmost ones, those of the RREF of M, so the
+    particular solution with free variables zero is the RREF's. Returns it
+    plus a kernel basis, or an inconsistency witness row y (y.M = 0 and
+    y.b != 0).
     """
-    rhs = [_as_fraction(v) for v in b]
-    if len(rhs) != M.rows:
-        raise ValueError("right-hand side has wrong length")
-    R, T, pivots = M.rref()
-    c = T.matvec(rhs)
-    for i in range(len(pivots), M.rows):
-        if c[i] != 0:
-            return LinearSolveResult(None, [], list(T.data[i]))
-    x = [Fraction(0)] * M.cols
-    for r, col in enumerate(pivots):
-        x[col] = c[r]
-    return LinearSolveResult(x, M.nullspace(), None)
+    return solve_sparse([{c: v for c, v in enumerate(row) if v} for row in M.data],
+                        M.cols, b)
+
+
+class GradedSystem:
+    """One sparse exact system M x = b, assembled entry by entry with labelled rows.
+
+    A row label is any hashable key (a monomial with a component index, say);
+    rows keep the order of first use, columns run over 0..ncols-1, and
+    entries added twice at one place accumulate.
+    """
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.rows = {}  # label -> {column: value}
+        self.b = {}     # label -> right-hand side
+
+    def add(self, row, col: int, v) -> None:
+        entries = self.rows.setdefault(row, {})
+        entries[col] = entries.get(col, 0) + v
+
+    def rhs(self, row, v) -> None:
+        self.rows.setdefault(row, {})
+        self.b[row] = v
+
+    def solve(self) -> LinearSolveResult:
+        return solve_sparse(list(self.rows.values()), self.ncols,
+                            [self.b.get(key, Fraction(0)) for key in self.rows])
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from .exterior import (
     contract_oneform,
     dform,
     interior,
-    scalar_field,
     tensor_to_form,
     wedge,
 )

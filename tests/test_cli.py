@@ -6,8 +6,12 @@ import sys
 
 import pytest
 
+from fractions import Fraction
+
 from nambu.cli import run
-from nambu.exterior import graded_from_json
+from nambu.exterior import formal_map_from_json, graded_from_json, pushforward_tensor
+from nambu.linclass import normal_form_generator
+from nambu.polyalg import RatMatrix, parse_poly
 from nambu.verify import is_nambu
 
 
@@ -170,6 +174,23 @@ def test_linearize_type2_success(capsys, monkeypatch):
     assert code == 0
     data = json.loads(out)
     assert "map" in data and "field_matrix" in data
+    # the reported map, multiplier and field matrix satisfy the contract
+    # Phi_* P == multiplier * Lambda(field_matrix) through the order
+    P = graded_from_json(json.loads(fixture))
+    phi = formal_map_from_json(data["map"])
+    f = parse_poly(data["multiplier"], 5)
+    B = RatMatrix([[Fraction(v) for v in row] for row in data["field_matrix"]])
+    linear, _ = normal_form_generator("type2", 5, 4, matrix=B)
+    lhs = pushforward_tensor(P, phi, 3).truncate(3)
+    assert lhs == linear.poly_scale(f, 3).truncate(3)
+
+
+@pytest.mark.parametrize("matrix", ["1,2;3", "1,x;3,4"])
+def test_generate_malformed_matrix_exit2(capsys, matrix):
+    code, out, err = invoke(capsys, ["generate", "type2", "--n", "5", "--q", "4",
+                                     "--matrix", matrix])
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "Traceback" not in err
 
 
 def test_linearize_type1_success(capsys, monkeypatch):

@@ -431,6 +431,11 @@ def test_graded_json_validation():
         graded_from_json({"nvars": 5, "grade": 3})
     with pytest.raises(InputError):
         graded_from_json({"nvars": 2, "grade": 1, "components": {"1": "x1^"}})
+    # booleans are ints in Python, but not sizes
+    with pytest.raises(InputError):
+        graded_from_json({"nvars": True, "grade": 1, "components": {"1": "x1"}})
+    with pytest.raises(InputError):
+        graded_from_json({"nvars": 2, "grade": True, "components": {"1": "x1"}})
 
 
 def test_formal_map_json_roundtrip():

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nambu.polyalg import (
+    GradedSystem,
     InputError,
     Poly,
     PolyParseError,
@@ -17,6 +19,7 @@ from nambu.polyalg import (
     parse_poly,
     poly_arith,
     solve_linear,
+    solve_sparse,
 )
 
 
@@ -177,6 +180,81 @@ def test_solve_randomized_exactness():
             assert M.matvec(res.solution) == b
         for k in res.kernel:
             assert M.matvec(k) == [Fraction(0)] * r
+
+
+# -- the sparse solver against the dense RREF reference ------------------------
+
+# mostly zeros, small numerators and denominators: sparse, rank-deficient systems
+_entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                   st.fractions(min_value=-5, max_value=5, max_denominator=4))
+
+
+@st.composite
+def sparse_systems(draw):
+    r = draw(st.integers(1, 7))
+    c = draw(st.integers(1, 7))
+    M = [[draw(_entry) for _ in range(c)] for _ in range(r)]
+    if draw(st.booleans()):  # consistent: b = M x0
+        x0 = [draw(_entry) for _ in range(c)]
+        b = [sum((m * x for m, x in zip(row, x0)), Fraction(0)) for row in M]
+    else:  # often inconsistent
+        b = [draw(_entry) for _ in range(r)]
+    return RatMatrix(M), b
+
+
+def _rref_reference(M, b):
+    """(pivots, solution or None) read off the dense RREF of M."""
+    _, T, pivots = M.rref()
+    c = T.matvec(b)
+    if any(c[i] for i in range(len(pivots), M.rows)):
+        return pivots, None
+    x = [Fraction(0)] * M.cols
+    for r, col in enumerate(pivots):
+        x[col] = c[r]
+    return pivots, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_systems())
+def test_solve_sparse_matches_rref(system):
+    M, b = system
+    pivots, x = _rref_reference(M, b)
+    rows = [{j: v for j, v in enumerate(row) if v} for row in M.data]
+    for res in (solve_linear(M, b), solve_sparse(rows, M.cols, b)):
+        assert res.pivots == pivots
+        assert res.consistent == (x is not None)
+        assert res.solution == x
+        if x is None:
+            y = res.witness
+            assert [sum((y[i] * M[i, j] for i in range(M.rows)), Fraction(0))
+                    for j in range(M.cols)] == [0] * M.cols
+            assert sum((yi * bi for yi, bi in zip(y, b)), Fraction(0)) != 0
+        else:
+            assert res.witness is None
+            assert len(res.kernel) == M.cols - len(pivots)
+            for k in res.kernel:
+                assert M.matvec(k) == [0] * M.rows
+            if res.kernel:
+                assert RatMatrix(res.kernel).rank() == len(res.kernel)
+            assert res.kernel == M.nullspace()
+
+
+def test_graded_system_labels_and_accumulation():
+    # x0 + x1 = 3 (entered in two pieces), x1 = 1, and a row seen only on the rhs
+    system = GradedSystem(3)
+    system.add("a", 0, Fraction(1))
+    system.add("b", 1, Fraction(1))
+    system.add("a", 1, Fraction(1, 2))
+    system.add("a", 1, Fraction(1, 2))
+    system.rhs("a", Fraction(3))
+    system.rhs("b", Fraction(1))
+    assert (len(system.rows), system.ncols) == (2, 3)
+    res = system.solve()
+    assert res.solution == [2, 1, 0] and res.pivots == [0, 1]
+    system.rhs("c", Fraction(1))
+    res = system.solve()
+    assert len(system.rows) == 3 and not res.consistent
+    assert res.witness == [0, 0, 1]
 
 
 # -- inertia -------------------------------------------------------------------
