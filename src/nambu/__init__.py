@@ -28,7 +28,6 @@ from .exterior import (
     coordinate_form,
     dform,
     form_to_tensor,
-    formal_inverse,
     graded_from_json,
     interior,
     lie_bracket,

@@ -9,6 +9,7 @@ the library derive from this single choice.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -151,12 +152,7 @@ class _Alternating:
             raise ValueError("grade mismatch in addition")
         out = dict(self.comps)
         for k, p in other.comps.items():
-            s = out.get(k)
-            s = p if s is None else s + p
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+            _accumulate(out, k, p)
         return type(self)._make(self.nvars, self.grade, out)
 
     def __sub__(self, other):
@@ -295,10 +291,6 @@ def coordinate_form(nvars: int, i: int) -> DiffForm:
     return DiffForm(nvars, 1, {(i,): Poly.one(nvars)})
 
 
-def scalar_field(poly: Poly) -> Multivector:
-    return Multivector(poly.nvars, 0, {(): poly})
-
-
 def scalar_form(poly: Poly) -> DiffForm:
     return DiffForm(poly.nvars, 0, {(): poly})
 
@@ -313,6 +305,74 @@ def standard_volume(nvars: int, multiplier: Optional[Poly] = None) -> DiffForm:
 
 
 # -- exterior algebra ----------------------------------------------------------
+#
+# The kernel below works on raw component dicts {index tuple: coefficient}
+# whose coefficients are Polys or plain ints (a zero coefficient is falsy in
+# both), so every sign of the library is decided here.
+
+def _accumulate(out: dict, key, val) -> None:
+    """out[key] += val, keeping out free of zero coefficients."""
+    s = out.get(key)
+    if s is not None:
+        val = s + val
+    if val:
+        out[key] = val
+    else:
+        out.pop(key, None)
+
+
+def _wedge_into(out: dict, a: dict, b: dict, trunc: Optional[int] = None) -> dict:
+    """Add the wedge product of raw components a and b into out."""
+    for I, x in a.items():
+        for J, y in b.items():
+            ms = merge_sign(I, J)
+            if ms is None:
+                continue
+            key, sign = ms
+            prod = x * y if trunc is None else x.mul(y, trunc)
+            _accumulate(out, key, prod if sign > 0 else -prod)
+    return out
+
+
+def _contract_single(comps: dict, j: int) -> dict:
+    """Leading-slot single contraction along direction j on raw components.
+
+    Distinct tuples containing j stay distinct once j is removed, so nothing
+    needs accumulating.
+    """
+    out = {}
+    for K, c in comps.items():
+        if j in K:
+            t = K.index(j)
+            out[K[:t] + K[t + 1:]] = c if t % 2 == 0 else -c
+    return out
+
+
+def _contract(comps: dict, I: IndexTuple) -> dict:
+    """i_{e_I} on raw components, lowest index of I first."""
+    for j in I:
+        comps = _contract_single(comps, j)
+        if not comps:
+            break
+    return comps
+
+
+def _integer_parts(obj) -> Dict[Tuple[int, ...], dict]:
+    """Split obj = (1/D) sum_m x^m w_m into integer constant components w_m.
+
+    Keys are exponent tuples m and D is the lcm of the coefficient
+    denominators, so w_m is D times the constant form that x^m multiplies.
+    """
+    D = 1
+    for c in obj.comps.values():
+        for v in c.terms.values():
+            D = math.lcm(D, v.denominator)
+    parts: Dict[Tuple[int, ...], dict] = {}
+    for K, c in obj.comps.items():
+        for m, v in c.terms.items():
+            parts.setdefault(m, {})[K] = v.numerator * (D // v.denominator)
+    return parts
+
 
 def wedge(a, b, trunc: Optional[int] = None):
     """Wedge product of two objects of the same kind.
@@ -324,23 +384,7 @@ def wedge(a, b, trunc: Optional[int] = None):
     grade = a.grade + b.grade
     if grade > a.nvars:
         return type(a)(a.nvars, a.nvars, {})
-    out: Dict[IndexTuple, Poly] = {}
-    for I, p in a.comps.items():
-        for J, q in b.comps.items():
-            ms = merge_sign(I, J)
-            if ms is None:
-                continue
-            key, sign = ms
-            prod = p.mul(q, trunc)
-            if sign < 0:
-                prod = -prod
-            s = out.get(key)
-            s = prod if s is None else s + prod
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return type(a)._make(a.nvars, grade, out)
+    return type(a)._make(a.nvars, grade, _wedge_into({}, a.comps, b.comps, trunc))
 
 
 def wedge_all(objs, trunc: Optional[int] = None):
@@ -350,24 +394,6 @@ def wedge_all(objs, trunc: Optional[int] = None):
     return result
 
 
-def _contract_single(comps: Dict[IndexTuple, Poly], j: int) -> Dict[IndexTuple, Poly]:
-    """Leading-slot single contraction along direction j on raw components."""
-    out: Dict[IndexTuple, Poly] = {}
-    for K, c in comps.items():
-        if j not in K:
-            continue
-        t = K.index(j)
-        key = K[:t] + K[t + 1:]
-        val = c if t % 2 == 0 else -c
-        s = out.get(key)
-        s = val if s is None else s + val
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return out
-
-
 def interior(A: Multivector, omega: DiffForm, trunc: Optional[int] = None) -> DiffForm:
     """Interior product i_A omega, contracting the lowest index of A first."""
     if A.nvars != omega.nvars:
@@ -375,23 +401,11 @@ def interior(A: Multivector, omega: DiffForm, trunc: Optional[int] = None) -> Di
     if A.grade > omega.grade:
         raise ValueError(
             f"cannot contract a grade-{A.grade} multivector into a grade-{omega.grade} form")
-    n = A.nvars
     total: Dict[IndexTuple, Poly] = {}
     for I, a in A.comps.items():
-        comps = omega.comps
-        for j in I:
-            comps = _contract_single(comps, j)
-            if not comps:
-                break
-        for K, c in comps.items():
-            term = a.mul(c, trunc)
-            s = total.get(K)
-            s = term if s is None else s + term
-            if s.is_zero():
-                total.pop(K, None)
-            else:
-                total[K] = s
-    return DiffForm._make(n, omega.grade - A.grade, total)
+        for K, c in _contract(omega.comps, I).items():
+            _accumulate(total, K, a.mul(c, trunc))
+    return DiffForm._make(A.nvars, omega.grade - A.grade, total)
 
 
 def contract_oneform(beta: DiffForm, T: Multivector, trunc: Optional[int] = None) -> Multivector:
@@ -404,15 +418,8 @@ def contract_oneform(beta: DiffForm, T: Multivector, trunc: Optional[int] = None
         raise ValueError("cannot contract into a grade-0 multivector")
     out: Dict[IndexTuple, Poly] = {}
     for (j,), b in beta.comps.items():
-        contracted = _contract_single(T.comps, j)
-        for K, c in contracted.items():
-            term = b.mul(c, trunc)
-            s = out.get(K)
-            s = term if s is None else s + term
-            if s.is_zero():
-                out.pop(K, None)
-            else:
-                out[K] = s
+        for K, c in _contract_single(T.comps, j).items():
+            _accumulate(out, K, b.mul(c, trunc))
     return Multivector._make(T.nvars, T.grade - 1, out)
 
 
@@ -430,16 +437,9 @@ def dform(omega: DiffForm, var_indices: Optional[Sequence[int]] = None) -> DiffF
             if dc.is_zero():
                 continue
             ms = merge_sign((j,), K)
-            if ms is None:
-                continue
-            key, sign = ms
-            val = dc if sign > 0 else -dc
-            s = out.get(key)
-            s = val if s is None else s + val
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            if ms is not None:
+                key, sign = ms
+                _accumulate(out, key, dc if sign > 0 else -dc)
     return DiffForm._make(n, omega.grade + 1, out)
 
 
@@ -480,21 +480,9 @@ def lie_derivative(X: Multivector, T: Multivector) -> Multivector:
         raise ValueError("lie_derivative needs a grade-1 direction field")
     if X.nvars != T.nvars:
         raise ValueError("nvars mismatch")
-    n = X.nvars
     out: Dict[IndexTuple, Poly] = {}
-
-    def add(key, poly):
-        if poly.is_zero():
-            return
-        s = out.get(key)
-        s = poly if s is None else s + poly
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
-
     for I, c in T.comps.items():
-        add(I, apply_vector(X, c))
+        _accumulate(out, I, apply_vector(X, c))
         # L_X d/dx_j = -sum_k (dX^k/dx_j) d/dx_k
         for t, j in enumerate(I):
             for (k,), xk in X.comps.items():
@@ -508,8 +496,8 @@ def lie_derivative(X: Multivector, T: Multivector) -> Multivector:
                     continue
                 key, sign = ss
                 term = c.mul(coeff)
-                add(key, -term if sign > 0 else term)
-    return Multivector(n, T.grade, out)
+                _accumulate(out, key, -term if sign > 0 else term)
+    return Multivector._make(X.nvars, T.grade, out)
 
 
 # -- volume duality -------------------------------------------------------------
@@ -529,12 +517,8 @@ def _check_volume(Omega: DiffForm):
 
 def duality_sign(nvars: int, I: IndexTuple) -> int:
     """Sign s with i_{e_I}(dx_1^...^dx_n) = s * dx_complement(I)."""
-    comps: Dict[IndexTuple, Poly] = {tuple(range(nvars)): Poly.one(nvars)}
-    for j in I:
-        comps = _contract_single(comps, j)
-    (key, poly), = comps.items()
-    c = poly.constant_term()
-    return 1 if c > 0 else -1
+    (sign,) = _contract({tuple(range(nvars)): 1}, I).values()
+    return sign
 
 
 def tensor_to_form(P: Multivector, Omega: Optional[DiffForm] = None) -> DiffForm:
@@ -640,8 +624,6 @@ class FormalMap:
         for r in range(n):
             new: Dict[Tuple[int, ...], Poly] = {}
             for cols, val in minors.items():
-                if val.is_zero():
-                    continue
                 used = set(cols)
                 for j in range(n):
                     if j in used:
@@ -650,12 +632,8 @@ class FormalMap:
                     if entry.is_zero():
                         continue
                     key = tuple(sorted(cols + (j,)))
-                    sign = 1 if (key.index(j) % 2 == r % 2) else -1
                     term = val.mul(entry, trunc)
-                    if sign < 0:
-                        term = -term
-                    cur = new.get(key)
-                    new[key] = term if cur is None else cur + term
+                    _accumulate(new, key, term if key.index(j) % 2 == r % 2 else -term)
             minors = new
         return minors.get(tuple(range(n)), Poly.zero(n))
 
@@ -714,10 +692,6 @@ def _combine_trunc(a, b):
     if b is None:
         return a
     return min(a, b)
-
-
-def formal_inverse(phi: FormalMap, N: Optional[int] = None) -> FormalMap:
-    return phi.inverse(N)
 
 
 def formal_map_to_json(phi: FormalMap) -> dict:

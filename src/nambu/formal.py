@@ -32,6 +32,8 @@ from .exterior import (
     DiffForm,
     FormalMap,
     Multivector,
+    _accumulate,
+    _contract_single,
     apply_vector,
     coordinate_field,
     coordinate_form,
@@ -278,10 +280,6 @@ def derham_divide(alpha: DiffForm, beta: DiffForm, active: Sequence[int], N: int
 # Euler homotopy on the active block (Poincare lemma antiderivative)
 # ---------------------------------------------------------------------------
 
-def d_active(omega: DiffForm, active: Sequence[int]) -> DiffForm:
-    return dform(omega, active)
-
-
 def homotopy_antiderivative(eta, active: Sequence[int]):
     """phi with d_y phi = eta for a d_y-closed form on the active block.
 
@@ -290,25 +288,16 @@ def homotopy_antiderivative(eta, active: Sequence[int]):
     a + k >= 1, so K is always defined here.
     """
     n = eta.nvars
-    active_set = set(active)
-    kind = type(eta)
     k = eta.grade
     out: Dict[tuple, Poly] = {}
-    for K, poly in eta.comps.items():
-        for t, j in enumerate(K):
-            if j not in active_set:
-                continue
-            sub = K[:t] + K[t + 1:]
-            sign = 1 if t % 2 == 0 else -1
+    for j in active:
+        for sub, poly in _contract_single(eta.comps, j).items():
             for exps, c in poly.terms.items():
-                a = sum(exps[i] for i in active)
-                weight = a + k
+                weight = sum(exps[i] for i in active) + k
                 new = list(exps)
                 new[j] += 1
-                add = Poly.monomial(n, new, Fraction(sign, 1) * c / weight)
-                cur = out.get(sub)
-                out[sub] = add if cur is None else cur + add
-    return kind(n, k - 1, {kk: v for kk, v in out.items() if not v.is_zero()})
+                _accumulate(out, sub, Poly.monomial(n, new, c / weight))
+    return type(eta)._make(n, k - 1, out)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +393,7 @@ def _resolve_beta_chain(alpha1, omega_k, y, N, report):
     xi = derham_divide(alpha1, omega_k, y, N, report)
     chain = [xi]
     while True:
-        der = d_active(chain[-1], y)
+        der = dform(chain[-1], y)
         if der.is_zero():
             break
         chain.append(derham_divide(alpha1, der, y, N, report))
@@ -413,11 +402,11 @@ def _resolve_beta_chain(alpha1, omega_k, y, N, report):
     for h in range(len(chain) - 2, -1, -1):
         # xi_h + phi_{h+1} alpha1 is d_y-closed
         closed = chain[h] + alpha1.poly_scale(phi)
-        if not d_active(closed, y).is_zero():
+        if not dform(closed, y).is_zero():
             raise SolveInconsistencyError(
                 "beta chain ascent lost closedness", degree=None)
         phi = homotopy_antiderivative(closed, y).as_poly()
-    check = wedge(alpha1, d_active(scalar_form(phi), y)) - omega_k
+    check = wedge(alpha1, dform(scalar_form(phi), y)) - omega_k
     if not check.is_zero():
         raise SolveInconsistencyError("beta chain did not resolve the block")
     return phi
@@ -763,21 +752,15 @@ def _solve_lie_multiplier(P1: Multivector, f_r: Poly, active: Sequence[int],
         j = key[0]
         diag[j] = c.linear_coefficients()[j]
     E = _euler_field(n, active)
-    q = P1.grade
 
-    basis: List[Tuple[str, object]] = []
-    images: List[Multivector] = []
+    fields: List[Multivector] = []
     mons = _monomials_of_degree(n, r)
     for i, j in itertools.combinations(active, 2):
         Yij = Multivector(n, 1, {
             (i,): Poly.variable(n, j).scale(diag[i]),
             (j,): Poly.variable(n, i).scale(-diag[j])})
-        LY = lie_derivative(Yij, P1)
         for mon in mons:
-            g = Poly.monomial(n, mon)
-            X = Yij.poly_scale(g)
-            basis.append(("Y", (i, j, mon)))
-            images.append(lie_derivative(X, P1))
+            fields.append(Yij.poly_scale(Poly.monomial(n, mon)))
     # Euler parts: h * E with h = (param monomial) * Q^s, 2s + |param| = r
     Q = Poly.zero(n)
     for jj in active:
@@ -799,13 +782,11 @@ def _solve_lie_multiplier(P1: Multivector, f_r: Poly, active: Sequence[int],
                 h = h.mul(Poly.monomial(n, full))
             if h.is_zero():
                 continue
-            X = E.poly_scale(h)
-            basis.append(("E", (s, pmon if param_slots else ())))
-            images.append(lie_derivative(X, P1))
+            fields.append(E.poly_scale(h))
 
-    system = GradedSystem(len(images))
-    for col, img in enumerate(images):
-        for key, poly in img.comps.items():
+    system = GradedSystem(len(fields))
+    for col, vf in enumerate(fields):
+        for key, poly in lie_derivative(vf, P1).comps.items():
             for exps, c in poly.terms.items():
                 system.add((key, exps), col, c)
     for key, poly in P1.poly_scale(f_r).comps.items():
@@ -816,24 +797,9 @@ def _solve_lie_multiplier(P1: Multivector, f_r: Poly, active: Sequence[int],
     if not res.consistent:
         raise SolveInconsistencyError("multiplier Lie solve inconsistent", degree=r)
     X = Multivector(n, 1, {})
-    for (kind_, data), v in zip(basis, res.solution):
-        if not v:
-            continue
-        if kind_ == "Y":
-            i, j, mon = data
-            Yij = Multivector(n, 1, {
-                (i,): Poly.variable(n, j).scale(diag[i]),
-                (j,): Poly.variable(n, i).scale(-diag[j])})
-            X = X + Yij.poly_scale(Poly.monomial(n, mon, v))
-        else:
-            s, pmon = data
-            h = Q.pow(s).scale(v)
-            if pmon:
-                full = [0] * n
-                for slot, e in zip(param_slots, pmon):
-                    full[slot] = e
-                h = h.mul(Poly.monomial(n, full))
-            X = X + E.poly_scale(h)
+    for vf, v in zip(fields, res.solution):
+        if v:
+            X = X + vf.scale(v)
     return X
 
 

@@ -39,12 +39,13 @@ from .exterior import (
     DiffForm,
     FormalMap,
     Multivector,
+    _contract,
+    _integer_parts,
     basis_multivector,
     coordinate_form,
     form_to_tensor,
     interior,
     pullback_form,
-    pushforward_tensor,
     prefix_blocks,
     tensor_to_form,
     wedge,
@@ -154,24 +155,15 @@ def _require_linear(omega: DiffForm):
 
 def span_table(omega: DiffForm) -> SpanTable:
     """E_j = span{ i_A omega_j : A a constant (p-1)-vector } for omega = sum x_j omega_j."""
-    from .verify import _contract_int, linear_constant_parts
-
     _require_linear(omega)
     n, p = omega.nvars, omega.grade
-    parts, _ = linear_constant_parts(omega)
+    parts = _integer_parts(omega)
     entries: List[Optional[RatMatrix]] = []
     for j in range(n):
-        wj = parts[j]
-        if not wj:
-            entries.append(None)
-            continue
+        wj = parts.get(tuple(int(i == j) for i in range(n)), {})
         rows = []
         for akey in itertools.combinations(range(n), p - 1):
-            cur = wj
-            for a in akey:
-                cur = _contract_int(cur, a)
-                if not cur:
-                    break
+            cur = _contract(wj, akey)
             if cur:
                 rows.append([Fraction(cur.get((i,), 0)) for i in range(n)])
         entries.append(rowspace_basis(rows, n) if rows else None)
@@ -325,16 +317,15 @@ def classify_linear(omega: DiffForm, keep_span: bool = True) -> ClassificationRe
     state = _State(omega)
 
     if E.rows >= p - 1:
-        result = _case1(state, table, p, q)
+        result = _case1(state, E, p, q)
     else:
         result = _case2(state, table, p, q)
     result.span = table if keep_span else None
     return nondegeneracy(result)
 
 
-def _case1(state: _State, table: SpanTable, p: int, q: int) -> ClassificationReport:
+def _case1(state: _State, E: RatMatrix, p: int, q: int) -> ClassificationReport:
     n = state.n
-    E = table.common_intersection()
     # coordinates: p-1 covectors from E, completed arbitrarily
     prefix_rows = [E.data[i] for i in range(p - 1)]
     T = complete_basis(prefix_rows, n)

@@ -131,6 +131,9 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     @property
     def degree(self):
         if not self.terms:

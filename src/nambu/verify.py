@@ -21,6 +21,9 @@ from .polyalg import Poly, PreconditionError
 from .exterior import (
     DiffForm,
     Multivector,
+    _contract,
+    _integer_parts,
+    _wedge_into,
     basis_multivector,
     contract_oneform,
     dform,
@@ -65,19 +68,16 @@ def _require_order(q: int):
 def is_conambu(omega: DiffForm) -> ConambuVerdict:
     """Check the two co-Nambu equations over all constant basis (p-1)-vectors.
 
-    Returns the first failure in canonical (lexicographic) tuple order.
-    For p = 1 the only A is the scalar 1 and the check degenerates to the
-    classical integrability condition omega ^ domega = 0. Homogeneous linear
-    forms take an integer fast path (coefficients cleared of denominators).
+    Returns the first failure in canonical (lexicographic) tuple order,
+    equation 3 before equation 4 for each A. For p = 1 the only A is the
+    scalar 1 and the check degenerates to the classical integrability
+    condition omega ^ domega = 0.
     """
     n, p = omega.nvars, omega.grade
     if p < 1:
         raise PreconditionError("a co-Nambu form must have grade >= 1")
     _require_order(n - p)
-    if _is_homogeneous_linear(omega):
-        fail = _first_failure_linear(omega)
-    else:
-        fail = _first_failure_generic(omega)
+    fail = _first_failure(omega)
     if fail is None:
         return ConambuVerdict(True)
     key, eq = fail
@@ -87,105 +87,35 @@ def is_conambu(omega: DiffForm) -> ConambuVerdict:
     return ConambuVerdict(False, Witness(key, eq, residual))
 
 
-def _first_failure_generic(omega: DiffForm):
+def _first_failure(omega: DiffForm):
+    """(A, equation) of the first failure, or None.
+
+    With omega = sum_m x^m w_m split into integer constant forms, the x^M
+    coefficient of i_A omega ^ omega is the sum of i_A w_m ^ w_m' over
+    m + m' = M, and likewise against domega = sum_m x^m v_m.
+    """
     n, p = omega.nvars, omega.grade
-    dom = dform(omega)
+    parts = _integer_parts(omega)
+    dparts: dict = {}
+    for m, w in parts.items():
+        for j, e in enumerate(m):
+            if e:
+                lower = m[:j] + (e - 1,) + m[j + 1:]
+                _wedge_into(dparts.setdefault(lower, {}), {(j,): e}, w)
     for key in itertools.combinations(range(n), p - 1):
-        A = basis_multivector(n, key)
-        ia = interior(A, omega)
-        if not wedge(ia, omega).is_zero():
-            return key, 3
-        if not wedge(ia, dom).is_zero():
-            return key, 4
-    return None
-
-
-def _is_homogeneous_linear(omega: DiffForm) -> bool:
-    return all(sum(exps) == 1 for c in omega.comps.values() for exps in c.terms)
-
-
-def _wedge_int(a: dict, b: dict) -> dict:
-    from .exterior import merge_sign
-    out: dict = {}
-    get = out.get
-    for I, x in a.items():
-        for J, y in b.items():
-            ms = merge_sign(I, J)
-            if ms is None:
-                continue
-            key, sg = ms
-            out[key] = get(key, 0) + sg * x * y
-    return out
-
-
-def _contract_int(comps: dict, j: int) -> dict:
-    out: dict = {}
-    for K, c in comps.items():
-        if j not in K:
-            continue
-        t = K.index(j)
-        key = K[:t] + K[t + 1:]
-        out[key] = out.get(key, 0) + (c if t % 2 == 0 else -c)
-    return {k: v for k, v in out.items() if v}
-
-
-def linear_constant_parts(omega: DiffForm):
-    """Integer constant forms w_j with omega = sum_j x_j w_j (up to one lcm factor)."""
-    import math
-
-    n = omega.nvars
-    denom = 1
-    for c in omega.comps.values():
-        for v in c.terms.values():
-            denom = math.lcm(denom, v.denominator)
-    parts = [dict() for _ in range(n)]
-    for K, c in omega.comps.items():
-        for exps, v in c.terms.items():
-            j = exps.index(1)
-            parts[j][K] = int(v * denom)
-    return parts, denom
-
-
-def _first_failure_linear(omega: DiffForm):
-    n, p = omega.nvars, omega.grade
-    parts, _ = linear_constant_parts(omega)
-    from .exterior import merge_sign
-    dom: dict = {}
-    for j, wj in enumerate(parts):
-        for K, v in wj.items():
-            ms = merge_sign((j,), K)
-            if ms is None:
-                continue
-            key, sg = ms
-            dom[key] = dom.get(key, 0) + sg * v
-    dom = {k: v for k, v in dom.items() if v}
-    nonzero = [j for j in range(n) if parts[j]]
-    for akey in itertools.combinations(range(n), p - 1):
-        ia = {}
-        for j in nonzero:
-            cur = parts[j]
-            for a in akey:
-                cur = _contract_int(cur, a)
-                if not cur:
-                    break
-            if cur:
-                ia[j] = cur
-        # equation 3: the x_j x_k coefficient is ia[j]^w_k (+ ia[k]^w_j for j<k)
-        for j in sorted(ia):
-            for k in nonzero:
-                if k < j:
-                    continue
-                acc = _wedge_int(ia[j], parts[k])
-                if k != j and k in ia:
-                    for key, v in _wedge_int(ia[k], parts[j]).items():
-                        acc[key] = acc.get(key, 0) + v
-                if any(acc.values()):
-                    return akey, 3
-        # equation 4: the x_j coefficient is ia[j]^domega
-        if dom:
-            for j in sorted(ia):
-                if any(_wedge_int(ia[j], dom).values()):
-                    return akey, 4
+        contracted = {}
+        for m, w in parts.items():
+            c = _contract(w, key)
+            if c:
+                contracted[m] = c
+        for eq, rhs in ((3, parts), (4, dparts)):
+            coeffs: dict = {}
+            for m, c in contracted.items():
+                for m2, w in rhs.items():
+                    M = tuple(a + b for a, b in zip(m, m2))
+                    _wedge_into(coeffs.setdefault(M, {}), c, w)
+            if any(coeffs.values()):
+                return key, eq
     return None
 
 

@@ -121,7 +121,6 @@ def test_derham_inert_parameters():
 
 def test_homotopy_inverts_d_active():
     rng = random.Random(5)
-    from nambu.formal import d_active
     for _ in range(15):
         n = rng.randint(2, 4)
         active = list(range(n))
@@ -132,9 +131,9 @@ def test_homotopy_inverts_d_active():
                 e[rng.randrange(n)] += 1
             pot = pot + Poly.monomial(n, e, rng.randint(-3, 3))
         from nambu.exterior import scalar_form
-        eta = d_active(scalar_form(pot), active)
+        eta = dform(scalar_form(pot), active)
         phi = homotopy_antiderivative(eta, active).as_poly()
-        assert d_active(scalar_form(phi), active) == eta
+        assert dform(scalar_form(phi), active) == eta
 
 
 # -- Type 1 decomposition --------------------------------------------------------

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nambu.polyalg import Poly, PreconditionError, RatMatrix
 from nambu.exterior import (
@@ -14,6 +15,7 @@ from nambu.exterior import (
     basis_multivector,
     coordinate_form,
     dform,
+    interior,
     pullback_form,
     standard_volume,
     tensor_to_form,
@@ -120,6 +122,58 @@ def test_witness_residual_recomputes_nonzero():
         recomputed = wedge(interior(A, w), target)
         assert recomputed == v.witness.residual
         assert not recomputed.is_zero()
+
+
+def test_witness_is_first_failure_across_linear_parts():
+    # with w_j the constant form multiplying x_j, the x3*x4 coefficient of
+    # i_{e1} w ^ w is i_{e1} w_4 ^ w_3 = dx2^dx3^dx4, because i_{e1} w_3 = 0;
+    # missing that term would put the first failure at A = (2,)
+    n = 5
+    w = DiffForm(n, 2, {(0, 1): x(n, 3), (2, 3): x(n, 2)})
+    v = is_conambu(w)
+    assert (v.witness.A, v.witness.equation) == ((0,), 3)
+    assert v.witness.residual == wedge(interior(basis_multivector(n, (0,)), w), w)
+
+
+def _first_failure_reference(w):
+    dw = dform(w)
+    for key in itertools.combinations(range(w.nvars), w.grade - 1):
+        ia = interior(basis_multivector(w.nvars, key), w)
+        if not wedge(ia, w).is_zero():
+            return key, 3
+        if not wedge(ia, dw).is_zero():
+            return key, 4
+    return None
+
+
+@st.composite
+def polynomial_forms(draw):
+    n = draw(st.integers(4, 6))
+    p = draw(st.integers(1, n - 3))
+    linear = draw(st.booleans())
+    comps = {}
+    for key in itertools.combinations(range(n), p):
+        if draw(st.booleans()):
+            continue
+        terms = {}
+        for _ in range(draw(st.integers(1, 2))):
+            e = [0] * n
+            if linear:
+                e[draw(st.integers(0, n - 1))] = 1
+            else:
+                for _ in range(draw(st.integers(0, 2))):
+                    e[draw(st.integers(0, n - 1))] += 1
+            terms[tuple(e)] = draw(st.fractions(-3, 3, max_denominator=3))
+        comps[key] = Poly(n, terms)
+    return DiffForm(n, p, comps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomial_forms())
+def test_witness_matches_basis_reference(w):
+    v = is_conambu(w)
+    assert (None if v.passed else (v.witness.A, v.witness.equation)) \
+        == _first_failure_reference(w)
 
 
 def test_q2_rejected():
