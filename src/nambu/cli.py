@@ -341,7 +341,10 @@ def run(argv=None) -> int:
         print(f"precondition unmet: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except SolveInconsistencyError as exc:
-        detail = f" (degree {exc.degree})" if exc.degree is not None else ""
+        notes = [f"degree {exc.degree}"] if exc.degree is not None else []
+        if exc.residual is not None:
+            notes.append(f"residual {exc.residual}")
+        detail = f" ({'; '.join(notes)})" if notes else ""
         print(f"solve inconsistency: {exc}{detail}", file=sys.stderr)
         return EXIT_INCONSISTENT
 

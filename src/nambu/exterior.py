@@ -601,7 +601,6 @@ class FormalMap:
         return FormalMap(comps)
 
     def linear_matrix(self) -> RatMatrix:
-        n = self.nvars
         rows = []
         for c in self.comps:
             rows.append(c.linear_coefficients())

@@ -389,7 +389,6 @@ def _resolve_beta_chain(alpha1, omega_k, y, N, report):
     Descend dividing d_y(xi) by alpha1 until a d_y-closed form appears, then
     ascend with Euler antiderivatives. Returns the potential phi (a Poly).
     """
-    n = alpha1.nvars
     xi = derham_divide(alpha1, omega_k, y, N, report)
     chain = [xi]
     while True:
@@ -643,7 +642,6 @@ def _flow_map(W: Multivector, N: int) -> FormalMap:
 
 def _divide_tensor_by_normal(T: Multivector, P1: Multivector) -> Poly:
     """f with T = f * P1 for the Type-1 normal tensor P1 (exact, asserted)."""
-    n = T.nvars
     key, coeff = next(iter(sorted(P1.comps.items())))
     f = T.component(key).exact_div(coeff)
     if T != P1.poly_scale(f):

@@ -32,6 +32,7 @@ from .polyalg import (
     PreconditionError,
     RatMatrix,
     SolveInconsistencyError,
+    _eliminate,
     eigen_data,
     inertia,
 )
@@ -58,25 +59,16 @@ from .verify import is_conambu
 # ---------------------------------------------------------------------------
 
 def rowspace_basis(rows: Sequence[Sequence[Fraction]], n: int) -> RatMatrix:
-    if not rows:
-        return RatMatrix.zeros(0, n)
-    R, _, pivots = RatMatrix(rows).rref()
-    return RatMatrix([R.data[i] for i in range(len(pivots))])
+    """The canonical basis of the row space: its reduced row echelon rows."""
+    return RatMatrix(_eliminate(rows, n).reduced_rows)
 
 
 def intersect_rowspaces(A: RatMatrix, B: RatMatrix) -> RatMatrix:
+    """rowspace(A) ^ rowspace(B), the annihilator of ann(A) + ann(B)."""
     n = A.cols
     if A.rows == 0 or B.rows == 0:
         return RatMatrix.zeros(0, n)
-    stacked = RatMatrix([row for row in A.data] + [row for row in B.data])
-    vectors = []
-    for w in stacked.transpose().nullspace():
-        u = w[:A.rows]
-        x = [sum((u[i] * A.data[i][j] for i in range(A.rows)), Fraction(0))
-             for j in range(n)]
-        if any(v != 0 for v in x):
-            vectors.append(x)
-    return rowspace_basis(vectors, n)
+    return rowspace_basis(_eliminate(A.nullspace() + B.nullspace(), n).kernel, n)
 
 
 def sum_rowspaces(spaces: Sequence[RatMatrix], n: int) -> RatMatrix:
@@ -87,15 +79,15 @@ def sum_rowspaces(spaces: Sequence[RatMatrix], n: int) -> RatMatrix:
 
 
 def complete_basis(rows: Sequence[Sequence[Fraction]], n: int) -> RatMatrix:
-    """Extend independent rows to an invertible n x n matrix with unit vectors."""
+    """Extend independent rows to an invertible n x n matrix with unit vectors.
+
+    e_i is taken exactly when it is not in the span of the rows and e_0..e_{i-1},
+    that is, when i is a pivot column of the rows' annihilator.
+    """
+    annihilator = _eliminate(rows, n).kernel
     chosen = [list(r) for r in rows]
-    for i in range(n):
-        unit = [Fraction(int(j == i)) for j in range(n)]
-        candidate = chosen + [unit]
-        if RatMatrix(candidate).rank() == len(candidate):
-            chosen = candidate
-        if len(chosen) == n:
-            break
+    chosen += [[Fraction(int(j == i)) for j in range(n)]
+               for i in _eliminate(annihilator, n).pivots]
     if len(chosen) != n:
         raise SolveInconsistencyError("could not complete a basis")
     return RatMatrix(chosen)
@@ -146,7 +138,7 @@ class SpanTable:
 
 
 def _require_linear(omega: DiffForm):
-    for key, c in omega.comps.items():
+    for c in omega.comps.values():
         for exps in c.terms:
             if sum(exps) != 1:
                 raise PreconditionError(
@@ -439,7 +431,6 @@ def _case1_closed(state: _State, p: int, q: int) -> ClassificationReport:
 def _rank_normalize(M: RatMatrix) -> Tuple[RatMatrix, RatMatrix]:
     """Invertible U, W with U M W = [[I_s, 0], [0, 0]]."""
     R, U, pivots = M.rref()
-    w = RatMatrix.identity(M.cols).copy_data()
     # move pivot columns to the front
     order = list(pivots) + [c for c in range(M.cols) if c not in pivots]
     Pcol = RatMatrix([[Fraction(int(order[j] == i)) for j in range(M.cols)]
@@ -477,7 +468,6 @@ def _case1_curl(state: _State, D: List[List[Fraction]], p: int, q: int) -> Class
                 break
         if a is not None:
             break
-    cols = [[Fraction(0)] * f for _ in range(f)]
     # columns: e_a, e_b / D[a][b], then the kernel of rows a and b
     c0 = [Fraction(int(i == a)) for i in range(f)]
     c1 = [Fraction(int(i == b)) / Dm[a, b] for i in range(f)]

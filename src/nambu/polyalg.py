@@ -596,53 +596,24 @@ class RatMatrix:
     def rref(self):
         """Reduced row echelon form.
 
-        Returns (R, T, pivots) with T @ self == R exactly; T records the row
-        operations and furnishes Farkas certificates for inconsistent systems.
+        Returns (R, T, pivots) with T @ self == R exactly. [R | T] is the RREF
+        of [self | I], so T is the canonical transform: its rows past the rank
+        span the left kernel.
         """
-        m = self.copy_data()
-        t = RatMatrix.identity(self.rows).copy_data()
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pivot = None
-            for i in range(r, self.rows):
-                if m[i][c] != 0:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            t[r], t[pivot] = t[pivot], t[r]
-            inv = Fraction(1) / m[r][c]
-            m[r] = [v * inv for v in m[r]]
-            t[r] = [v * inv for v in t[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-                    t[i] = [a - f * b for a, b in zip(t[i], t[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return RatMatrix._make(m), RatMatrix._make(t), pivots
+        reduced = _eliminate([row + unit for row, unit in
+                              zip(self.data, RatMatrix.identity(self.rows).data)],
+                             self.cols + self.rows)
+        R = [row[:self.cols] for row in reduced.reduced_rows]
+        T = [row[self.cols:] for row in reduced.reduced_rows]
+        pivots = [c for c in reduced.pivots if c < self.cols]
+        return RatMatrix._make(R), RatMatrix._make(T), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[2])
+        return len(_eliminate(self.data, self.cols).pivots)
 
     def nullspace(self) -> List[List[Fraction]]:
         """Basis of the right kernel, free variables set to canonical units."""
-        R, _, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        for f in free:
-            vec = [Fraction(0)] * self.cols
-            vec[f] = Fraction(1)
-            for r, c in enumerate(pivots):
-                vec[c] = -R.data[r][f]
-            basis.append(vec)
-        return basis
+        return _eliminate(self.data, self.cols).kernel
 
     def det(self) -> Fraction:
         if self.rows != self.cols:
@@ -672,7 +643,7 @@ class RatMatrix:
     def inverse(self) -> "RatMatrix":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        R, T, pivots = self.rref()
+        _, T, pivots = self.rref()
         if len(pivots) != self.cols:
             raise ValueError("matrix is singular")
         return T
@@ -691,7 +662,7 @@ class LinearSolveResult:
     `pivots` are the pivot columns of the RREF of M. `echelon` holds one row
     per pivot, as (pivot column, row scaled to 1 there, its right-hand side),
     with every entry at or right of the pivot; the kernel basis is read off
-    these rows when first asked for.
+    these rows, and the reduced rows off the kernel, when first asked for.
     """
 
     solution: Optional[List[Fraction]]
@@ -713,6 +684,24 @@ class LinearSolveResult:
         ncols = len(self.solution)
         return [_back_substitute(self.echelon, ncols, f)
                 for f in range(ncols) if f not in pivot_set]
+
+    @functools.cached_property
+    def reduced_rows(self) -> List[List[Fraction]]:
+        """The RREF rows of M, one per pivot c: 1 at c, 0 at the other pivots
+        and -k[c] at each free column f, where k is the kernel vector of f."""
+        if self.solution is None:
+            raise ValueError("reduced rows of an inconsistent system")
+        pivot_set = set(self.pivots)
+        ncols = len(self.solution)
+        free = [f for f in range(ncols) if f not in pivot_set]
+        rows = []
+        for c in self.pivots:
+            row = [Fraction(0)] * ncols
+            row[c] = Fraction(1)
+            for f, k in zip(free, self.kernel):
+                row[f] = -k[c]
+            rows.append(row)
+        return rows
 
 
 def _back_substitute(echelon, ncols: int, free: Optional[int] = None) -> List[Fraction]:
@@ -785,6 +774,13 @@ def solve_sparse(rows: Sequence[dict], ncols: int, rhs: Sequence) -> LinearSolve
         witness = solve_sparse(transposed, len(rows), [0] * ncols + [1]).solution
         return LinearSolveResult(None, witness, pivots, echelon)
     return LinearSolveResult(_back_substitute(echelon, ncols), None, pivots, echelon)
+
+
+def _eliminate(rows: Sequence[Sequence], ncols: int) -> LinearSolveResult:
+    """One `solve_sparse` of the dense rows against a zero right-hand side:
+    their pivots, kernel and reduced rows."""
+    return solve_sparse([{c: v for c, v in enumerate(row) if v} for row in rows],
+                        ncols, [0] * len(rows))
 
 
 def solve_linear(M: RatMatrix, b: Sequence) -> LinearSolveResult:

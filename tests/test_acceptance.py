@@ -10,8 +10,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from nambu.polyalg import Poly, RatMatrix
 from nambu.exterior import (
     DiffForm,

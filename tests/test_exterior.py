@@ -26,7 +26,6 @@ from nambu.exterior import (
     pullback_form,
     pushforward_tensor,
     restrict,
-    scalar_form,
     standard_volume,
     tensor_to_form,
     wedge,

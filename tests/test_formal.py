@@ -16,22 +16,16 @@ from nambu.exterior import (
     DiffForm,
     FormalMap,
     Multivector,
-    coordinate_field,
     coordinate_form,
     dform,
-    embed,
-    extend_map,
     form_to_tensor,
     lie_derivative,
     pullback_form,
     pushforward_tensor,
-    restrict,
-    tensor_to_form,
     wedge,
     wedge_all,
 )
 from nambu.formal import (
-    GradedSolveReport,
     derham_divide,
     formal_decompose_type1,
     formal_linearize_type1,

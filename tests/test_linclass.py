@@ -1,12 +1,17 @@
 """Linear classification: span tables, both normal-form families, round trips."""
 
-import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from nambu.polyalg import InputError, Poly, PreconditionError, RatMatrix
+from nambu.polyalg import (
+    InputError,
+    Poly,
+    PreconditionError,
+    RatMatrix,
+    SolveInconsistencyError,
+)
 from nambu.exterior import (
     DiffForm,
     FormalMap,
@@ -18,11 +23,14 @@ from nambu.exterior import (
     wedge,
 )
 from nambu.linclass import (
-    ClassificationReport,
+    _rank_normalize,
     classify_linear,
     classify_linear_tensor,
+    complete_basis,
+    intersect_rowspaces,
     nondegeneracy,
     normal_form_generator,
+    rowspace_basis,
     span_table,
 )
 from nambu.verify import is_conambu, is_nambu
@@ -44,6 +52,74 @@ def rand_inv(rng, n, spread=2):
 
 def span_rows(E):
     return {tuple(row) for row in E.data} if E is not None else set()
+
+
+# -- row-space helpers ---------------------------------------------------------
+
+def _greedy_complete_basis(rows, n):
+    """Append each e_i that raises the rank, one rank test per unit vector."""
+    chosen = [list(r) for r in rows]
+    for i in range(n):
+        candidate = chosen + [[Fraction(int(j == i)) for j in range(n)]]
+        if RatMatrix(candidate).rank() == len(candidate):
+            chosen = candidate
+    return RatMatrix(chosen)
+
+
+def _transpose_intersection(A, B):
+    """rowspace(A) ^ rowspace(B) as u.A over the kernel (u, v) of [A; B]^T."""
+    vectors = []
+    for w in RatMatrix(A.data + B.data).transpose().nullspace():
+        x = RatMatrix([w[:A.rows]]).matmul(A).data[0]
+        if any(x):
+            vectors.append(x)
+    return rowspace_basis(vectors, A.cols)
+
+
+def _random_rows(rng, pool, count):
+    """`count` random combinations of the pool rows plus, at times, a random row."""
+    n = len(pool[0])
+    rows = [[sum((rng.randint(-2, 2) * v[j] for v in pool), Fraction(0)) for j in range(n)]
+            for _ in range(count)]
+    if rng.random() < 0.3:
+        rows.append([Fraction(rng.randint(-2, 2)) for _ in range(n)])
+    return rows
+
+
+def test_subspace_helpers_match_rank_test_references():
+    rng = random.Random(19)
+    for _ in range(150):
+        n = rng.randint(2, 6)
+        pool = [[Fraction(rng.randint(-2, 2)) for _ in range(n)]
+                for _ in range(rng.randint(1, n))]
+        raw = _random_rows(rng, pool, rng.randint(1, n))
+        A = rowspace_basis(raw, n)
+        assert RatMatrix(raw + A.data).rank() == A.rows == RatMatrix(raw).rank()
+        B = rowspace_basis(_random_rows(rng, pool, rng.randint(1, n)), n)
+        if A.rows and B.rows:
+            assert intersect_rowspaces(A, B) == _transpose_intersection(A, B)
+        # independent rows that are not in echelon form
+        rows = rand_inv(rng, A.rows).matmul(A).data if A.rows else []
+        completed = complete_basis(rows, n)
+        assert completed == _greedy_complete_basis(rows, n)
+        assert completed.det() != 0
+    with pytest.raises(SolveInconsistencyError):
+        complete_basis([[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]], 2)
+
+
+def test_rank_normalize_reaches_identity_block():
+    rng = random.Random(31)
+    for _ in range(100):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        k = rng.randint(1, min(rows, cols))
+        M = RatMatrix([[Fraction(rng.randint(-3, 3)) for _ in range(k)] for _ in range(rows)]
+                      ).matmul(RatMatrix([[Fraction(rng.randint(-3, 3)) for _ in range(cols)]
+                                          for _ in range(k)]))
+        s = M.rank()
+        U, W = _rank_normalize(M)
+        assert U.det() != 0 and W.det() != 0
+        assert U.matmul(M).matmul(W) == RatMatrix(
+            [[int(i == j and i < s) for j in range(cols)] for i in range(rows)])
 
 
 # -- span table -----------------------------------------------------------------
@@ -300,7 +376,6 @@ def _proportional(coeffs_a, coeffs_b):
     a_k / b_k ~ c^{n-k} for a consistent c; exact rational test via
     cross-ratios on the first nonzero coefficient pair.
     """
-    import itertools as it
     na, nb = len(coeffs_a) - 1, len(coeffs_b) - 1
     if na != nb:
         return False

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from nambu.polyalg import (
     GradedSystem,
-    InputError,
     Poly,
     PolyParseError,
     PreconditionError,
@@ -166,6 +165,8 @@ def test_solve_rank1_inconsistent_witness():
     for j in range(2):
         assert sum(y[i] * M[i, j] for i in range(2)) == 0
     assert y[0] * 1 + y[1] * 3 != 0
+    with pytest.raises(ValueError):
+        res.reduced_rows
 
 
 def test_solve_randomized_exactness():
@@ -202,15 +203,36 @@ def sparse_systems(draw):
     return RatMatrix(M), b
 
 
+def _gauss_jordan(rows):
+    """Textbook Gauss-Jordan: (nonzero RREF rows, pivot columns) of a dense
+    matrix, taking the first row with a nonzero entry as pivot."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        lead = m[r][c]
+        m[r] = [v / lead for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
 def _rref_reference(M, b):
-    """(pivots, solution or None) read off the dense RREF of M."""
-    _, T, pivots = M.rref()
-    c = T.matvec(b)
-    if any(c[i] for i in range(len(pivots), M.rows)):
-        return pivots, None
+    """(pivots, solution or None) read off the Gauss-Jordan RREF of [M | b]."""
+    R, pivots = _gauss_jordan([row + [bi] for row, bi in zip(M.data, b)])
+    if pivots and pivots[-1] == M.cols:
+        return pivots[:-1], None
     x = [Fraction(0)] * M.cols
-    for r, col in enumerate(pivots):
-        x[col] = c[r]
+    for row, col in zip(R, pivots):
+        x[col] = row[-1]
     return pivots, x
 
 
@@ -237,6 +259,42 @@ def test_solve_sparse_matches_rref(system):
             if res.kernel:
                 assert RatMatrix(res.kernel).rank() == len(res.kernel)
             assert res.kernel == M.nullspace()
+
+
+@st.composite
+def rank_deficient_matrices(draw):
+    """A product of r x k and k x c matrices: rank at most k <= min(r, c)."""
+    r, c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    k = draw(st.integers(0, min(r, c)))
+    A = [[draw(_entry) for _ in range(k)] for _ in range(r)]
+    B = [[draw(_entry) for _ in range(c)] for _ in range(k)]
+    return RatMatrix(A).matmul(RatMatrix(B)) if k else RatMatrix.zeros(r, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_deficient_matrices())
+def test_rank_kernel_rref_match_gauss_jordan(M):
+    R_ref, pivots = _gauss_jordan(M.data)
+    assert M.rank() == len(pivots)
+    kernel = []
+    for f in range(M.cols):
+        if f in pivots:
+            continue
+        vec = [Fraction(0)] * M.cols
+        vec[f] = Fraction(1)
+        for row, c in zip(R_ref, pivots):
+            vec[c] = -row[f]
+        kernel.append(vec)
+    assert M.nullspace() == kernel
+    R, T, rref_pivots = M.rref()
+    assert rref_pivots == pivots
+    assert T.matmul(M) == R
+    assert T.det() != 0
+    # [R | T] is the RREF of [M | I], whatever order the rows were eliminated in
+    augmented = [row + unit for row, unit in zip(M.data, RatMatrix.identity(M.rows).data)]
+    assert [r + t for r, t in zip(R.data, T.data)] == _gauss_jordan(augmented)[0]
+    if M.rows == M.cols == len(pivots):
+        assert M.matmul(M.inverse()) == RatMatrix.identity(M.rows)
 
 
 def test_graded_system_labels_and_accumulation():

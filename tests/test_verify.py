@@ -22,7 +22,6 @@ from nambu.exterior import (
     wedge,
 )
 from nambu.verify import (
-    ConambuVerdict,
     fundamental_identity_residual,
     hamiltonian_vf,
     is_conambu,
