@@ -173,7 +173,7 @@ def _cmd_resonance(args) -> int:
         raise InputError('resonance input needs {"matrix": [[...], ...]}')
     try:
         B = RatMatrix([[Fraction(v) for v in row] for row in data["matrix"]])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"bad matrix entries: {exc}")
     C = eps = None
     if args.bryuno:

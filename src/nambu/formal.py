@@ -865,13 +865,14 @@ def prelinearize_type2(P: Multivector, N: int) -> Type2PrelinResult:
         raise PreconditionError("N must be >= 2")
     S = P.grade - 1
     ladder = sorted({N + 5, N + 2 * S + 2, N + 3 * S + 2})
-    last = None
-    for Nw in ladder:
+    for Nw in ladder[:-1]:
         try:
             return _prelinearize_attempt(P, N, Nw)
-        except SolveInconsistencyError as e:
-            last = e
-    raise last
+        except SolveInconsistencyError:
+            # keep no reference to the failed attempt: its traceback holds
+            # every frame of it, with all their polynomials
+            pass
+    return _prelinearize_attempt(P, N, ladder[-1])
 
 
 def _prelinearize_attempt(P: Multivector, N: int, Nw: int) -> Type2PrelinResult:

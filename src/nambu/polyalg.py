@@ -14,6 +14,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import List, Optional, Sequence, Tuple
 
 Rational = Fraction
@@ -198,19 +199,9 @@ class Poly:
     def mul(self, other: "Poly", trunc: Optional[int] = None) -> "Poly":
         """Exact product; terms of total degree > trunc are dropped if given."""
         self._check(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if trunc is not None and d1 + sum(e2) > trunc:
-                    continue
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(exps, Fraction(0)) + c1 * c2
-                if s:
-                    out[exps] = s
-                else:
-                    out.pop(exps, None)
-        return Poly._make(self.nvars, out)
+        D1, b1 = _integer_form(self.terms)
+        D2, b2 = _integer_form(other.terms)
+        return _from_integer_form(self.nvars, D1 * D2, _mul_buckets(b1, b2, trunc))
 
     def __mul__(self, other):
         if isinstance(other, Poly):
@@ -265,7 +256,12 @@ class Poly:
         return min(sum(e) for e in self.terms)
 
     def substitute(self, args: Sequence["Poly"], trunc: Optional[int] = None) -> "Poly":
-        """Substitute args[i] for variable i; all args share one variable count."""
+        """Substitute args[i] for variable i; all args share one variable count.
+
+        With ``trunc`` every product is cut at that degree, so the result is
+        the truncation of the exact substitution (the constant term of self
+        is kept even for a negative ``trunc``).
+        """
         if len(args) != self.nvars:
             raise ValueError("substitution needs one polynomial per variable")
         if not args:
@@ -275,22 +271,53 @@ class Poly:
         for a in args:
             if a.nvars != m:
                 raise ValueError("substitution arguments disagree on nvars")
-        out = Poly.zero(m)
-        powers = [{0: Poly.one(m)} for _ in range(self.nvars)]
+        # powers[i][k] = (d_i^k, integer buckets of d_i^k * args[i]^k), where
+        # d_i is the denominator of the integer form of args[i]
+        forms = [_integer_form(a.terms) for a in args]
+        one = (1, [{(0,) * m: 1}])
+        powers = [[one] for _ in args]
 
         def power(i, k):
             cache = powers[i]
-            if k not in cache:
-                cache[k] = power(i, k - 1).mul(args[i], trunc)
+            while len(cache) <= k:
+                D, b = cache[-1]
+                cache.append((D * forms[i][0], _mul_buckets(b, forms[i][1], trunc)))
             return cache[k]
 
-        for exps, c in self.sorted_terms():
-            term = Poly.const(m, c)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term.mul(power(i, e), trunc)
-            out = out + term
-        return out
+        # self = (1/D0) sum n_e x^e. The terms are visited in lexicographic
+        # order, so terms with a common exponent prefix are adjacent and
+        # path[j] holds the product of the powers named by the first j
+        # exponents of the current term. The term of e adds n_e * (L / D_e)
+        # times its product over the common denominator D0 * L.
+        D0, buckets = _integer_form(self.terms)
+        terms = sorted((e, n) for bucket in buckets for e, n in bucket.items())
+        L = math.lcm(*[math.prod(forms[i][0] ** k for i, k in enumerate(e) if k)
+                       for e, _ in terms])
+        path = [one] * (self.nvars + 1)
+        prev = None
+        acc = {}
+        get = acc.get
+        for e, n in terms:
+            j = 0
+            if prev is not None:
+                while e[j] == prev[j]:
+                    j += 1
+            for i in range(j, self.nvars):
+                if not e[i]:
+                    path[i + 1] = path[i]
+                elif path[i] is one:
+                    path[i + 1] = power(i, e[i])
+                else:
+                    D, b = path[i]
+                    Dk, bk = power(i, e[i])
+                    path[i + 1] = (D * Dk, _mul_buckets(b, bk, trunc))
+            prev = e
+            De, product = path[-1]
+            scale = n * (L // De)
+            for bucket in product:
+                for exps, v in bucket.items():
+                    acc[exps] = get(exps, 0) + scale * v
+        return _from_integer_form(m, D0 * L, [acc])
 
     def evaluate(self, point: Sequence) -> Fraction:
         pt = [_as_fraction(v) for v in point]
@@ -374,6 +401,55 @@ class Poly:
         return f"Poly({self.nvars}, {self.to_str()!r})"
 
 
+# -- integer product kernel ------------------------------------------------
+#
+# An integer form (D, buckets) stands for (1/D) * sum_d sum_e buckets[d][e] x^e:
+# buckets[d] maps the exponent vectors of total degree d to integers. Products
+# then cost one integer multiply-add per term pair, and a degree cut never
+# visits the pairs it drops.
+
+def _integer_form(terms: dict):
+    """(D, buckets) of a term dict, D the least common denominator."""
+    D = math.lcm(*[c.denominator for c in terms.values()])
+    buckets = []
+    for e, c in terms.items():
+        d = sum(e)
+        while len(buckets) <= d:
+            buckets.append({})
+        buckets[d][e] = c.numerator * (D // c.denominator)
+    return D, buckets
+
+
+def _mul_buckets(b1, b2, trunc: Optional[int]) -> list:
+    """Buckets of the product of two integer forms, cut above degree trunc."""
+    if not b1 or not b2:
+        return []
+    top = len(b1) + len(b2) - 2
+    if trunc is not None:
+        top = min(top, trunc)
+    out = [{} for _ in range(top + 1)]
+    for d1 in range(min(len(b1) - 1, top) + 1):
+        t1 = b1[d1]
+        if not t1:
+            continue
+        for d2 in range(min(len(b2) - 1, top - d1) + 1):
+            t2 = b2[d2]
+            if not t2:
+                continue
+            acc = out[d1 + d2]
+            get = acc.get
+            for e1, n1 in t1.items():
+                for e2, n2 in t2.items():
+                    e = tuple(map(add, e1, e2))
+                    acc[e] = get(e, 0) + n1 * n2
+    return out
+
+
+def _from_integer_form(nvars: int, D: int, buckets) -> Poly:
+    """The Poly (1/D) * buckets, one Fraction per nonzero term."""
+    return Poly._make(nvars, {e: Fraction(v, D) for b in buckets for e, v in b.items() if v})
+
+
 def poly_arith(op: str, lhs: Poly, rhs) -> Poly:
     """Dispatch helper mirroring the add/sub/mul/scale operation table."""
     if op == "add":
@@ -445,7 +521,10 @@ def _tokenize(text: str, varname: str):
                 m = k
                 while m < n and text[m].isdigit():
                     m += 1
-                tokens.append(("num", Fraction(num, int(text[k:m])), i))
+                den = int(text[k:m])
+                if den == 0:
+                    raise PolyParseError("zero denominator", k)
+                tokens.append(("num", Fraction(num, den), i))
                 i = m
             else:
                 tokens.append(("num", Fraction(num), i))

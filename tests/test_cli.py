@@ -59,6 +59,13 @@ def test_verify_bad_polynomial_position(capsys, monkeypatch):
     assert code == 2 and "position" in err
 
 
+def test_verify_zero_denominator_position(capsys, monkeypatch):
+    payload = json.dumps({"nvars": 4, "grade": 1, "components": {"1": "1/0*x1"}})
+    code, out, err = invoke(capsys, ["verify", "-"], payload, monkeypatch)
+    assert code == 2 and out == ""
+    assert "zero denominator (at position 2)" in err
+
+
 def test_verify_q2_precondition(capsys, monkeypatch):
     payload = json.dumps({"nvars": 4, "grade": 2, "components": {"1,2": "1"}})
     code, _, err = invoke(capsys, ["verify", "-"], payload, monkeypatch)
@@ -121,6 +128,14 @@ def test_resonance_exit_codes(capsys, monkeypatch):
                           payload, monkeypatch)
     assert code == 0
     assert json.loads(out)["resonances"] == []
+
+
+@pytest.mark.parametrize("payload", ['{"matrix": [["1/0", 1], [0, 1]]}',
+                                     '{"matrix": [[1e400, 1], [0, 1]]}'])
+def test_resonance_bad_number_exit2(capsys, monkeypatch, payload):
+    code, out, err = invoke(capsys, ["resonance", "-"], payload, monkeypatch)
+    assert code == 2 and out == ""
+    assert "bad matrix entries" in err
 
 
 def test_resonance_bryuno_flag(capsys, monkeypatch):

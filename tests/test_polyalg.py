@@ -115,6 +115,122 @@ def test_homogeneous_components_sum_to_poly():
         assert total == p
 
 
+# -- product kernel against a schoolbook reference ---------------------------
+
+def _schoolbook_mul(a, b, trunc=None):
+    """Every term pair, Fraction arithmetic, cut afterwards: the reference."""
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if trunc is None or sum(e) <= trunc:
+                out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _schoolbook_substitute(p, args, trunc=None):
+    m = args[0].nvars
+    out = {}
+    for exps, c in p.terms.items():
+        term = Poly.const(m, c)
+        for a, k in zip(args, exps):
+            for _ in range(k):
+                term = Poly(m, _schoolbook_mul(term, a))
+        for e, v in term.terms.items():
+            out[e] = out.get(e, Fraction(0)) + v
+    full = {e: c for e, c in out.items() if c}
+    return {e: c for e, c in full.items() if trunc is None or sum(e) <= trunc}
+
+
+def _assert_stored_clean(p):
+    assert all(isinstance(c, Fraction) and c != 0 for c in p.terms.values())
+
+
+# mixed denominators, and zeros that the constructor must drop
+_coeff = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 4, 6, 9]))
+
+
+@st.composite
+def kernel_polys(draw, nvars):
+    """A random polynomial; sometimes zero, sometimes a (p + r)(p - r) factor
+    whose cross terms cancel."""
+    def raw():
+        terms = draw(st.dictionaries(
+            st.tuples(*[st.integers(0, 3)] * nvars), _coeff, max_size=5))
+        return Poly(nvars, terms)
+    shape = draw(st.sampled_from(["plain", "plain", "zero", "cancel"]))
+    if shape == "zero":
+        p = raw()
+        return p - p
+    if shape == "cancel":
+        p, r = raw(), raw()
+        return Poly(nvars, _schoolbook_mul(p + r, p - r))
+    return raw()
+
+
+def _truncations(draw, low, high):
+    """None, a cut below the lowest degree, or one between lowest and highest."""
+    return draw(st.sampled_from([None, low - 1, draw(st.integers(low, max(low, high)))]))
+
+
+def _degree_range(p):
+    if not p.terms:
+        return 0, 0
+    return int(p.min_degree()), int(p.degree)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mul_matches_schoolbook(data):
+    n = data.draw(st.integers(1, 4))
+    a, b = data.draw(kernel_polys(n)), data.draw(kernel_polys(n))
+    (la, ha), (lb, hb) = _degree_range(a), _degree_range(b)
+    trunc = _truncations(data.draw, la + lb, ha + hb)
+    prod = a.mul(b, trunc)
+    assert prod.terms == _schoolbook_mul(a, b, trunc)
+    _assert_stored_clean(prod)
+    if trunc is not None:
+        assert prod == a.mul(b).truncate(trunc)
+    # the cross terms of (a + b)(a - b) cancel
+    square = (a + b).mul(a - b, trunc)
+    assert square.terms == _schoolbook_mul(a + b, a - b, trunc)
+    _assert_stored_clean(square)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pow_matches_schoolbook(data):
+    n = data.draw(st.integers(1, 3))
+    a = data.draw(kernel_polys(n))
+    k = data.draw(st.integers(0, 4))
+    low, high = _degree_range(a)
+    trunc = _truncations(data.draw, k * low, k * high)
+    expected = Poly.one(n).terms
+    for _ in range(k):
+        expected = _schoolbook_mul(Poly(n, expected), a, trunc)
+    power = a.pow(k, trunc)
+    assert power.terms == expected
+    _assert_stored_clean(power)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_substitute_matches_schoolbook(data):
+    n = data.draw(st.integers(1, 3))
+    m = data.draw(st.integers(1, 3))
+    p = data.draw(kernel_polys(n))
+    args = [data.draw(kernel_polys(m)) for _ in range(n)]
+    full = p.substitute(args)
+    assert full.terms == _schoolbook_substitute(p, args)
+    _assert_stored_clean(full)
+    low, high = _degree_range(full)
+    trunc = data.draw(st.sampled_from([max(low - 1, 0), data.draw(st.integers(low, high))]))
+    cut = p.substitute(args, trunc)
+    assert cut == full.truncate(trunc)
+    assert cut.terms == _schoolbook_substitute(p, args, trunc)
+    _assert_stored_clean(cut)
+
+
 # -- parser ------------------------------------------------------------------
 
 def test_parse_roundtrip_canonical():
