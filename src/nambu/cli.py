@@ -1,8 +1,10 @@
 """Command-line front end: verify / classify / linearize / resonance / generate.
 
 Exit codes: 0 success or verified-pass, 1 verified-fail or resonance found,
-2 malformed input, 3 precondition unmet (q < 3, degenerate linear part,
-zero trace), 4 internal solve inconsistency.
+2 malformed input, 3 precondition unmet (q < 3, not co-Nambu, degenerate
+linear part, zero trace), 4 internal solve inconsistency, 5 any other
+internal error, printed as one line (`internal error: <Type>: <message>`)
+without a traceback. Exit 1 never reports a crash.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_INCONSISTENT = 4
+EXIT_INTERNAL = 5
 
 
 def _read_payload(path: str) -> dict:
@@ -347,6 +350,9 @@ def run(argv=None) -> int:
         detail = f" ({'; '.join(notes)})" if notes else ""
         print(f"solve inconsistency: {exc}{detail}", file=sys.stderr)
         return EXIT_INCONSISTENT
+    except Exception as exc:  # the one boundary: a fault never ends in a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

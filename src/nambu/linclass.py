@@ -15,6 +15,14 @@ Over Q the quadratic part diagonalizes to entries sign_j * c_j with c_j > 0
 rational; scaling them to +-1 needs square roots and is provided only as a
 floating-point companion. Every exact assertion in the report is made
 against the achieved form, which is reachable without radicals.
+
+A classification certifies its own result: it succeeds only when the achieved
+form has its normal shape and pulls back exactly to the input along the
+reported change. Every normal shape is co-Nambu and pullback along an
+invertible linear map keeps that property, so a certified result proves the
+input co-Nambu, and the co-Nambu check (verify.is_conambu) runs only after a
+step has failed, to tell a non-co-Nambu input (exit 3) from an internal
+failure (exit 4).
 """
 
 from __future__ import annotations
@@ -28,13 +36,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .polyalg import (
     EigenData,
     InputError,
+    NambuError,
     Poly,
     PreconditionError,
     RatMatrix,
     SolveInconsistencyError,
     _eliminate,
+    char_poly,
     eigen_data,
     inertia,
+    solve_linear,
 )
 from .exterior import (
     DiffForm,
@@ -42,16 +53,14 @@ from .exterior import (
     Multivector,
     _contract,
     _integer_parts,
+    _wedge_into,
     basis_multivector,
     coordinate_form,
     form_to_tensor,
-    interior,
-    pullback_form,
-    prefix_blocks,
     tensor_to_form,
     wedge,
 )
-from .verify import is_conambu
+from .verify import _require_order, is_conambu
 
 
 # ---------------------------------------------------------------------------
@@ -63,12 +72,13 @@ def rowspace_basis(rows: Sequence[Sequence[Fraction]], n: int) -> RatMatrix:
     return RatMatrix(_eliminate(rows, n).reduced_rows)
 
 
-def intersect_rowspaces(A: RatMatrix, B: RatMatrix) -> RatMatrix:
-    """rowspace(A) ^ rowspace(B), the annihilator of ann(A) + ann(B)."""
-    n = A.cols
-    if A.rows == 0 or B.rows == 0:
+def intersect_rowspaces(*spaces: RatMatrix) -> RatMatrix:
+    """The intersection of the row spaces: the annihilator of the sum of their
+    annihilators, found by one elimination."""
+    n = spaces[0].cols
+    if any(S.rows == 0 for S in spaces):
         return RatMatrix.zeros(0, n)
-    return rowspace_basis(_eliminate(A.nullspace() + B.nullspace(), n).kernel, n)
+    return rowspace_basis(_eliminate([v for S in spaces for v in S.nullspace()], n).kernel, n)
 
 
 def sum_rowspaces(spaces: Sequence[RatMatrix], n: int) -> RatMatrix:
@@ -116,25 +126,7 @@ class SpanTable:
         idx = self.nonzero_indices()
         if not idx:
             return RatMatrix.zeros(0, self.nvars)
-        E = self.entries[idx[0]]
-        for j in idx[1:]:
-            E = intersect_rowspaces(E, self.entries[j])
-        return E
-
-    def validate(self):
-        """Decomposability dimensions and the pairwise intersection bound."""
-        for j in self.nonzero_indices():
-            if self.dim(j) != self.p:
-                raise SolveInconsistencyError(
-                    f"E_{j + 1} has dimension {self.dim(j)}, expected {self.p}: "
-                    "input is not co-Nambu")
-        idx = self.nonzero_indices()
-        for a, b in itertools.combinations(idx, 2):
-            inter = intersect_rowspaces(self.entries[a], self.entries[b])
-            if inter.rows < self.p - 1:
-                raise SolveInconsistencyError(
-                    f"dim(E_{a + 1} ^ E_{b + 1}) = {inter.rows} < p-1: "
-                    "input is not co-Nambu")
+        return intersect_rowspaces(*(self.entries[j] for j in idx))
 
 
 def _require_linear(omega: DiffForm):
@@ -230,19 +222,74 @@ class ClassificationReport:
 # ---------------------------------------------------------------------------
 
 class _State:
-    def __init__(self, omega: DiffForm):
-        self.n = omega.nvars
-        self.cur = omega
-        self.acc = RatMatrix.identity(self.n)  # z_current = acc . x_input
+    """A linear p-form in the current coordinates, as a constant array.
 
-    def apply(self, T: RatMatrix):
-        """Switch to coordinates z_new = T . z_current."""
-        inv_map = FormalMap.from_matrix(T.inverse())
-        self.cur = pullback_form(self.cur, inv_map)
-        self.acc = T.matmul(self.acc)
+    The form is sum_K (sum_k coeffs[K][k] z_k) dz_K: coeffs maps each index
+    tuple K to the coefficients of its linear component, and holds no zero row.
+    """
+
+    def __init__(self, omega: DiffForm):
+        self.n, self.p = omega.nvars, omega.grade
+        self.coeffs = _linear_array(omega)
+        self.back = RatMatrix.identity(self.n)  # x_input = back . z_current
+
+    def apply(self, A: RatMatrix):
+        """Switch to coordinates z_new with z_current = A . z_new."""
+        self.coeffs = _pull_back(self.coeffs, A.data)
+        self.back = RatMatrix._make([_row_times(row, A.data) for row in self.back.data])
+
+    def row(self, K: Tuple[int, ...]) -> List[Fraction]:
+        return self.coeffs.get(K) or [Fraction(0)] * self.n
+
+    def form(self) -> DiffForm:
+        n = self.n
+        units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+        return DiffForm(n, self.p, {K: Poly(n, {units[k]: v for k, v in enumerate(row) if v})
+                                    for K, row in self.coeffs.items()})
 
     def change_map(self) -> FormalMap:
-        return FormalMap.from_matrix(self.acc)
+        """The change z_current = back^-1 . x_input."""
+        return FormalMap.from_matrix(self.back.inverse())
+
+
+def _linear_array(omega: DiffForm) -> Dict[Tuple[int, ...], List[Fraction]]:
+    """The constant array of a linear form: each component's linear coefficients."""
+    return {K: c.linear_coefficients() for K, c in omega.comps.items()}
+
+
+def _pull_back(coeffs: Dict[Tuple[int, ...], List[Fraction]],
+               A: List[List[Fraction]]) -> Dict[Tuple[int, ...], List[Fraction]]:
+    """The constant array of the pullback along x = A z.
+
+    dx_i becomes sum_l A_il dz_l, so component K sends det(A[K, L]) times its
+    row c_K . A to component L. Zero rows are dropped.
+    """
+    n = len(A)
+    rows = [{(l,): v for l, v in enumerate(row) if v} for row in A]
+    minors = {(): {(): 1}}  # wedge of the rows A_i, i in K, per prefix K
+    out: Dict[Tuple[int, ...], List[Fraction]] = {}
+    for K, c in coeffs.items():
+        cA = _row_times(c, A)
+        for t in range(len(K)):
+            if K[:t + 1] not in minors:
+                minors[K[:t + 1]] = _wedge_into({}, minors[K[:t]], rows[K[t]])
+        for L, m in minors[K].items():
+            row = out.setdefault(L, [Fraction(0)] * n)
+            for k, v in enumerate(cA):
+                if v:
+                    row[k] += m * v
+    return {L: row for L, row in out.items() if any(row)}
+
+
+def _row_times(row: Sequence[Fraction], M: Sequence[Sequence[Fraction]]) -> List[Fraction]:
+    """The row vector row . M, visiting only the nonzero entries."""
+    out = [Fraction(0)] * len(M[0])
+    for k, v in enumerate(row):
+        if v:
+            for j, x in enumerate(M[k]):
+                if x:
+                    out[j] += v * x
+    return out
 
 
 def _block_diag(n: int, blocks: Dict[Tuple[int, int], RatMatrix]) -> RatMatrix:
@@ -256,24 +303,16 @@ def _block_diag(n: int, blocks: Dict[Tuple[int, int], RatMatrix]) -> RatMatrix:
     return RatMatrix(out)
 
 
-def _extract_alpha(cur: DiffForm, p: int) -> DiffForm:
-    """alpha with cur == dz_1^...^dz_{p-1} ^ alpha; alpha has no prefix slots."""
-    n = cur.nvars
-    blocks = prefix_blocks(cur, p - 1)
+def _alpha_matrix(state: _State, p: int) -> List[List[Fraction]]:
+    """M[j][k] = coefficient of z_k in alpha_j, where the form is dz_1^...^dz_{p-1} ^ alpha."""
+    n = state.n
     prefix = tuple(range(p - 1))
-    for T, part in blocks.items():
-        if T != prefix and not part.is_zero():
+    M = [[Fraction(0)] * n for _ in range(n)]
+    for K, row in state.coeffs.items():
+        if K[:-1] != prefix:
             raise SolveInconsistencyError(
                 "form is not divisible by the parameter prefix")
-    return blocks.get(prefix, DiffForm(n, 1, {}))
-
-
-def _linear_matrix_of_oneform(alpha: DiffForm) -> List[List[Fraction]]:
-    """M[j][k] = coefficient of z_k in alpha_j (n x n, zero rows off support)."""
-    n = alpha.nvars
-    M = [[Fraction(0)] * n for _ in range(n)]
-    for (j,), c in alpha.comps.items():
-        M[j] = c.linear_coefficients()
+        M[K[-1]] = list(row)
     return M
 
 
@@ -281,78 +320,113 @@ def _linear_matrix_of_oneform(alpha: DiffForm) -> List[List[Fraction]]:
 # the classifier
 # ---------------------------------------------------------------------------
 
-def classify_linear(omega: DiffForm, keep_span: bool = True) -> ClassificationReport:
+def classify_linear(omega: DiffForm) -> ClassificationReport:
     """Classify a linear co-Nambu p-form into its Type 1 / Type 2 normal form.
 
     Returns the report with an exact linear change satisfying
     pullback_form(achieved_form, change) == omega.
+
+    The result certifies itself. It is returned only when the achieved form
+    has its normal shape (Type 1: dz_1^...^dz_{p-1} ^ dF with F quadratic;
+    Type 2: components on the (p+1)-block whose coefficients involve no
+    outside variable) and pulls back exactly to omega along the change. Both
+    shapes are co-Nambu: Type 1 is a wedge of exact 1-forms (criterion 1), and
+    the Type 2 dual is d_tail ^ X, a wedge of commuting vector fields. Pullback
+    along an invertible linear map keeps the co-Nambu property, so a certified
+    result proves omega co-Nambu. The co-Nambu check therefore runs only after
+    a step fails: if omega fails it, its witness is raised as a
+    PreconditionError; otherwise the step's own error is re-raised.
     """
+    report = _certified_report(omega)
+    if report.normal_form.tag == "type2":
+        _attach_eigen(report, report.normal_form.matrix)
+    return report
+
+
+def _certified_report(omega: DiffForm) -> ClassificationReport:
+    """The certified classification of omega, or the reason it has none."""
+    _require_linear(omega)
+    if omega.grade < 1:
+        raise PreconditionError("a co-Nambu form must have grade >= 1")
+    _require_order(omega.nvars - omega.grade)
+    try:
+        return _classify(omega)
+    except (NambuError, ValueError, ZeroDivisionError) as exc:
+        verdict = is_conambu(omega)
+        if not verdict.passed:
+            raise PreconditionError(
+                f"input is not co-Nambu: equation {verdict.witness.equation} fails "
+                f"for A = {tuple(i + 1 for i in verdict.witness.A)}") from exc
+        raise
+
+
+def _classify(omega: DiffForm) -> ClassificationReport:
     n, p = omega.nvars, omega.grade
     q = n - p
-    _require_linear(omega)
-    verdict = is_conambu(omega)
-    if not verdict.passed:
-        raise PreconditionError(
-            f"input is not co-Nambu: equation {verdict.witness.equation} fails "
-            f"for A = {tuple(i + 1 for i in verdict.witness.A)}")
-
+    table = span_table(omega)
     if omega.is_zero():
         nf = NormalForm("type1", r=-1, s=0, signs=[], diag=[])
         report = ClassificationReport(nf, FormalMap.identity(n),
-                                      DiffForm(n, p, {}), n, p, q,
-                                      span=span_table(omega) if keep_span else None)
-        return nondegeneracy(report)
-
-    table = span_table(omega)
-    table.validate()
-    E = table.common_intersection()
-    state = _State(omega)
-
-    if E.rows >= p - 1:
-        result = _case1(state, E, p, q)
+                                      DiffForm(n, p, {}), n, p, q)
     else:
-        result = _case2(state, table, p, q)
-    result.span = table if keep_span else None
-    return nondegeneracy(result)
+        E = table.common_intersection()
+        state = _State(omega)
+        if E.rows >= p - 1:
+            report = _case1(state, E, p, q)
+        else:
+            report = _case2(state, table, p, q)
+        # the certificate, read afresh from the report and the input
+        achieved = _linear_array(report.achieved_form)
+        if _pull_back(achieved, report.change.linear_matrix().data) != _linear_array(omega):
+            raise SolveInconsistencyError(
+                "classification certificate failed: the change does not pull "
+                "the normal form back to the input")
+    report.span = table
+    return nondegeneracy(report)
 
 
 def _case1(state: _State, E: RatMatrix, p: int, q: int) -> ClassificationReport:
     n = state.n
     # coordinates: p-1 covectors from E, completed arbitrarily
-    prefix_rows = [E.data[i] for i in range(p - 1)]
-    T = complete_basis(prefix_rows, n)
-    state.apply(T)
+    prefix_rows = E.data[:p - 1]
+    if 1 < p <= E.rows:
+        # omega = l vol_E, and every component's coefficients are proportional
+        # to l. With l in E, a prefix that contains l gives r = -1, s = 1 and
+        # one that does not gives r = 0, s = 0 for the same form; drop the last
+        # row of E that l involves, so the report reads r = 0 in all coordinates
+        l = next(iter(state.coeffs.values()))
+        inside = solve_linear(E.transpose(), l)
+        if inside.consistent:
+            t = max(i for i, a in enumerate(inside.solution) if a)
+            prefix_rows = [row for i, row in enumerate(E.data) if i != t][:p - 1]
+    state.apply(complete_basis(prefix_rows, n).inverse())
 
-    alpha = _extract_alpha(state.cur, p)
     y = list(range(p - 1, n))
-    M = _linear_matrix_of_oneform(alpha)
+    M = _alpha_matrix(state, p)
     # curl of alpha in the y-variables
     D = [[M[j][k] - M[k][j] for k in y] for j in y]
     if all(v == 0 for row in D for v in row):
-        return _case1_closed(state, p, q)
+        return _case1_closed(state, M, p, q)
     return _case1_curl(state, D, p, q)
 
 
-def _case1_closed(state: _State, p: int, q: int) -> ClassificationReport:
-    """Subcase d'alpha = 0: diagonalize the quadratic, normalize the pairings."""
+def _case1_closed(state: _State, M: List[List[Fraction]], p: int,
+                  q: int) -> ClassificationReport:
+    """Subcase d'alpha = 0: diagonalize the quadratic, normalize the pairings.
+
+    M is the alpha matrix of the current form (_alpha_matrix)."""
     n = state.n
     y = list(range(p - 1, n))
-    alpha = _extract_alpha(state.cur, p)
-    M = _linear_matrix_of_oneform(alpha)
-    S = RatMatrix([[M[j][k] for k in y] for j in y])
-    if not S.is_symmetric():
-        raise SolveInconsistencyError("closed alpha has a non-symmetric gradient")
-
-    inr = inertia(S)
+    inr = inertia(RatMatrix([[M[j][k] for k in y] for j in y]))
     # order the diagonal: positive entries, then negative, then zeros
     order = sorted(range(len(y)),
                    key=lambda i: (0 if inr.diagonal[i] > 0 else
                                   1 if inr.diagonal[i] < 0 else 2, i))
-    perm = RatMatrix([[Fraction(int(j == order[i])) for j in range(len(y))]
-                      for i in range(len(y))])
-    # z_new = perm . C^{-1} . z_old on the y block
-    Ty = perm.matmul(inr.congruence.inverse())
-    state.apply(_block_diag(n, {(p - 1, n): Ty}))
+    # z_old = C . P^T . z_new on the y block, P the permutation to that order:
+    # column k of C P^T is column order[k] of C
+    C = inr.congruence
+    state.apply(_block_diag(n, {(p - 1, n): RatMatrix(
+        [[C[i, order[k]] for k in range(len(y))] for i in range(len(y))])}))
 
     rank = inr.n_plus + inr.n_minus
     r = rank - 1
@@ -360,64 +434,49 @@ def _case1_closed(state: _State, p: int, q: int) -> ClassificationReport:
     free = y[rank:]
 
     # absorb parameter-linear parts on the quadratic slots: u_j = z_j + A_j / d_j
-    alpha = _extract_alpha(state.cur, p)
-    M = _linear_matrix_of_oneform(alpha)
+    M = _alpha_matrix(state, p)
     diag = [M[j][j] for j in quad]
     if any(d == 0 for d in diag):
         raise SolveInconsistencyError("quadratic block lost rank")
     if p > 1:
-        T = RatMatrix.identity(n).copy_data()
+        A = RatMatrix.identity(n).copy_data()
         for idx, j in enumerate(quad):
             for i in range(p - 1):
-                T[j][i] = M[j][i] / diag[idx]
-        state.apply(RatMatrix(T))
+                A[j][i] = -M[j][i] / diag[idx]
+        state.apply(RatMatrix(A))
 
     # pairing block: parameter coefficients on the free y slots
     s = 0
     if p > 1 and free:
-        alpha = _extract_alpha(state.cur, p)
-        M = _linear_matrix_of_oneform(alpha)
+        M = _alpha_matrix(state, p)
         pairing = RatMatrix([[M[j][i] for j in free] for i in range(p - 1)])
         s = pairing.rank()
         if s:
             U, W = _rank_normalize(pairing)
-            # params transform by (U^T)^{-1}, free slots by W^{-1}
-            Tp = U.transpose().inverse()
-            Tf = W.inverse()
-            T = RatMatrix.identity(n).copy_data()
-            for i in range(p - 1):
-                for j in range(p - 1):
-                    T[i][j] = Tp[i, j]
-            base = free[0]
-            for i in range(len(free)):
-                for j in range(len(free)):
-                    T[base + i][base + j] = Tf[i, j]
-            state.apply(RatMatrix(T))
+            # z_old = U^T . z_new on the parameters and W . z_new on the free slots
+            state.apply(_block_diag(n, {(0, p - 1): U.transpose(), (free[0], n): W}))
             # exact cleanup: rescale each paired free slot so the coefficient is 1
-            alpha = _extract_alpha(state.cur, p)
-            M = _linear_matrix_of_oneform(alpha)
-            T = RatMatrix.identity(n).copy_data()
+            M = _alpha_matrix(state, p)
+            A = RatMatrix.identity(n).copy_data()
             for i in range(s):
                 mu = M[free[i]][i]
                 if mu == 0:
                     raise SolveInconsistencyError("pairing normalization failed")
-                T[free[i]][free[i]] = mu
-            state.apply(RatMatrix(T))
+                A[free[i]][free[i]] = 1 / mu
+            state.apply(RatMatrix(A))
 
-    # final shape verification and achieved data
-    alpha = _extract_alpha(state.cur, p)
-    M = _linear_matrix_of_oneform(alpha)
+    # final shape verification: d_j z_j dz_j on the quadratic slots and
+    # z_i dz_{free_i} on the paired ones, behind the parameter prefix
+    M = _alpha_matrix(state, p)
     diag = [M[j][j] for j in quad]
-    want = DiffForm(n, 1, {})
-    for idx, j in enumerate(quad):
-        want = want + coordinate_form(n, j).poly_scale(Poly.variable(n, j).scale(diag[idx]))
+    prefix = tuple(range(p - 1))
+    shape = {prefix + (j,): [d if k == j else Fraction(0) for k in range(n)]
+             for j, d in zip(quad, diag)}
     for i in range(s):
-        want = want + coordinate_form(n, free[i]).poly_scale(Poly.variable(n, i))
-    achieved = want
-    for i in reversed(range(p - 1)):
-        achieved = wedge(coordinate_form(n, i), achieved)
-    if achieved != state.cur:
+        shape[prefix + (free[i],)] = [Fraction(int(k == i)) for k in range(n)]
+    if shape != state.coeffs:
         raise SolveInconsistencyError("Type 1 normalization did not reach the normal shape")
+    achieved = state.form()
 
     signs = [1 if d > 0 else -1 for d in diag]
     scales = [1.0] * n
@@ -441,25 +500,16 @@ def _rank_normalize(M: RatMatrix) -> Tuple[RatMatrix, RatMatrix]:
         for d in range(M.cols):
             if d not in pivots and R[k, d] != 0:
                 W1[c][d] = -R[k, d]
-    W = RatMatrix(W1).matmul(Pcol)
-    check = U.matmul(M).matmul(W)
-    for i in range(M.rows):
-        for j in range(M.cols):
-            want = Fraction(int(i == j and i < len(pivots)))
-            if check[i, j] != want:
-                raise SolveInconsistencyError("rank normalization failed")
-    return U, W
+    return U, RatMatrix(W1).matmul(Pcol)
 
 
 def _case1_curl(state: _State, D: List[List[Fraction]], p: int, q: int) -> ClassificationReport:
-    """Subcase d'alpha != 0: the curl is forced to have rank 2; land in Type 2."""
+    """Subcase d'alpha != 0: on a co-Nambu form the curl has rank 2 and alpha
+    lives on its two slots after the move below; land in Type 2."""
     n = state.n
     y = list(range(p - 1, n))
     f = len(y)
     Dm = RatMatrix(D)
-    if Dm.rank() != 2:
-        raise SolveInconsistencyError(
-            "curl of alpha has rank > 2: input is not co-Nambu")
     a = b = None
     for i in range(f):
         for j in range(i + 1, f):
@@ -468,30 +518,13 @@ def _case1_curl(state: _State, D: List[List[Fraction]], p: int, q: int) -> Class
                 break
         if a is not None:
             break
-    # columns: e_a, e_b / D[a][b], then the kernel of rows a and b
+    # columns: e_a, e_b / D[a][b], then the kernel of rows a and b; rows a and
+    # b are independent (D is antisymmetric), so these columns are a basis
     c0 = [Fraction(int(i == a)) for i in range(f)]
     c1 = [Fraction(int(i == b)) / Dm[a, b] for i in range(f)]
-    rows_ab = RatMatrix([list(Dm.data[a]), list(Dm.data[b])])
-    kern = rows_ab.nullspace()
-    columns = [c0, c1] + kern
-    C = RatMatrix(columns).transpose()
-    if C.rank() != f:
-        raise SolveInconsistencyError("curl normalization produced a singular basis")
-    Ty = C.inverse()
-    state.apply(_block_diag(n, {(p - 1, n): Ty}))
-
-    # now d'alpha = dz_p ^ dz_{p+1}; alpha must involve only the first two y slots
-    alpha = _extract_alpha(state.cur, p)
-    for (j,), _ in alpha.comps.items():
-        if j >= p + 1:
-            raise SolveInconsistencyError(
-                "alpha keeps slots beyond dz_p, dz_{p+1}: input is not co-Nambu")
-    M = _linear_matrix_of_oneform(alpha)
-    for j in (p - 1, p):
-        for k in range(p + 1, n):
-            if M[j][k] != 0:
-                raise SolveInconsistencyError(
-                    "alpha depends on variables beyond the rank-2 block")
+    kern = RatMatrix([list(Dm.data[a]), list(Dm.data[b])]).nullspace()
+    # now d'alpha = dz_p ^ dz_{p+1}
+    state.apply(_block_diag(n, {(p - 1, n): RatMatrix([c0, c1] + kern).transpose()}))
     return _type2_finisher(state, p, q)
 
 
@@ -501,127 +534,72 @@ def _case2(state: _State, table: SpanTable, p: int, q: int) -> ClassificationRep
     if U.rows != p + 1:
         raise SolveInconsistencyError(
             f"sum of spans has dimension {U.rows}, expected p+1: input is not co-Nambu")
-    T = complete_basis([U.data[i] for i in range(p + 1)], n)
-    state.apply(T)
+    state.apply(complete_basis([U.data[i] for i in range(p + 1)], n).inverse())
     return _type2_finisher(state, p, q)
 
 
 def _type2_finisher(state: _State, p: int, q: int) -> ClassificationReport:
-    """Components live inside the first p+1 coordinates; read or reduce the a_i."""
+    """Components live inside the first p+1 coordinates; read or reduce the a_i.
+
+    a_i is the coefficient of dz-hat_i. When some a_i involves the outside
+    variables, the reduction moves their common factor into z_{p+1}.
+    """
     n = state.n
     block = tuple(range(p + 1))
-    for key in state.cur.comps:
-        if any(i > p for i in key):
-            raise SolveInconsistencyError(
-                "form has components outside the (p+1)-block")
-    a = {}
-    for i in block:
-        hat = tuple(j for j in block if j != i)
-        a[i] = state.cur.component(hat)
-
-    outside = [i for i in block
-               if any(a[i].linear_coefficients()[k] != 0 for k in range(p + 1, n))]
+    hats = [tuple(j for j in block if j != i) for i in block]
+    outside = [i for i, hat in enumerate(hats) if any(state.row(hat)[p + 1:])]
     if outside:
-        _reduce_outside_dependence(state, p, a, outside)
-        for key in state.cur.comps:
-            if any(i > p for i in key):
-                raise SolveInconsistencyError("outside reduction failed")
-        a = {}
-        for i in block:
-            hat = tuple(j for j in block if j != i)
-            a[i] = state.cur.component(hat)
-        if any(any(a[i].linear_coefficients()[k] != 0 for k in range(p + 1, n))
-               for i in block):
-            raise SolveInconsistencyError("outside reduction failed")
+        _reduce_outside_dependence(state, p, [state.row(hat) for hat in hats], outside[0])
+    # the Type 2 shape: components on the block, coefficients free of outside variables
+    if any(key[-1] > p for key in state.coeffs) or \
+            any(any(state.row(hat)[p + 1:]) for hat in hats):
+        raise SolveInconsistencyError("form does not reach the Type 2 shape on the (p+1)-block")
 
-    achieved = state.cur
+    achieved = state.form()
     # The raw a_i coefficients transform with a transpose twist under block
     # changes (they pair with the cofactor representation on dz-hat), so the
     # matrix whose Jordan data is the actual invariant is the one of the dual
     # tensor's vector-field factor. Read it through the duality.
     dual = form_to_tensor(achieved)
-    tail = tuple(range(p + 1, n))
     B = [[Fraction(0)] * (p + 1) for _ in range(p + 1)]
-    for key, coeff in dual.comps.items():
-        if key[1:] != tail or key[0] > p:
-            raise SolveInconsistencyError("type 2 dual tensor has a bad shape")
-        j = key[0]
+    for key, coeff in dual.comps.items():  # key = (j,) + tail with j in the block
         lin = coeff.linear_coefficients()
         for i in block:
-            B[i][j] = lin[i]
-        if any(lin[k] != 0 for k in range(p + 1, n)):
-            raise SolveInconsistencyError("type 2 field involves outside variables")
+            B[i][key[0]] = lin[i]
     A = RatMatrix(B)
-    eigen = eigen_data(A)
-    jordan = _rational_jordan(A) if eigen.all_rational else None
-    nf = NormalForm("type2", matrix=A, char_coeffs=eigen.char_coeffs)
-    return ClassificationReport(nf, state.change_map(), achieved,
-                                n, p, q, rational_jordan=jordan, eigen=eigen)
+    nf = NormalForm("type2", matrix=A, char_coeffs=char_poly(A))
+    return ClassificationReport(nf, state.change_map(), achieved, n, p, q)
 
 
-def _reduce_outside_dependence(state: _State, p: int, a: Dict[int, Poly],
-                               outside: List[int]):
-    """Paper Subcase b of the Type-2 normalization: omega = a * (constant form)."""
+def _reduce_outside_dependence(state: _State, p: int, a: List[List[Fraction]], j0: int):
+    """Paper Subcase b of the Type-2 normalization: omega = a * (constant form).
+
+    a[i] holds the linear coefficients of the dz-hat_i component, and a[j0]
+    involves an outside variable.
+    """
     n = state.n
-    j0 = outside[0]
-    base = a[j0].linear_coefficients()
-    # all a_i must be rational multiples of a_{j0}
-    c = {}
-    for i in range(p + 1):
-        coeffs = a[i].linear_coefficients()
-        if all(v == 0 for v in coeffs):
-            c[i] = Fraction(0)
-            continue
-        ratio = None
-        for x, y in zip(coeffs, base):
-            if y == 0:
-                if x != 0:
-                    raise SolveInconsistencyError(
-                        "a_i are not proportional: input is not co-Nambu")
-            elif ratio is None:
-                ratio = x / y
-        if ratio is None:
-            raise SolveInconsistencyError("proportionality reduction failed")
-        for x, y in zip(coeffs, base):
-            if x != ratio * y:
-                raise SolveInconsistencyError(
-                    "a_i are not proportional: input is not co-Nambu")
-        c[i] = ratio
+    base = a[j0]
+    # on a co-Nambu form every a_i is c_i a_{j0}; the shape check and the
+    # certificate catch any other input
+    k = next(k for k, v in enumerate(base) if v)
+    c = [row[k] / base[k] for row in a]
     # constant form omega_c = sum_i c_i dz-hat_i on the block; solve i_w omega_c = 0
-    wc = DiffForm(n, p, {})
-    for i in range(p + 1):
-        hat = tuple(j for j in range(p + 1) if j != i)
-        if c[i]:
-            wc = wc + DiffForm(n, p, {hat: Poly.const(n, c[i])})
-    contractions = [interior(basis_multivector(n, (v,)), wc) for v in range(p + 1)]
-    system = []
-    for row_key in itertools.combinations(range(p + 1), p - 1):
-        system.append([contractions[v].component(row_key).constant_term()
-                       for v in range(p + 1)])
-    sol = RatMatrix(system).nullspace()
+    wc = {tuple(j for j in range(p + 1) if j != i): ci for i, ci in enumerate(c) if ci}
+    contractions = [_contract(wc, (v,)) for v in range(p + 1)]
+    sol = RatMatrix([[contractions[v].get(key, 0) for v in range(p + 1)]
+                     for key in itertools.combinations(range(p + 1), p - 1)]).nullspace()
     if len(sol) != 1:
         raise SolveInconsistencyError("constant factor form has no unique kernel")
-    w = sol[0]
-    # eta rows: annihilator of w inside the block
-    ann = RatMatrix([w]).nullspace()
-    eta = []
-    for v in ann:
-        row = [Fraction(0)] * n
-        for i in range(p + 1):
-            row[i] = v[i]
-        eta.append(row)
-    arow = a[j0].linear_coefficients()
-    T = complete_basis(eta + [arow], n)
-    state.apply(T)
+    # eta rows: annihilator of w = sol[0] inside the block
+    eta = [v + [Fraction(0)] * (n - p - 1) for v in RatMatrix(sol).nullspace()]
+    state.apply(complete_basis(eta + [base], n).inverse())
     # now omega = lambda * z_{p+1} dz_1^...^dz_p; normalize lambda into z_{p+1}
-    hat = tuple(range(p))
-    lam_poly = state.cur.component(hat)
-    lam = lam_poly.linear_coefficients()[p]
+    lam = state.row(tuple(range(p)))[p]
     if lam == 0:
         raise SolveInconsistencyError("proportional reduction lost the factor")
-    Tscale = RatMatrix.identity(n).copy_data()
-    Tscale[p][p] = lam
-    state.apply(RatMatrix(Tscale))
+    A = RatMatrix.identity(n).copy_data()
+    A[p][p] = 1 / lam
+    state.apply(RatMatrix(A))
 
 
 # ---------------------------------------------------------------------------
@@ -658,10 +636,16 @@ def nondegeneracy(report: ClassificationReport) -> ClassificationReport:
 # rational Jordan form (metadata when all eigenvalues are rational)
 # ---------------------------------------------------------------------------
 
-def _rational_jordan(A: RatMatrix) -> Optional[RatMatrix]:
-    ed = eigen_data(A)
-    if not ed.all_rational:
-        return None
+def _attach_eigen(report: ClassificationReport, A: RatMatrix):
+    """The eigen data of the reported Type 2 matrix and, when every eigenvalue
+    is rational, its Jordan form."""
+    report.eigen = eigen_data(A)
+    report.rational_jordan = (_rational_jordan(A, report.eigen)
+                              if report.eigen.all_rational else None)
+
+
+def _rational_jordan(A: RatMatrix, ed: EigenData) -> RatMatrix:
+    """The Jordan form of A, whose eigen data ed has only rational eigenvalues."""
     n = A.rows
     blocks: List[Tuple[Fraction, int]] = []
     for lam in sorted(set(ed.rational_eigenvalues)):
@@ -700,13 +684,15 @@ def classify_linear_tensor(P: Multivector,
     """Classify a linear Nambu tensor; report rendered in tensor conventions.
 
     The permutation to the tensor convention (active block first) is folded
-    into the change, and the achieved tensor absorbs the determinant factor so
+    into the change and relabels the achieved form's constant array, and the
+    achieved tensor absorbs the determinant factor so
     pushforward_tensor(P, report.change) == report.achieved_tensor exactly.
+    Classification runs as in classify_linear, with the same certificate; the
+    eigen data is computed once, for the tensor-convention matrix.
     """
     q = P.grade
     n = P.nvars
-    omega = tensor_to_form(P, Omega)
-    report = classify_linear(omega)
+    report = _certified_report(tensor_to_form(P, Omega))
     p = n - q
 
     # permutation to the tensor convention: active block first, parameters last
@@ -714,25 +700,23 @@ def classify_linear_tensor(P: Multivector,
         order = list(range(p - 1, n)) + list(range(p - 1))
     else:
         order = list(range(p + 1, n)) + list(range(p + 1))
-    # new coordinate i is the old coordinate order[i]
-    perm = RatMatrix([[Fraction(int(j == order[i])) for j in range(n)]
-                      for i in range(n)])
-    acc = perm.matmul(report.change.linear_matrix())
-    change = FormalMap.from_matrix(acc)
-    achieved_form = pullback_form(report.achieved_form,
-                                  FormalMap.from_matrix(perm.inverse()))
+    # new coordinate k is the old coordinate order[k]: the change's rows are
+    # reordered, and z_old = A . z_new with A[i][k] = [i == order[k]]
+    acc = RatMatrix([report.change.linear_matrix().data[k] for k in order])
+    relabel = _State(report.achieved_form)
+    relabel.apply(RatMatrix([[Fraction(int(i == order[k])) for k in range(n)]
+                             for i in range(n)]))
+    achieved_form = relabel.form()
     det = acc.det()
     achieved_tensor = form_to_tensor(achieved_form).scale(det)
 
-    report.change = change
+    report.change = FormalMap.from_matrix(acc)
     report.achieved_form = achieved_form
     report.achieved_tensor = achieved_tensor
 
     if report.normal_form.tag == "type2":
         report.tensor_matrix = _extract_type2_field_matrix(achieved_tensor, q)
-        report.eigen = eigen_data(report.tensor_matrix)
-        report.rational_jordan = (_rational_jordan(report.tensor_matrix)
-                                  if report.eigen.all_rational else None)
+        _attach_eigen(report, report.tensor_matrix)
     return report
 
 

@@ -247,3 +247,17 @@ def test_text_format(capsys, monkeypatch):
                           payload, monkeypatch)
     assert code == 0
     assert "passed: True" in out
+
+
+def test_internal_error_exit5_without_traceback(capsys, monkeypatch):
+    import nambu.cli as cli
+
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_verify", boom)
+    code, out, err = invoke(capsys, ["verify", "-"], "{}", monkeypatch)
+    assert code == 5
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"
+    assert "Traceback" not in err

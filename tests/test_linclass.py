@@ -1,9 +1,17 @@
 """Linear classification: span tables, both normal-form families, round trips."""
 
+import contextlib
+import io
+import itertools
+import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from nambu.cli import run
 
 from nambu.polyalg import (
     InputError,
@@ -18,6 +26,7 @@ from nambu.exterior import (
     Multivector,
     basis_multivector,
     coordinate_form,
+    form_to_tensor,
     pullback_form,
     pushforward_tensor,
     wedge,
@@ -162,7 +171,9 @@ def test_span_table_sanity_on_verified_inputs():
         st = span_table(moved)
         for j in st.nonzero_indices():
             assert st.dim(j) == p
-        st.validate()
+        # the pairwise bound of the co-Nambu lemma: dim(E_a ^ E_b) >= p - 1
+        for a, b in itertools.combinations(st.nonzero_indices(), 2):
+            assert intersect_rowspaces(st.entries[a], st.entries[b]).rows >= p - 1
 
 
 def test_span_table_rejects_nonlinear():
@@ -330,6 +341,16 @@ def test_generator_pairing_block():
     assert (rep.normal_form.r, rep.normal_form.s) == (1, 2)
 
 
+def test_rank_one_volume_orbit_has_one_label():
+    # for p >= 2, r = 0 and (r, s) = (-1, 1) name one orbit: l vol_V with l in V
+    for n, q in [(5, 3), (6, 3), (6, 4)]:
+        for params in (dict(r=0, s=0, signs=[1]), dict(r=0, s=0, signs=[-1]),
+                       dict(r=-1, s=1, signs=[])):
+            _, w = normal_form_generator("type1", n, q, **params)
+            for rep in (classify_linear(w), classify_linear_tensor(form_to_tensor(w))):
+                assert (rep.normal_form.r, rep.normal_form.s) == (0, 0)
+
+
 # -- the primary randomized round trip ---------------------------------------------------
 
 def test_round_trip_recovery():
@@ -428,3 +449,94 @@ def test_rational_jordan_block():
     assert J is not None
     lam = J.data[0][0]
     assert lam != 0 and J.data[1][1] == lam and J.data[0][1] == 1
+
+
+# -- properties over moved normal forms ----------------------------------------------------
+
+@st.composite
+def gl_matrices(draw, n):
+    """P L D U: a permutation, unit triangular factors and a nonzero rational diagonal."""
+    small = st.integers(-2, 2)
+    lower = [[Fraction(int(i == j) if i <= j else draw(small)) for j in range(n)]
+             for i in range(n)]
+    upper = [[Fraction(int(i == j) if i >= j else draw(small)) for j in range(n)]
+             for i in range(n)]
+    diag = [[draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2),
+                                   Fraction(3)])) if i == j else Fraction(0)
+             for j in range(n)] for i in range(n)]
+    order = draw(st.permutations(range(n)))
+    perm = [[Fraction(int(j == order[i])) for j in range(n)] for i in range(n)]
+    return RatMatrix(perm).matmul(RatMatrix(lower)).matmul(RatMatrix(diag)).matmul(
+        RatMatrix(upper))
+
+
+@st.composite
+def normal_forms(draw):
+    """A Type 1 or Type 2 normal form with q >= 3 and n <= 6."""
+    n = draw(st.integers(4, 6))
+    q = draw(st.integers(3, n - 1))
+    p = n - q
+    if draw(st.booleans()):
+        r = draw(st.integers(-1, q))
+        s = draw(st.integers(0, min(p - 1, q - r)))
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=r + 1, max_size=r + 1))
+        return normal_form_generator("type1", n, q, r=r, s=s, signs=signs)[1]
+    B = RatMatrix([[draw(st.integers(-3, 3)) for _ in range(p + 1)] for _ in range(p + 1)])
+    return normal_form_generator("type2", n, q, matrix=B)[1]
+
+
+def _classify_cli(obj, as_form):
+    """Exit code and stderr of `nambu classify` on obj."""
+    argv = ["classify", "-"] + (["--form"] if as_form else [])
+    stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps(obj.to_json_obj()))
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(argv)
+    finally:
+        sys.stdin = stdin
+    return code, err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_non_conambu_inputs_keep_the_witness_message(data):
+    w = data.draw(normal_forms())
+    n, p = w.nvars, w.grade
+    j = data.draw(st.integers(0, n - 1))
+    I = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=p, max_size=p))))
+    eps = data.draw(st.sampled_from([Fraction(1), Fraction(-2), Fraction(1, 3)]))
+    perturbed = w + DiffForm(n, p, {I: x(n, j).scale(eps)})
+    moved = pullback_form(perturbed, FormalMap.from_matrix(data.draw(gl_matrices(n))))
+    verdict = is_conambu(moved)
+    assume(not verdict.passed)
+    message = (f"input is not co-Nambu: equation {verdict.witness.equation} fails "
+               f"for A = {tuple(i + 1 for i in verdict.witness.A)}")
+    P = form_to_tensor(moved)
+    for classify, obj in ((classify_linear, moved), (classify_linear_tensor, P)):
+        with pytest.raises(PreconditionError) as exc:
+            classify(obj)
+        assert str(exc.value) == message
+        assert _classify_cli(obj, obj is moved) == (3, f"precondition unmet: {message}\n")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_classification_invariants_under_linear_moves(data):
+    w = data.draw(normal_forms())
+    M = data.draw(gl_matrices(w.nvars))
+    moved = pullback_form(w, FormalMap.from_matrix(M))
+    base, rep = classify_linear(w), classify_linear(moved)
+    assert pullback_form(rep.achieved_form, rep.change) == moved
+
+    def invariants(report):
+        nf = report.normal_form
+        return nf.tag, nf.r, nf.s, report.signature, report.index_pair
+
+    assert invariants(rep) == invariants(base)
+    if base.normal_form.tag == "type2":
+        assert _proportional(rep.eigen.char_coeffs, base.eigen.char_coeffs)
+    P = form_to_tensor(moved)
+    trep = classify_linear_tensor(P)
+    assert pushforward_tensor(P, trep.change) == trep.achieved_tensor
+    assert invariants(trep) == invariants(base)
