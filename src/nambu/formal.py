@@ -7,9 +7,17 @@ out inconsistent raise SolveInconsistencyError with the failing degree; no
 result is ever patched numerically.
 
 Degree bookkeeping: a coefficient-degree-d vector field moves degree-d
-structure; Lie brackets of degree-D truncations are trusted one degree less,
-so the Type-2 pipeline runs at an internal margin above the requested order
-and states its contracts at the user's N.
+structure. Each object carries the degree through which it is trusted, and
+every operation is truncated there: a bracket loses one degree, a division by
+a field with a linear leading part one more, and a transport solve along
+d_i + (higher terms) gains one back. In Type 2 prelinearization X starts at
+Nw and each frame field V_j, a quotient by X, at Nw - 1. Slot i gives [V_i, X],
+hence g, gX and f / g, the degree min(DX - 1, DV_i); [V_i, V_j] and the
+corrected V_j min(DV_i, DV_j) - 1; the straightening map and the pushed X
+Dp = min(DX, DV_i) - 1; a pushed V_j min(DV_j, Dp) - 1, as its constant part
+d_j meets the map's Jacobian. Each slot costs X two degrees, so one pass at
+Nw = N + 2(q - 1) is trusted through N, and an inconsistency inside a trusted
+window is an obstruction of the input. Contracts are checked at the user's N.
 """
 
 from __future__ import annotations
@@ -857,22 +865,16 @@ def prelinearize_type2(P: Multivector, N: int) -> Type2PrelinResult:
     components and no frame-variable dependence through degree N, and
         pushforward_tensor(P, change, N) == f * frame ^ X   (truncated at N).
 
-    Internally runs at a working degree above N (brackets and straightening
-    Jacobians each cost one trusted degree); the window deepens iteratively,
-    so the cheap attempt is tried before the guaranteed-sufficient one.
+    One pass at Nw = N + 2(q - 1), with the trusted degrees of the module
+    docstring ("Degree bookkeeping"): each frame slot costs X two degrees,
+    one to commute with V_i and one to straighten it, so X, f and the change
+    end trusted through N. An inconsistency inside the window is an
+    obstruction of the input and raises; the contract check at N is a check,
+    not a retry condition.
     """
     if N < 2:
         raise PreconditionError("N must be >= 2")
-    S = P.grade - 1
-    ladder = sorted({N + 5, N + 2 * S + 2, N + 3 * S + 2})
-    for Nw in ladder[:-1]:
-        try:
-            return _prelinearize_attempt(P, N, Nw)
-        except SolveInconsistencyError:
-            # keep no reference to the failed attempt: its traceback holds
-            # every frame of it, with all their polynomials
-            pass
-    return _prelinearize_attempt(P, N, ladder[-1])
+    return _prelinearize_attempt(P, N, N + 2 * (P.grade - 1))
 
 
 def _prelinearize_attempt(P: Multivector, N: int, Nw: int) -> Type2PrelinResult:
@@ -881,9 +883,7 @@ def _prelinearize_attempt(P: Multivector, N: int, Nw: int) -> Type2PrelinResult:
     S = q - 1
     frame_key = tuple(range(S))
     report = GradedSolveReport()
-    D = Nw  # degree through which the current objects are trusted
-    floor = N + 1
-    T = P.truncate(D)
+    T = P.truncate(Nw)
 
     # decomposition: the full-frame block is X itself; one division per slot
     blocks = prefix_blocks(T, S)
@@ -894,51 +894,58 @@ def _prelinearize_attempt(P: Multivector, N: int, Nw: int) -> Type2PrelinResult:
         Bj = blocks.get(key, Multivector(n, 2, {}))
         sign = (-1) ** (S - 1 - j)
         # B_j = sign * v_j ^ X  =>  X ^ v_j = -sign * B_j
-        vj = graded_divide(X, Bj.scale(-sign), y, D, report, label=f"frame {j + 1}")
+        vj = graded_divide(X, Bj.scale(-sign), y, Nw, report, label=f"frame {j + 1}")
         Vs.append(coordinate_field(n, j) + vj)
-    cand = wedge_all(Vs + [X], D) if Vs else X
-    diff = (cand - T).truncate(D)
+    cand = wedge_all(Vs + [X], Nw) if Vs else X
+    diff = (cand - T).truncate(Nw)
     if not diff.is_zero():
         bad = int(diff.min_coeff_degree())
         raise SolveInconsistencyError(
             "frame decomposition does not reproduce the tensor (input not Nambu?)",
             degree=bad, residual=diff.homogeneous_component(bad))
 
+    # trusted degrees of X, each V_j and f (module docstring)
+    DX = Nw
+    DV = [Nw - 1] * S
+    Df = Nw
     f_acc = Poly.one(n)
     phi_total = FormalMap.identity(n)
 
     for i in range(S):
         Vi = Vs[i]
-        D -= 1  # brackets are trusted one degree below their inputs
         # (a) make X commute with V_i: X <- gX with V_i(g) + f_i g = 0
-        bracket = lie_bracket(Vi, X)
-        f_i_obj, D = _divide_adaptive(X, bracket, y, D, floor, report,
-                                      f"bracket ratio {i + 1}")
-        f_i = f_i_obj.as_poly()
-        g = _transport_solve(Vi, f_i, i, D)
-        X = X.poly_scale(g, D)
-        f_acc = f_acc.mul(_poly_inverse(g, D), D)
+        Dg = min(DX - 1, DV[i])
+        f_i = _bracket_quotient(X, lie_bracket(Vi, X), y, Dg, report,
+                                f"bracket ratio {i + 1}")
+        g = _transport_solve(Vi, f_i, i, Dg)
+        DX = Dg
+        X = X.poly_scale(g, DX)
+        Df = min(Df, Dg)
+        f_acc = f_acc.mul(_poly_inverse(g, Dg), Df)
         # (b) correct the later frame fields: V_j <- V_j + gamma_j X
         for j in range(i + 1, S):
-            br = lie_bracket(Vi, Vs[j]).truncate(D)
-            if br.is_zero():
-                continue
-            g_ij_obj, D = _divide_adaptive(X, br, y, D, floor, report,
-                                           f"frame bracket {i + 1},{j + 1}")
-            g_ij = g_ij_obj.as_poly()
-            gamma = _transport_solve(Vi, Poly.zero(n), i, D, rhs=-g_ij)
-            Vs[j] = (Vs[j] + X.poly_scale(gamma, D)).truncate(D)
-        # (c) straighten V_i to the coordinate field
-        psi = _straighten_flow(Vi.truncate(D), i, D)
-        step = psi.inverse(D)
-        # step's inverse through D is psi itself; seed the cache
-        step._inv_cache[D] = FormalMap([c.truncate(D) for c in psi.comps], trunc=D)
-        D -= 1  # the pushforward spends one degree on the Jacobian factor
-        X = pushforward_tensor(X, step, D)
+            DV[j] = min(DV[i], DV[j]) - 1
+            g_ij = _bracket_quotient(X, lie_bracket(Vi, Vs[j]), y, DV[j], report,
+                                     f"frame bracket {i + 1},{j + 1}")
+            gamma = _transport_solve(Vi, Poly.zero(n), i, DV[j], rhs=-g_ij)
+            Vs[j] = (Vs[j] + X.poly_scale(gamma, DV[j])).truncate(DV[j])
+        # (c) straighten V_i to the coordinate field; Dp is the degree of the
+        # corrected later fields, so one inverse serves every pushforward
+        Dp = min(DX, DV[i]) - 1
+        psi = _straighten_flow(Vi.truncate(Dp), i, Dp)
+        step = psi.inverse(Dp)
+        # step's inverse through Dp is psi itself; seed the cache
+        step._inv_cache[Dp] = psi
+        X = pushforward_tensor(X, step, Dp)
+        DX = Dp
         for j in range(i + 1, S):
-            Vs[j] = pushforward_tensor(Vs[j], step, D)
-        f_acc = f_acc.substitute(psi.comps, D)
-        phi_total = step.compose(phi_total, D)
+            # V_j's constant part d_j meets the Jacobian of psi
+            M = min(DV[j], Dp)
+            DV[j] = M - 1
+            Vs[j] = pushforward_tensor(Vs[j], step, M).truncate(DV[j])
+        Df = min(Df, Dp)
+        f_acc = f_acc.substitute(psi.comps, Df)
+        phi_total = step.compose(phi_total, Dp)
         Vs[i] = coordinate_field(n, i)
 
     # drop any frame components X may carry (they do not change the product)
@@ -962,34 +969,22 @@ def _prelinearize_attempt(P: Multivector, N: int, Nw: int) -> Type2PrelinResult:
     return Type2PrelinResult(f_out, frame, X_out, change, report, B)
 
 
-def _divide_adaptive(X, target, y, D, floor, report, label):
-    """Graded division with an adaptively retreating trusted window.
+def _bracket_quotient(X, bracket, y, D, report, label) -> Poly:
+    """h with bracket = h * X through degree D - 1, from a bracket trusted
+    through D.
 
-    Top-degree junk above the floor -- an inconsistent solve, or bracket
-    components straying off the active block -- means the truncated data no
-    longer represents the formal object at that degree; the window shrinks to
-    just below the offending degree and the division is redone. Obstructions
-    at or below the floor are genuine and propagate.
+    Inside the trusted window nothing is truncation junk: a component off the
+    active block, or a division that fails, is an obstruction of the input.
     """
+    t = bracket.truncate(D)
     yset = set(y)
-    while True:
-        t = target.truncate(D)
-        stray = [int(v.min_degree()) for k, v in t.comps.items()
-                 if not set(k) <= yset]
-        if stray:
-            dbad = min(stray)
-            if dbad - 1 < floor:
-                raise SolveInconsistencyError(
-                    f"bracket leaves the active block: {label}", degree=dbad,
-                    residual=t.homogeneous_component(dbad))
-            D = dbad - 1
-            continue
-        try:
-            return graded_divide(X.truncate(D), t, y, D, report, label), D
-        except SolveInconsistencyError as e:
-            if e.degree is None or e.degree - 1 < floor:
-                raise
-            D = e.degree - 1
+    stray = [int(v.min_degree()) for k, v in t.comps.items() if not set(k) <= yset]
+    if stray:
+        bad = min(stray)
+        raise SolveInconsistencyError(
+            f"bracket leaves the active block: {label}", degree=bad,
+            residual=t.homogeneous_component(bad))
+    return graded_divide(X.truncate(D), t, y, D, report, label).as_poly()
 
 
 def _transport_solve(V: Multivector, f: Poly, i: int, N: int,
