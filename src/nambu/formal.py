@@ -6,6 +6,11 @@ all free variables pinned to zero (deterministic output). Solves that turn
 out inconsistent raise SolveInconsistencyError with the failing degree; no
 result is ever patched numerically.
 
+Inert variables ride in the right-hand side: the divisions treat the
+variables off the active block as parameters (Saito's de Rham lemma with
+parameters), so each degree is one solve per active degree, with columns over
+active monomials and a Poly in the inert variables per row.
+
 Degree bookkeeping: a coefficient-degree-d vector field moves degree-d
 structure. Each object carries the degree through which it is trusted, and
 every operation is truncated there: a bracket loses one degree, a division by
@@ -26,6 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .polyalg import (
@@ -127,29 +133,32 @@ def _homogeneous_split(obj, max_degree):
     return parts
 
 
-def _monomials_of_degree(nvars, d, active=None):
-    """Exponent tuples of total degree d; if active given, at least one
-    active slot must be positive (used for unknowns killed by d_y)."""
+def _monomials_of_degree(nvars, d, slots=None):
+    """Exponent tuples of total degree d supported on slots (default: all),
+    in descending lexicographic order."""
     out = []
-    for combo in itertools.combinations_with_replacement(range(nvars), d):
+    for combo in itertools.combinations_with_replacement(
+            range(nvars) if slots is None else sorted(slots), d):
         exps = [0] * nvars
         for i in combo:
             exps[i] += 1
-        if active is not None and not any(exps[i] for i in active):
-            continue
         out.append(tuple(exps))
     return out
 
 
-def _param_pattern(exps, active_set):
-    return tuple(0 if i in active_set else e for i, e in enumerate(exps))
-
-
-def _group_by_pattern(mons, active_set) -> Dict[tuple, List[tuple]]:
-    groups: Dict[tuple, List[tuple]] = {}
-    for mon in mons:
-        groups.setdefault(_param_pattern(mon, active_set), []).append(mon)
-    return groups
+def _rhs_by_active_degree(obj, active) -> Dict[int, Dict[tuple, Poly]]:
+    """obj's terms as right-hand sides: active degree -> row (active part of
+    the monomial, component key) -> the Poly of its inert parts."""
+    n = obj.nvars
+    active_set = set(active)
+    out: Dict[int, Dict[tuple, dict]] = {}
+    for key, poly in obj.comps.items():
+        for exps, c in poly.terms.items():
+            act = tuple(e if i in active_set else 0 for i, e in enumerate(exps))
+            inert = tuple(e - a for e, a in zip(exps, act))
+            out.setdefault(sum(act), {}).setdefault((act, key), {})[inert] = c
+    return {a: {row: Poly(n, terms) for row, terms in rows.items()}
+            for a, rows in out.items()}
 
 
 def graded_divide(divisor, target, active: Sequence[int], N: int,
@@ -157,13 +166,13 @@ def graded_divide(divisor, target, active: Sequence[int], N: int,
                   require_nondegenerate: bool = True):
     """Solve target = divisor ^ result through coefficient degree N.
 
-    divisor is grade 1 with components on the active block; non-active
-    variables ride along inertly inside the coefficients (the per-degree
-    systems block-split over their monomial patterns). With
+    divisor is grade 1 with components and linear part on the active block;
+    the inert variables ride in the right-hand side (module docstring). With
     require_nondegenerate the linear part must have full rank on the active
     block, which guarantees solvability whenever divisor ^ target = 0;
     without it the per-degree solves simply decide solvability. Kernel
-    freedom is resolved to zero in graded-lex order.
+    freedom is resolved to zero in lexicographic order on active monomials;
+    a target term free of active variables is left to the final check.
     """
     kind = type(divisor)
     if type(target) is not kind:
@@ -193,7 +202,6 @@ def graded_divide(divisor, target, active: Sequence[int], N: int,
     div_parts = _homogeneous_split(divisor, N + 1)
     tgt_parts = _homogeneous_split(target, N + 1)
     res_tuples = list(itertools.combinations(active, res_grade))
-    tgt_tuples = list(itertools.combinations(active, k))
     result = kind(n, res_grade, {})
     result_parts: Dict[int, object] = {}
 
@@ -208,8 +216,7 @@ def graded_divide(divisor, target, active: Sequence[int], N: int,
                 break
             continue
         sol_part = _solve_wedge_degree(div_parts.get(1), rhs, active, d,
-                                       res_tuples, tgt_tuples, n, kind,
-                                       report, label)
+                                       res_tuples, n, kind, report, label)
         result_parts[d] = sol_part
         result = result + sol_part
     check = wedge(divisor, result, N).truncate(N) - target.truncate(N)
@@ -221,30 +228,22 @@ def graded_divide(divisor, target, active: Sequence[int], N: int,
     return result
 
 
-def _solve_wedge_degree(lin_divisor, rhs, active, d, res_tuples, tgt_tuples,
+def _solve_wedge_degree(lin_divisor, rhs, active, d, res_tuples,
                         n, kind, report, label):
-    """One homogeneous degree of the wedge-multiplication solve, split over
-    inert-variable monomial patterns."""
+    """One homogeneous degree of the wedge-multiplication solve: one system
+    per active degree, with the inert variables in the right-hand side."""
     if lin_divisor is None:
         raise SolveInconsistencyError(
             f"divisor has no linear part{': ' + label if label else ''}", degree=d)
-    active_set = set(active)
     lin_coeffs = {key[0]: {t: c for t, c in enumerate(poly.linear_coefficients()) if c}
                   for key, poly in lin_divisor.comps.items()}
 
-    # group unknown monomials by inert pattern
-    groups = _group_by_pattern(_monomials_of_degree(n, d), active_set)
-
-    # rhs rows grouped the same way
-    rhs_entries: Dict[tuple, Dict[Tuple[tuple, tuple], Fraction]] = {}
-    for key, poly in rhs.comps.items():
-        for exps, c in poly.terms.items():
-            pat = _param_pattern(exps, active_set)
-            rhs_entries.setdefault(pat, {})[(exps, key)] = c
-
     out_terms: Dict[tuple, dict] = {}
-    for pat, mons in sorted(groups.items()):
-        cols = [(mon, J) for mon in mons for J in res_tuples]
+    for a, rows in sorted(_rhs_by_active_degree(rhs, active).items()):
+        if a == 0:
+            continue
+        cols = [(mon, J) for mon in _monomials_of_degree(n, a - 1, active)
+                for J in res_tuples]
         system = GradedSystem(len(cols))
         for col, (mon, J) in enumerate(cols):
             for j, coeffs in lin_coeffs.items():
@@ -256,8 +255,8 @@ def _solve_wedge_degree(lin_divisor, rhs, active, d, res_tuples, tgt_tuples,
                     new = list(mon)
                     new[t] += 1
                     system.add((tuple(new), key), col, sign * c)
-        for row_key, v in rhs_entries.get(pat, {}).items():
-            system.rhs(row_key, v)
+        for row, v in rows.items():
+            system.rhs(row, v)
         res = system.solve()
         if report is not None:
             report.add(d, len(system.rows), system.ncols, res.consistent, label)
@@ -267,8 +266,8 @@ def _solve_wedge_degree(lin_divisor, rhs, active, d, res_tuples, tgt_tuples,
                 f"{': ' + label if label else ''}",
                 degree=d, residual=rhs)
         for (mon, J), v in zip(cols, res.solution):
-            if v:
-                out_terms.setdefault(J, {})[mon] = v
+            for inert, c in v.terms.items():
+                out_terms.setdefault(J, {})[tuple(map(add, mon, inert))] = c
     return kind(n, len(res_tuples[0]) if res_tuples else 0,
                 {J: Poly(n, terms) for J, terms in out_terms.items()})
 
@@ -354,7 +353,7 @@ def formal_decompose_type1(omega: DiffForm, N: int
     if N < 2:
         raise PreconditionError("N must be >= 2")
     n, p = omega.nvars, omega.grade
-    p_, y, diag, alpha1 = _type1_linear_data(omega, require_full_rank=False)
+    y = _type1_linear_data(omega, require_full_rank=False)[1]
     report = GradedSolveReport()
     omega = omega.truncate(N)
     blocks = prefix_blocks(omega, p - 1)
@@ -506,11 +505,6 @@ def _shift_sign(n, p, k, alpha1, phi_k, omega_k) -> int:
     """Exact sign for the shift x_k += phi_k from the induced correction."""
     # correction of dx-prefix ^ alpha1 under x_k -> x_k + phi_k at the block
     # missing dx_k equals (-1)^{p-1-k-1}-style; derive it by one cheap wedge
-    factors = []
-    for i in range(p - 1):
-        if i == k:
-            continue
-        factors.append(coordinate_form(n, i))
     dphi = DiffForm(n, 1, {(j,): phi_k.partial(j) for j in range(n)
                            if not phi_k.partial(j).is_zero()})
     # insert d(phi_k) in slot k and compare against the target block layout
@@ -533,48 +527,39 @@ def _split_multiplier(alpha1, rho, y, r, n, report):
     """Solve rho = f * alpha1 + d_y(h) for homogeneous degree r.
 
     Unknowns: f over degree r-1 monomials, h over degree r+1 monomials with
-    at least one active variable; one exact solve per inert pattern block.
+    at least one active variable; rho's terms of active degree a make one
+    exact solve, with f over active degree a-1 and h over a+1.
     """
-    active_set = set(y)
     diag = {key[0]: poly.linear_coefficients()[key[0]]
             for key, poly in alpha1.comps.items()}
-    groups_f = _group_by_pattern(_monomials_of_degree(n, r - 1), active_set)
-    groups_h = _group_by_pattern(_monomials_of_degree(n, r + 1, active=y), active_set)
-
-    rho_entries: Dict[tuple, Dict[Tuple[tuple, int], Fraction]] = {}
-    for (j,), poly in rho.comps.items():
-        for exps, c in poly.terms.items():
-            pat = _param_pattern(exps, active_set)
-            rho_entries.setdefault(pat, {})[(exps, j)] = c
-
     terms = {"f": {}, "h": {}}
-    patterns = sorted(set(groups_f) | set(groups_h) | set(rho_entries))
-    for pat in patterns:
-        cols = ([("f", mon) for mon in groups_f.get(pat, [])]
-                + [("h", mon) for mon in groups_h.get(pat, [])])
+    for a, rows in sorted(_rhs_by_active_degree(rho, y).items()):
+        cols = ([("f", mon) for mon in (_monomials_of_degree(n, a - 1, y) if a else [])]
+                + [("h", mon) for mon in _monomials_of_degree(n, a + 1, y)])
         system = GradedSystem(len(cols))
         for col, (kind_, mon) in enumerate(cols):
             if kind_ == "f":
                 for j, dj in diag.items():
                     new = list(mon)
                     new[j] += 1
-                    system.add((tuple(new), j), col, dj)
+                    system.add((tuple(new), (j,)), col, dj)
                 continue
             for j in y:
                 if mon[j] == 0:
                     continue
                 new = list(mon)
                 new[j] -= 1
-                system.add((tuple(new), j), col, Fraction(mon[j]))
-        for key, v in rho_entries.get(pat, {}).items():
-            system.rhs(key, v)
+                system.add((tuple(new), (j,)), col, Fraction(mon[j]))
+        for row, v in rows.items():
+            system.rhs(row, v)
         res = system.solve()
         report.add(r, len(system.rows), system.ncols, res.consistent, "multiplier split")
         if not res.consistent:
             raise SolveInconsistencyError(
                 "multiplier split inconsistent", degree=r, residual=rho)
         for (kind_, mon), v in zip(cols, res.solution):
-            terms[kind_][mon] = v
+            for inert, c in v.terms.items():
+                terms[kind_][tuple(map(add, mon, inert))] = c
     return Poly(n, terms["f"]), Poly(n, terms["h"])
 
 
@@ -778,14 +763,8 @@ def _solve_lie_multiplier(P1: Multivector, f_r: Poly, active: Sequence[int],
         rem = r - 2 * s
         if rem == 0 and s == 0:
             continue
-        for pmon in _monomials_of_degree(len(param_slots), rem) if param_slots else \
-                ([()] if rem == 0 else []):
-            h = Q.pow(s)
-            if param_slots:
-                full = [0] * n
-                for slot, e in zip(param_slots, pmon):
-                    full[slot] = e
-                h = h.mul(Poly.monomial(n, full))
+        for pmon in _monomials_of_degree(n, rem, param_slots):
+            h = Q.pow(s).mul(Poly.monomial(n, pmon))
             if h.is_zero():
                 continue
             fields.append(E.poly_scale(h))

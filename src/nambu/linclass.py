@@ -27,6 +27,7 @@ failure (exit 4).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -186,8 +187,22 @@ class ClassificationReport:
     numeric_companion: Optional[List[float]] = None  # per-variable scale to +-1
     achieved_tensor: Optional[Multivector] = None
     tensor_matrix: Optional[RatMatrix] = None
-    rational_jordan: Optional[RatMatrix] = None
-    eigen: Optional[EigenData] = None
+
+    @property
+    def matrix(self) -> Optional[RatMatrix]:
+        """The reported Type 2 matrix (in the report's conventions); None for Type 1."""
+        return self.tensor_matrix if self.tensor_matrix is not None else self.normal_form.matrix
+
+    @functools.cached_property
+    def eigen(self) -> Optional[EigenData]:
+        """Eigen data of the reported Type 2 matrix, computed on first read."""
+        return eigen_data(self.matrix) if self.normal_form.tag == "type2" else None
+
+    @functools.cached_property
+    def rational_jordan(self) -> Optional[RatMatrix]:
+        """Jordan form of the reported matrix if all eigenvalues are rational, on first read."""
+        ed = self.eigen
+        return _rational_jordan(self.matrix, ed) if ed is not None and ed.all_rational else None
 
     def to_json_obj(self) -> dict:
         from .exterior import formal_map_to_json
@@ -199,9 +214,10 @@ class ClassificationReport:
             out["signs"] = nf.signs
             out["diag"] = [str(v) for v in nf.diag]
         else:
-            matrix = self.tensor_matrix if self.tensor_matrix is not None else nf.matrix
-            out["matrix"] = matrix.to_str_rows()
-            out["char_poly"] = self.eigen.char_poly_str() if self.eigen else None
+            out["matrix"] = self.matrix.to_str_rows()
+            coeffs = char_poly(self.matrix)
+            text = Poly(1, {(k,): c for k, c in enumerate(coeffs)}).to_str("t")
+            out["char_poly"] = text.replace("t1", "t")
         out["nondegenerate"] = self.nondegenerate
         out["elliptic"] = self.elliptic
         out["signature"] = self.signature
@@ -337,10 +353,7 @@ def classify_linear(omega: DiffForm) -> ClassificationReport:
     a step fails: if omega fails it, its witness is raised as a
     PreconditionError; otherwise the step's own error is re-raised.
     """
-    report = _certified_report(omega)
-    if report.normal_form.tag == "type2":
-        _attach_eigen(report, report.normal_form.matrix)
-    return report
+    return _certified_report(omega)
 
 
 def _certified_report(omega: DiffForm) -> ClassificationReport:
@@ -636,14 +649,6 @@ def nondegeneracy(report: ClassificationReport) -> ClassificationReport:
 # rational Jordan form (metadata when all eigenvalues are rational)
 # ---------------------------------------------------------------------------
 
-def _attach_eigen(report: ClassificationReport, A: RatMatrix):
-    """The eigen data of the reported Type 2 matrix and, when every eigenvalue
-    is rational, its Jordan form."""
-    report.eigen = eigen_data(A)
-    report.rational_jordan = (_rational_jordan(A, report.eigen)
-                              if report.eigen.all_rational else None)
-
-
 def _rational_jordan(A: RatMatrix, ed: EigenData) -> RatMatrix:
     """The Jordan form of A, whose eigen data ed has only rational eigenvalues."""
     n = A.rows
@@ -688,7 +693,7 @@ def classify_linear_tensor(P: Multivector,
     achieved tensor absorbs the determinant factor so
     pushforward_tensor(P, report.change) == report.achieved_tensor exactly.
     Classification runs as in classify_linear, with the same certificate; the
-    eigen data is computed once, for the tensor-convention matrix.
+    reported matrix, and with it the eigen data, is the tensor-convention one.
     """
     q = P.grade
     n = P.nvars
@@ -716,7 +721,6 @@ def classify_linear_tensor(P: Multivector,
 
     if report.normal_form.tag == "type2":
         report.tensor_matrix = _extract_type2_field_matrix(achieved_tensor, q)
-        _attach_eigen(report, report.tensor_matrix)
     return report
 
 

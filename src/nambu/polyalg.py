@@ -741,13 +741,15 @@ class LinearSolveResult:
     `pivots` are the pivot columns of the RREF of M. `echelon` holds one row
     per pivot, as (pivot column, row scaled to 1 there, its right-hand side),
     with every entry at or right of the pivot; the kernel basis is read off
-    these rows, and the reduced rows off the kernel, when first asked for.
+    these rows, the reduced rows off the kernel, and the inconsistency witness
+    off the system, each when first asked for; the solution has b's type.
     """
 
-    solution: Optional[List[Fraction]]
-    witness: Optional[List[Fraction]]  # y with y.M = 0, y.b != 0 when inconsistent
+    solution: Optional[list]
     pivots: List[int]
     echelon: list = field(repr=False)
+    rows: Sequence[dict] = field(repr=False)
+    rhs: list = field(repr=False)
 
     @property
     def consistent(self) -> bool:
@@ -761,7 +763,7 @@ class LinearSolveResult:
             return []
         pivot_set = set(self.pivots)
         ncols = len(self.solution)
-        return [_back_substitute(self.echelon, ncols, f)
+        return [_back_substitute(self.echelon, ncols, Fraction(0), f)
                 for f in range(ncols) if f not in pivot_set]
 
     @functools.cached_property
@@ -782,17 +784,33 @@ class LinearSolveResult:
             rows.append(row)
         return rows
 
+    @functools.cached_property
+    def witness(self) -> Optional[List[Fraction]]:
+        """The Farkas witness y (y.M = 0, y.b = 1) of an inconsistent system
+        with a scalar b, or None, by one more solve of [M^T; b^T] y = [0; 1]
+        on the caller's rows, which must stay unchanged until it is read."""
+        if self.solution is not None:
+            return None
+        if any(isinstance(v, Poly) for v in self.rhs):
+            raise ValueError("the witness needs a scalar right-hand side")
+        transposed = {}  # the columns of M that hold an entry, as rows
+        for i, row in enumerate(self.rows):
+            for c, v in row.items():
+                transposed.setdefault(c, {})[i] = v
+        rows = list(transposed.values()) + [dict(enumerate(self.rhs))]
+        return solve_sparse(rows, len(self.rows), [0] * len(transposed) + [1]).solution
 
-def _back_substitute(echelon, ncols: int, free: Optional[int] = None) -> List[Fraction]:
-    """Solve the echelon rows from the last pivot up, free variables zero.
+
+def _back_substitute(echelon, ncols: int, zero, free: Optional[int] = None) -> list:
+    """Solve the echelon rows from the last pivot up, free variables `zero`.
 
     With `free` given, solves the homogeneous system with x_free = 1.
     """
-    x = [Fraction(0)] * ncols
+    x = [zero] * ncols
     if free is not None:
         x[free] = Fraction(1)
     for c, row, rhs in reversed(echelon):
-        acc = Fraction(0) if free is not None else rhs
+        acc = zero if free is not None else rhs
         for k, v in row.items():
             if k != c and x[k]:
                 acc -= v * x[k]
@@ -808,11 +826,16 @@ def solve_sparse(rows: Sequence[dict], ncols: int, rhs: Sequence) -> LinearSolve
     (Markowitz 1957); no transform matrix is built. Column c is a pivot
     exactly when it is not in the span of columns 0..c-1, whichever row is
     chosen, so the pivots are the RREF's leftmost pivots and the particular
-    solution (free variables zero) is the RREF's, byte for byte. When the
-    system is inconsistent the Farkas witness y (y.M = 0, y.b = 1) comes from
-    one more solve of [M^T; b^T] y = [0; 1].
+    solution (free variables zero) is the RREF's, byte for byte. An entry of
+    b is a scalar or a `Poly` (then scalars read as constants), and one
+    elimination serves every monomial of b: the solution's coefficient at a
+    monomial solves the scalar system of b's coefficients there, and the
+    system is inconsistent exactly when one of those is.
     """
-    given = [_as_fraction(v) for v in rhs]
+    polys = [v for v in rhs if isinstance(v, Poly)]
+    zero = Poly.zero(polys[0].nvars) if polys else Fraction(0)
+    given = [v if isinstance(v, Poly) else Poly.const(zero.nvars, v) if polys
+             else _as_fraction(v) for v in rhs]
     if len(given) != len(rows):
         raise ValueError("right-hand side has wrong length")
     b = list(given)
@@ -841,18 +864,14 @@ def solve_sparse(rows: Sequence[dict], ncols: int, rhs: Sequence) -> LinearSolve
                     row[k] = s
                 else:
                     del row[k]
-            b[i] -= f * b[p]
+            if b[p]:
+                b[i] -= f * b[p]
         echelon.append((c, prow, b[p]))
     pivots = [c for c, _, _ in echelon]
-    if any(b[i] for i in unpivoted):
-        transposed = [{} for _ in range(ncols)]
-        for i, row in enumerate(rows):
-            for c, v in row.items():
-                transposed[c][i] = v
-        transposed.append(dict(enumerate(given)))
-        witness = solve_sparse(transposed, len(rows), [0] * ncols + [1]).solution
-        return LinearSolveResult(None, witness, pivots, echelon)
-    return LinearSolveResult(_back_substitute(echelon, ncols), None, pivots, echelon)
+    solution = None
+    if not any(b[i] for i in unpivoted):
+        solution = _back_substitute(echelon, ncols, zero)
+    return LinearSolveResult(solution, pivots, echelon, rows, given)
 
 
 def _eliminate(rows: Sequence[Sequence], ncols: int) -> LinearSolveResult:
@@ -879,7 +898,8 @@ class GradedSystem:
 
     A row label is any hashable key (a monomial with a component index, say);
     rows keep the order of first use, columns run over 0..ncols-1, and
-    entries added twice at one place accumulate.
+    entries added twice at one place accumulate. A right-hand side entry is a
+    scalar or a `Poly`, whose monomials one solve answers at once.
     """
 
     def __init__(self, ncols: int):
@@ -897,7 +917,7 @@ class GradedSystem:
 
     def solve(self) -> LinearSolveResult:
         return solve_sparse(list(self.rows.values()), self.ncols,
-                            [self.b.get(key, Fraction(0)) for key in self.rows])
+                            [self.b.get(key, 0) for key in self.rows])
 
 
 # ---------------------------------------------------------------------------
@@ -1088,10 +1108,6 @@ class EigenData:
     @property
     def all_rational(self) -> bool:
         return len(self.rational_eigenvalues) == len(self.char_coeffs) - 1
-
-    def char_poly_str(self) -> str:
-        p = Poly(1, {(k,): c for k, c in enumerate(self.char_coeffs)})
-        return p.to_str("t").replace("t1", "t")
 
 
 def eigen_data(M: RatMatrix, tol: float = 1e-9) -> EigenData:

@@ -1,6 +1,7 @@
 """Formal normalization: divisions, Type-1/Type-2 inductions, resonances."""
 
 import io
+import itertools
 import json
 import random
 import sys
@@ -14,6 +15,7 @@ from nambu import formal
 from nambu.cli import run
 
 from nambu.polyalg import (
+    GradedSystem,
     Poly,
     PreconditionError,
     RatMatrix,
@@ -29,12 +31,15 @@ from nambu.exterior import (
     form_to_tensor,
     formal_map_from_json,
     lie_derivative,
+    merge_sign,
     pullback_form,
     pushforward_tensor,
+    scalar_form,
     wedge,
     wedge_all,
 )
 from nambu.formal import (
+    GradedSolveReport,
     derham_divide,
     formal_decompose_type1,
     formal_linearize_type1,
@@ -120,6 +125,196 @@ def test_derham_inert_parameters():
     beta = wedge(alpha, theta_true)
     theta = derham_divide(alpha, beta, [1, 2], 5)
     assert wedge(alpha, theta) == beta
+
+
+# -- the division against one solve per inert monomial pattern ---------------------------
+#
+# The reference is the earlier algorithm: unknowns over all variables, grouped by
+# their inert exponents, one scalar solve per group.
+
+def _all_monomials(n, d):
+    out = []
+    for combo in itertools.combinations_with_replacement(range(n), d):
+        exps = [0] * n
+        for i in combo:
+            exps[i] += 1
+        out.append(tuple(exps))
+    return out
+
+
+def _inert_pattern(exps, active_set):
+    return tuple(0 if i in active_set else e for i, e in enumerate(exps))
+
+
+def _by_pattern(mons, active_set):
+    groups = {}
+    for mon in mons:
+        groups.setdefault(_inert_pattern(mon, active_set), []).append(mon)
+    return groups
+
+
+def per_pattern_solve_wedge_degree(lin_divisor, rhs, active, d, res_tuples, n, kind,
+                                   report, label):
+    if lin_divisor is None:
+        raise SolveInconsistencyError(
+            f"divisor has no linear part{': ' + label if label else ''}", degree=d)
+    active_set = set(active)
+    lin_coeffs = {key[0]: {t: c for t, c in enumerate(poly.linear_coefficients()) if c}
+                  for key, poly in lin_divisor.comps.items()}
+    rhs_entries = {}
+    for key, poly in rhs.comps.items():
+        for exps, c in poly.terms.items():
+            rhs_entries.setdefault(_inert_pattern(exps, active_set), {})[(exps, key)] = c
+    out_terms = {}
+    for pat, mons in sorted(_by_pattern(_all_monomials(n, d), active_set).items()):
+        cols = [(mon, J) for mon in mons for J in res_tuples]
+        system = GradedSystem(len(cols))
+        for col, (mon, J) in enumerate(cols):
+            for j, coeffs in lin_coeffs.items():
+                ms = merge_sign((j,), J)
+                if ms is None:
+                    continue
+                key, sign = ms
+                for t, c in coeffs.items():
+                    new = list(mon)
+                    new[t] += 1
+                    system.add((tuple(new), key), col, sign * c)
+        for row_key, v in rhs_entries.get(pat, {}).items():
+            system.rhs(row_key, v)
+        res = system.solve()
+        if not res.consistent:
+            raise SolveInconsistencyError(
+                f"inconsistent wedge division at degree {d}{': ' + label if label else ''}",
+                degree=d, residual=rhs)
+        for (mon, J), v in zip(cols, res.solution):
+            if v:
+                out_terms.setdefault(J, {})[mon] = v
+    return kind(n, len(res_tuples[0]) if res_tuples else 0,
+                {J: Poly(n, terms) for J, terms in out_terms.items()})
+
+
+def per_pattern_split_multiplier(alpha1, rho, y, r, n):
+    active_set = set(y)
+    diag = {key[0]: poly.linear_coefficients()[key[0]] for key, poly in alpha1.comps.items()}
+    groups_f = _by_pattern(_all_monomials(n, r - 1), active_set)
+    groups_h = _by_pattern([m for m in _all_monomials(n, r + 1) if any(m[i] for i in y)],
+                           active_set)
+    rho_entries = {}
+    for (j,), poly in rho.comps.items():
+        for exps, c in poly.terms.items():
+            rho_entries.setdefault(_inert_pattern(exps, active_set), {})[(exps, j)] = c
+    terms = {"f": {}, "h": {}}
+    for pat in sorted(set(groups_f) | set(groups_h) | set(rho_entries)):
+        cols = ([("f", mon) for mon in groups_f.get(pat, [])]
+                + [("h", mon) for mon in groups_h.get(pat, [])])
+        system = GradedSystem(len(cols))
+        for col, (kind_, mon) in enumerate(cols):
+            if kind_ == "f":
+                for j, dj in diag.items():
+                    new = list(mon)
+                    new[j] += 1
+                    system.add((tuple(new), j), col, dj)
+                continue
+            for j in y:
+                if mon[j]:
+                    new = list(mon)
+                    new[j] -= 1
+                    system.add((tuple(new), j), col, Fraction(mon[j]))
+        for key, v in rho_entries.get(pat, {}).items():
+            system.rhs(key, v)
+        res = system.solve()
+        if not res.consistent:
+            raise SolveInconsistencyError("multiplier split inconsistent", degree=r, residual=rho)
+        for (kind_, mon), v in zip(cols, res.solution):
+            terms[kind_][mon] = v
+    return Poly(n, terms["f"]), Poly(n, terms["h"])
+
+
+def _outcome(compute):
+    try:
+        return ("ok", compute())
+    except SolveInconsistencyError as exc:
+        return ("inconsistent", str(exc), exc.degree)
+    except PreconditionError as exc:
+        return ("precondition", str(exc))
+
+
+def _draw_poly(draw, n, degrees, max_terms=3):
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        exps = [0] * n
+        for _ in range(draw(st.sampled_from(degrees))):
+            exps[draw(st.integers(0, n - 1))] += 1
+        terms[tuple(exps)] = draw(st.integers(-3, 3))
+    return Poly(n, terms)
+
+
+def _draw_block(draw):
+    """(n, active): 2-3 active variables among 1-3 inert ones, in any places."""
+    n_active, n_inert = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    n = n_active + n_inert
+    return n, sorted(draw(st.permutations(range(n)))[:n_active])
+
+
+@st.composite
+def division_inputs(draw):
+    """(divisor, target, active, N): a 1-form on the active block whose linear
+    part involves active variables only (degenerate at times) and whose higher
+    terms involve every variable; the target is divisor ^ theta half the time,
+    otherwise a random form on the active block."""
+    n, active = _draw_block(draw)
+    divisor = DiffForm(n, 1, {
+        (j,): Poly(n, {tuple(int(i == t) for i in range(n)): draw(st.integers(-2, 2))
+                       for t in active}) + _draw_poly(draw, n, [2, 3], 2)
+        for j in active})
+    k = draw(st.integers(2, len(active)))
+    if draw(st.booleans()):
+        theta = DiffForm(n, k - 1, {J: _draw_poly(draw, n, [0, 1, 2])
+                                    for J in itertools.combinations(active, k - 1)})
+        target = wedge(divisor, theta)
+    else:
+        target = DiffForm(n, k, {K: _draw_poly(draw, n, [1, 2, 3])
+                                 for K in itertools.combinations(active, k)})
+    return divisor, target, active, draw(st.integers(2, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(division_inputs(), st.booleans())
+def test_division_matches_per_pattern_solves(case, nondegenerate):
+    divisor, target, active, N = case
+
+    def divide():
+        return formal.graded_divide(divisor, target, active, N,
+                                    require_nondegenerate=nondegenerate)
+
+    with mock.patch.object(formal, "_solve_wedge_degree", per_pattern_solve_wedge_degree):
+        expected = _outcome(divide)
+    assert _outcome(divide) == expected
+
+
+@st.composite
+def split_inputs(draw):
+    """(alpha1, rho, y, r, n): alpha1 = sum d_j x_j dx_j on the active block y
+    and a degree-r 1-form rho on it, f * alpha1 + d_y(h) half the time."""
+    n, y = _draw_block(draw)
+    r = draw(st.integers(2, 3))
+    alpha1 = DiffForm(n, 1, {(j,): x(n, j).scale(draw(st.sampled_from([-2, -1, 1, 3])))
+                             for j in y})
+    if draw(st.booleans()):
+        f = _draw_poly(draw, n, [r - 1], 4)
+        h = _draw_poly(draw, n, [r + 1], 4)
+        rho = alpha1.poly_scale(f) + dform(scalar_form(h), y)
+    else:
+        rho = DiffForm(n, 1, {(j,): _draw_poly(draw, n, [r]) for j in y})
+    return alpha1, rho, y, r, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_inputs())
+def test_multiplier_split_matches_per_pattern_solves(case):
+    alpha1, rho, y, r, n = case
+    got = _outcome(lambda: formal._split_multiplier(alpha1, rho, y, r, n, GradedSolveReport()))
+    assert got == _outcome(lambda: per_pattern_split_multiplier(alpha1, rho, y, r, n))
 
 
 def test_homotopy_inverts_d_active():

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module, and
+every local a library function assigns is read."""
 
 import ast
 import pathlib
@@ -8,7 +9,10 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 # the package's __init__.py imports only to re-export
 SOURCES = sorted(p for p in (ROOT / "src" / "nambu").glob("*.py") if p.name != "__init__.py")
+LIBRARY = sorted((ROOT / "src" / "nambu").glob("*.py"))
 SOURCES += sorted((ROOT / "tests").glob("*.py"))
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+CONTAINERS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
 
 
 def unused_imports(source: str):
@@ -34,3 +38,71 @@ def test_scan_finds_unused_imports():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_imports_are_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _own_nodes(fn):
+    """The nodes of fn's own scope: nested functions and classes left out."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, SCOPES + (ast.ClassDef,)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unused_locals(source: str):
+    """Names a function binds and never reads (its nested functions count as
+    readers), in source order; names starting with an underscore are exempt.
+    Filling a container that the function itself built (x = [] then
+    x.append(v)) does not read it."""
+    tree = ast.parse(source)
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, SCOPES):
+            continue
+        own = list(_own_nodes(fn))
+        declared = {name for node in ast.walk(fn) if isinstance(node, (ast.Global, ast.Nonlocal))
+                    for name in node.names}
+        stores = [node for node in own if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
+        # names bound only to a container display: x = [], x = {k: v for ...}
+        displays = {id(t) for node in own if isinstance(node, ast.Assign)
+                    and isinstance(node.value, CONTAINERS) for t in node.targets}
+        built = ({node.id for node in stores if id(node) in displays}
+                 - {node.id for node in stores if id(node) not in displays})
+        filled = {id(node.value.func.value) for node in ast.walk(fn)
+                  if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+                  and isinstance(node.value.func, ast.Attribute)
+                  and isinstance(node.value.func.value, ast.Name) and node.value.func.value.id in built}
+        read = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)
+                and not isinstance(node.ctx, ast.Store) and id(node) not in filled}
+        read |= {node.target.id for node in ast.walk(fn)
+                 if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name)}
+        found |= {(node.lineno, node.id) for node in stores
+                  if node.id not in read | declared and not node.id.startswith("_")}
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_scan_finds_unused_locals():
+    source = ("def f(a):\n"
+              "    p, q, r = a\n"             # q and r are never read
+              "    dead = a + 1\n"
+              "    parts = []\n"              # filled, never read
+              "    for i in range(3):\n"      # i is never read
+              "        parts.append(a)\n"
+              "    kept = []\n"
+              "    kept.append(p)\n"
+              "    group = make(a)\n"         # not built here: its calls may act elsewhere
+              "    group.add(p)\n"
+              "    total = 0\n"
+              "    total += 1\n"
+              "    _, seen = a\n"
+              "    def g():\n"
+              "        return seen\n"
+              "    return kept, g\n")
+    assert unused_locals(source) == ["line 2: q", "line 2: r", "line 3: dead", "line 4: parts",
+                                     "line 5: i"]
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: str(p.relative_to(ROOT)))
+def test_locals_are_read(path):
+    assert unused_locals(path.read_text(encoding="utf-8")) == []

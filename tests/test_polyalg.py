@@ -413,6 +413,51 @@ def test_rank_kernel_rref_match_gauss_jordan(M):
         assert M.matmul(M.inverse()) == RatMatrix.identity(M.rows)
 
 
+@st.composite
+def poly_rhs_systems(draw):
+    """(rows, ncols, rhs, columns): a sparse system whose right-hand side
+    entries are Polys in 1-3 parameters; columns[m] is the scalar right-hand
+    side that the coefficients of monomial m form, consistent half the time.
+    Zero entries past the first are sometimes the scalar 0."""
+    r, c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    M = [[draw(_entry) for _ in range(c)] for _ in range(r)]
+    nvars = draw(st.integers(1, 3))
+    monomials = draw(st.lists(st.tuples(*[st.integers(0, 2)] * nvars),
+                              min_size=1, max_size=4, unique=True))
+    columns = {}
+    for mono in monomials:
+        if draw(st.booleans()):
+            x0 = [draw(_entry) for _ in range(c)]
+            columns[mono] = [sum((m * v for m, v in zip(row, x0)), Fraction(0)) for row in M]
+        else:
+            columns[mono] = [draw(_entry) for _ in range(r)]
+    rhs = [Poly(nvars, {mono: col[i] for mono, col in columns.items()}) for i in range(r)]
+    if draw(st.booleans()):
+        rhs = rhs[:1] + [v if v else 0 for v in rhs[1:]]
+    rows = [{j: v for j, v in enumerate(row) if v} for row in M]
+    return rows, c, rhs, columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(poly_rhs_systems())
+def test_solve_sparse_poly_rhs_is_one_solve_per_monomial(system):
+    rows, ncols, rhs, columns = system
+    res = solve_sparse(rows, ncols, rhs)
+    scalar = {mono: solve_sparse(rows, ncols, col) for mono, col in columns.items()}
+    for one in scalar.values():
+        assert one.pivots == res.pivots
+    assert res.consistent == all(one.consistent for one in scalar.values())
+    if res.consistent:
+        assert all(isinstance(v, Poly) for v in res.solution)
+        assert all(set(v.terms) <= set(columns) for v in res.solution)
+        for mono, one in scalar.items():
+            assert [v.coefficient(mono) for v in res.solution] == one.solution
+        assert res.witness is None
+    else:
+        with pytest.raises(ValueError):
+            res.witness
+
+
 def test_graded_system_labels_and_accumulation():
     # x0 + x1 = 3 (entered in two pieces), x1 = 1, and a row seen only on the rhs
     system = GradedSystem(3)
