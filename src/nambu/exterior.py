@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .polyalg import (
     InputError,
@@ -612,30 +612,6 @@ class FormalMap:
     def is_identity(self) -> bool:
         return all(c == Poly.variable(self.nvars, i) for i, c in enumerate(self.comps))
 
-    def jacobian(self) -> List[List[Poly]]:
-        return [[c.partial(j) for j in range(self.nvars)] for c in self.comps]
-
-    def det_jacobian(self, trunc: Optional[int] = None) -> Poly:
-        # Laplace expansion with shared minors over column subsets
-        jac = self.jacobian()
-        n = self.nvars
-        minors = {(): Poly.one(n)}
-        for r in range(n):
-            new: Dict[Tuple[int, ...], Poly] = {}
-            for cols, val in minors.items():
-                used = set(cols)
-                for j in range(n):
-                    if j in used:
-                        continue
-                    entry = jac[r][j]
-                    if entry.is_zero():
-                        continue
-                    key = tuple(sorted(cols + (j,)))
-                    term = val.mul(entry, trunc)
-                    _accumulate(new, key, term if key.index(j) % 2 == r % 2 else -term)
-            minors = new
-        return minors.get(tuple(range(n)), Poly.zero(n))
-
     def compose(self, inner: "FormalMap", trunc: Optional[int] = None) -> "FormalMap":
         """self after inner: (self o inner)(x) = self(inner(x))."""
         if self.nvars != inner.nvars:
@@ -739,22 +715,36 @@ def pullback_form(omega: DiffForm, phi: FormalMap, N: Optional[int] = None) -> D
 
 
 def pushforward_tensor(P: Multivector, phi: FormalMap, N: Optional[int] = None) -> Multivector:
-    """Transport P contravariantly along phi (components in target coordinates).
+    """Transport P contravariantly along phi: phi_* P = (Lambda Dphi . P) o phi^{-1}.
 
-    Realized through the volume duality: dualize, pull back along the inverse
-    map, multiply by the transported Jacobian determinant, dualize back.
+    Each d_i becomes the Jacobian column sum_k (d_i phi_k) d_k. Coefficients
+    and columns are read at phi.inverse(N), and the wedges of columns (shared
+    along common index prefixes) are cut at N, so the result is exact through
+    N. N=None is allowed for linear maps only, and is then exact.
     """
     if P.nvars != phi.nvars:
         raise ValueError("nvars mismatch")
     if N is None and not phi.is_linear():
         raise PreconditionError("untruncated pushforward is only allowed for linear maps")
-    inv = phi.inverse(N)
-    omega = tensor_to_form(P)
-    pulled = pullback_form(omega, inv, N)
-    detj = phi.det_jacobian(N)
-    jac_factor = detj.substitute(inv.comps, N)
-    scaled = pulled.poly_scale(jac_factor, N)
-    return form_to_tensor(scaled)
+    n = P.nvars
+    inv = phi.inverse(N).comps
+
+    def at_inv(p: Poly) -> Poly:
+        return p.substitute(inv, N) if p.degree > 0 else p
+
+    columns = [{(k,): at_inv(d) for k, c in enumerate(phi.comps) if (d := c.partial(i))}
+               for i in range(n)]
+    # wedges of the columns named by each index prefix
+    minors: Dict[IndexTuple, dict] = {(): {(): Poly.one(n)}}
+    out: Dict[IndexTuple, Poly] = {}
+    for I, c in P.comps.items():
+        for t in range(1, len(I) + 1):
+            if I[:t] not in minors:
+                minors[I[:t]] = _wedge_into({}, minors[I[:t - 1]], columns[I[t - 1]], N)
+        coeff = at_inv(c)
+        for K, v in minors[I].items():
+            _accumulate(out, K, coeff.mul(v, N))
+    return Multivector._make(n, P.grade, out)
 
 
 # -- block decomposition and subspace plumbing --------------------------------------

@@ -11,6 +11,12 @@ variables off the active block as parameters (Saito's de Rham lemma with
 parameters), so each degree is one solve per active degree, with columns over
 active monomials and a Poly in the inert variables per row.
 
+Transport: a map moves a tensor by its Jacobian (exterior.pushforward_tensor).
+The Type 1 multiplier step never moves a tensor: L_X Pi_1 = f_r Pi_1 keeps
+every pushed tensor a multiple g * Pi_1, so each time-1 flow acts on g alone
+by the Lie series exp(-(X + f_r)) (Deprit 1969), and the composed map is
+checked once at the end.
+
 Degree bookkeeping: a coefficient-degree-d vector field moves degree-d
 structure. Each object carries the degree through which it is trusted, and
 every operation is truncated there: a bracket loses one degree, a division by
@@ -19,10 +25,13 @@ d_i + (higher terms) gains one back. In Type 2 prelinearization X starts at
 Nw and each frame field V_j, a quotient by X, at Nw - 1. Slot i gives [V_i, X],
 hence g, gX and f / g, the degree min(DX - 1, DV_i); [V_i, V_j] and the
 corrected V_j min(DV_i, DV_j) - 1; the straightening map and the pushed X
-Dp = min(DX, DV_i) - 1; a pushed V_j min(DV_j, Dp) - 1, as its constant part
-d_j meets the map's Jacobian. Each slot costs X two degrees, so one pass at
-Nw = N + 2(q - 1) is trusted through N, and an inconsistency inside a trusted
-window is an obstruction of the input. Contracts are checked at the user's N.
+Dp = min(DX, DV_i), since X vanishes at 0 and loses no degree to the map's
+Jacobian; a pushed V_j min(DV_j, Dp) - 1, as its constant part d_j meets that
+Jacobian. Each slot costs the later frame fields two degrees, and X follows
+them: the first slot costs X one degree and each later slot two, so one pass
+at Nw = N + 2(q - 1) - 1 is trusted through N, and an inconsistency inside a
+trusted window is an obstruction of the input. Contracts are checked at the
+user's N.
 """
 
 from __future__ import annotations
@@ -59,7 +68,6 @@ from .exterior import (
     pullback_form,
     pushforward_tensor,
     scalar_form,
-    tensor_to_form,
     wedge,
     wedge_all,
 )
@@ -611,6 +619,17 @@ def _euler_field(n: int, active: Sequence[int]) -> Multivector:
     return Multivector(n, 1, {(i,): Poly.variable(n, i) for i in active})
 
 
+def _exp_series(op, p: Poly, N: int) -> Poly:
+    """sum_k op^k(p) / k!, cut at N; op raises the degree, so the sum ends."""
+    total = term = p
+    k = 0
+    while term:
+        k += 1
+        term = op(term).truncate(N).scale(Fraction(1, k))
+        total = total + term
+    return total
+
+
 def _flow_map(W: Multivector, N: int) -> FormalMap:
     """Time-1 flow of a vector field vanishing to order >= 2, as a map.
 
@@ -618,28 +637,8 @@ def _flow_map(W: Multivector, N: int) -> FormalMap:
     iterated derivations terminate above degree N.
     """
     n = W.nvars
-    comps = []
-    for i in range(n):
-        term = Poly.variable(n, i)
-        total = term
-        k = 1
-        while True:
-            term = apply_vector(W, term).truncate(N)
-            if term.is_zero():
-                break
-            total = total + term.scale(Fraction(1, math.factorial(k)))
-            k += 1
-        comps.append(total)
-    return FormalMap(comps, trunc=N)
-
-
-def _divide_tensor_by_normal(T: Multivector, P1: Multivector) -> Poly:
-    """f with T = f * P1 for the Type-1 normal tensor P1 (exact, asserted)."""
-    key, coeff = next(iter(sorted(P1.comps.items())))
-    f = T.component(key).exact_div(coeff)
-    if T != P1.poly_scale(f):
-        raise SolveInconsistencyError("tensor is not a multiple of the normal form")
-    return f
+    return FormalMap([_exp_series(lambda p: apply_vector(W, p), Poly.variable(n, i), N)
+                      for i in range(n)], trunc=N)
 
 
 def remove_multiplier(f: Poly, signs: Sequence[int], N: int,
@@ -648,9 +647,17 @@ def remove_multiplier(f: Poly, signs: Sequence[int], N: int,
 
     Pi_1 is the nondegenerate Type-1 normal tensor with quadratic signs
     `signs` on the leading block (trailing variables are inert parameters).
-    Per degree r the field X with L_X Pi_1 = f^(r) Pi_1 is found on the
-    Q-preserving frame Y_ij plus an Euler part, verified exactly, and applied
-    through its time-1 polynomial flow so the multiplier shape is preserved.
+    Every step keeps the pushed tensor a multiple g * Pi_1, so only the
+    multiplier g (cut at N) is tracked:
+      - the reflection x_1 -> -x_1 sends g to -g o R;
+      - the scaling x -> x / a of the active block sends g to
+        a^(1-q) g(a x_active);
+      - per degree r the field X with L_X Pi_1 = g^(r) Pi_1 is found on the
+        Q-preserving frame Y_ij plus an Euler part and verified exactly; its
+        time-1 flow pushes g * Pi_1 forward by exp(-L_X), which acts on g as
+        the Lie series sum_k (-1)^k L^k g / k! with L g = X(g) + g^(r) g.
+    The returned change is checked once: Phi_*(f Pi_1) = c Pi_1 through N,
+    with c = 1, or the reported constant when there is an obstruction.
     """
     if N < 2:
         raise PreconditionError("N must be >= 2")
@@ -667,81 +674,72 @@ def remove_multiplier(f: Poly, signs: Sequence[int], N: int,
         raise PreconditionError("not enough variables for the active block")
     active = list(range(m))
     P1, _ = normal_form_generator("type1", n, q, r=q, s=0, signs=list(signs))
-    c0 = f.constant_term()
-    if c0 == 0:
+    c = f.constant_term()
+    if c == 0:
         raise PreconditionError("multiplier must not vanish at the origin")
 
     result = MultiplierRemovalResult(FormalMap.identity(n), [], P1)
-    T = P1.poly_scale(f, N + 1).truncate(N + 1)
+    g = f.truncate(N)
+    x = [Poly.variable(n, i) for i in range(n)]
     phi_total = FormalMap.identity(n)
-
-    # constant part: scaling (and a reflection when the parity demands it)
-    if c0 != 1:
-        c = c0
-        reflect = None
-        if c < 0 and (q - 1) % 2 == 0:
-            comps = [Poly.variable(n, i) for i in range(n)]
-            comps[0] = -comps[0]
-            reflect = FormalMap(comps)
-            T = pushforward_tensor(T, reflect, N + 1)
-            phi_total = reflect.compose(phi_total)
-            c = -c
-        g = _rational_kth_root(c, q - 1)
-        if g is None:
+    # constant part: a reflection when the parity demands it (R_* Pi_1 =
+    # -Pi_1), then a scaling x -> x / a of the active block
+    if c < 0 and (q - 1) % 2 == 0:
+        phi_total = FormalMap([-x[0]] + x[1:])
+        g, c = -g.substitute(phi_total.comps), -c
+    if c != 1:
+        a = _rational_kth_root(c, q - 1)
+        if a is None:
             result.obstruction = {"constant": str(c), "exponent": q - 1}
             result.numeric_scale = float(c) ** (1.0 / (q - 1))
+            g = g.scale(Fraction(1) / c)  # the Lie steps act on g / c
         else:
-            comps = [Poly.variable(n, i) for i in range(n)]
-            for i in active:
-                comps[i] = comps[i].scale(Fraction(1) / g)
-            scale_map = FormalMap(comps)  # new = old / g, i.e. old = g * new
-            T = pushforward_tensor(T, scale_map, N + 1)
+            scale_map = FormalMap([v.scale(Fraction(1) / a) if i < m else v
+                                   for i, v in enumerate(x)])
             phi_total = scale_map.compose(phi_total)
-            result.scaling = g
+            g = g.substitute([v.scale(a) if i < m else v for i, v in enumerate(x)])
+            g = g.scale(a ** (1 - q))
+            result.scaling, c = a, 1
 
     for r in range(1, N):
-        f_cur = _divide_tensor_by_normal(T, P1)
-        if result.obstruction is not None:
-            f_cur = f_cur.scale(Fraction(1) / f_cur.constant_term())
-        f_r = f_cur.homogeneous_component(r)
+        f_r = g.homogeneous_component(r)
         if f_r.is_zero():
             continue
-        X = _solve_lie_multiplier(P1, f_r, active, n, result.report)
+        X = _solve_lie_multiplier(P1, signs, f_r, active, n, result.report)
         if lie_derivative(X, P1) != P1.poly_scale(f_r):
             raise SolveInconsistencyError(
                 "Lie-derivative identity failed", degree=r)
-        # pushforward along the time-1 flow of X is exp(-L_X)
-        step = _flow_map(X, N + 1)
-        T = pushforward_tensor(T, step, N + 1)
-        phi_total = step.compose(phi_total, N + 1)
+        # the flow pushes g Pi_1 forward by exp(-L_X), and
+        # L_X(g Pi_1) = (X(g) + f_r g) Pi_1
+        g = _exp_series(lambda p: -(apply_vector(X, p) + f_r.mul(p, N)), g, N)
+        phi_total = _flow_map(X, N).compose(phi_total, N)
         result.per_degree.append((r, X, f_r))
-        f_after = _divide_tensor_by_normal(T, P1)
-        if result.obstruction is not None:
-            f_after = f_after.scale(Fraction(1) / f_after.constant_term())
-        for e in range(1, r + 1):
-            if not f_after.homogeneous_component(e).is_zero():
-                raise SolveInconsistencyError(
-                    "multiplier degree did not advance", degree=r)
+        if any(g.homogeneous_component(e) for e in range(1, r + 1)):
+            raise SolveInconsistencyError(
+                "multiplier degree did not advance", degree=r)
 
-    result.change = FormalMap([c.truncate(N) for c in phi_total.comps], trunc=N)
+    change = FormalMap([p.truncate(N) for p in phi_total.comps], trunc=N)
+    gap = (pushforward_tensor(P1.poly_scale(f, N), change, N) - P1.scale(c)).truncate(N)
+    if not gap.is_zero():
+        bad = int(gap.min_coeff_degree())
+        raise SolveInconsistencyError(
+            "multiplier removal contract failed", degree=bad,
+            residual=gap.homogeneous_component(bad))
+    result.change = change
     return result
 
 
-def _solve_lie_multiplier(P1: Multivector, f_r: Poly, active: Sequence[int],
-                          n: int, report: GradedSolveReport) -> Multivector:
+def _solve_lie_multiplier(P1: Multivector, diag: Sequence[int], f_r: Poly,
+                          active: Sequence[int], n: int,
+                          report: GradedSolveReport) -> Multivector:
     """One exact solve for L_X Pi_1 = f_r Pi_1 on the structured basis.
 
-    Basis: the Q-preserving rotations Y_ij = eps_i x_j d_i - eps_j x_i d_j
-    against all degree-r monomials, plus Euler multiples h * E with h drawn
-    from powers of Q times inert-parameter monomials.
+    diag holds the quadratic signs eps_i of Pi_1. Basis: the Q-preserving
+    rotations Y_ij = eps_i x_j d_i - eps_j x_i d_j against all degree-r
+    monomials, plus Euler multiples h * E with h drawn from powers of Q times
+    inert-parameter monomials.
     """
     r = int(f_r.degree)
-    # recover the quadratic coefficients from the dual form of P1
-    omega1 = tensor_to_form(P1)
-    diag = {}
-    for key, c in omega1.comps.items():
-        j = key[0]
-        diag[j] = c.linear_coefficients()[j]
     E = _euler_field(n, active)
 
     fields: List[Multivector] = []
@@ -844,16 +842,18 @@ def prelinearize_type2(P: Multivector, N: int) -> Type2PrelinResult:
     components and no frame-variable dependence through degree N, and
         pushforward_tensor(P, change, N) == f * frame ^ X   (truncated at N).
 
-    One pass at Nw = N + 2(q - 1), with the trusted degrees of the module
-    docstring ("Degree bookkeeping"): each frame slot costs X two degrees,
-    one to commute with V_i and one to straighten it, so X, f and the change
-    end trusted through N. An inconsistency inside the window is an
+    One pass at Nw = N + 2(q - 1) - 1, with the trusted degrees of the
+    module docstring ("Degree bookkeeping"): each slot costs the later frame
+    fields two degrees, one to their brackets with V_i and one to the
+    straightening map, and X, which must commute with them, follows; the
+    first slot costs X one degree and each later slot two, so X, f and the
+    change end trusted through N. An inconsistency inside the window is an
     obstruction of the input and raises; the contract check at N is a check,
     not a retry condition.
     """
     if N < 2:
         raise PreconditionError("N must be >= 2")
-    return _prelinearize_attempt(P, N, N + 2 * (P.grade - 1))
+    return _prelinearize_attempt(P, N, N + 2 * (P.grade - 1) - 1)
 
 
 def _prelinearize_attempt(P: Multivector, N: int, Nw: int) -> Type2PrelinResult:
@@ -908,9 +908,9 @@ def _prelinearize_attempt(P: Multivector, N: int, Nw: int) -> Type2PrelinResult:
                                      f"frame bracket {i + 1},{j + 1}")
             gamma = _transport_solve(Vi, Poly.zero(n), i, DV[j], rhs=-g_ij)
             Vs[j] = (Vs[j] + X.poly_scale(gamma, DV[j])).truncate(DV[j])
-        # (c) straighten V_i to the coordinate field; Dp is the degree of the
-        # corrected later fields, so one inverse serves every pushforward
-        Dp = min(DX, DV[i]) - 1
+        # (c) straighten V_i to the coordinate field; X vanishes at 0, so
+        # pushing it loses no degree to the Jacobian
+        Dp = min(DX, DV[i])
         psi = _straighten_flow(Vi.truncate(Dp), i, Dp)
         step = psi.inverse(Dp)
         # step's inverse through Dp is psi itself; seed the cache
@@ -918,10 +918,10 @@ def _prelinearize_attempt(P: Multivector, N: int, Nw: int) -> Type2PrelinResult:
         X = pushforward_tensor(X, step, Dp)
         DX = Dp
         for j in range(i + 1, S):
-            # V_j's constant part d_j meets the Jacobian of psi
-            M = min(DV[j], Dp)
-            DV[j] = M - 1
-            Vs[j] = pushforward_tensor(Vs[j], step, M).truncate(DV[j])
+            # V_j's constant part d_j meets the Jacobian of psi; pushing at
+            # Dp, not below, reuses the one seeded inverse
+            DV[j] = min(DV[j], Dp) - 1
+            Vs[j] = pushforward_tensor(Vs[j], step, Dp).truncate(DV[j])
         Df = min(Df, Dp)
         f_acc = f_acc.substitute(psi.comps, Df)
         phi_total = step.compose(phi_total, Dp)

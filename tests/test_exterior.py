@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nambu.polyalg import Poly, PreconditionError, RatMatrix, parse_poly
 from nambu.exterior import (
@@ -386,6 +387,73 @@ def test_pushforward_pullback_consistency_randomized():
         pushed = pushforward_tensor(P, phi, N)
         back = pushforward_tensor(pushed, phi.inverse(N), N)
         assert back.truncate(N - 1) == P.truncate(N - 1)
+
+
+def _pushforward_by_duality(P, phi, N):
+    """The volume-duality route: dualize, pull back along the inverse, multiply
+    by the transported Jacobian determinant, dualize back."""
+    n = P.nvars
+    inv = phi.inverse(N)
+    detj = pullback_form(standard_volume(n), phi).component(range(n))
+    pulled = pullback_form(tensor_to_form(P), inv, N)
+    jac = detj if N is None else detj.substitute(inv.comps, N)
+    return form_to_tensor(pulled.poly_scale(jac, N))
+
+
+@st.composite
+def small_polys(draw, n, max_degree):
+    """Up to three terms of degree <= max_degree with small coefficients."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        e = [0] * n
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=max_degree)):
+            e[i] += 1
+        terms[tuple(e)] = Fraction(draw(st.integers(-3, 3)), draw(st.sampled_from([1, 2, 3])))
+    return Poly(n, terms)
+
+
+@st.composite
+def pushforward_cases(draw):
+    """A tensor of any grade on 2..5 variables, a map x + (quadratic terms)
+    and an invertible linear map."""
+    n = draw(st.integers(2, 5))
+    grade = draw(st.integers(0, n))
+    keys = draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), grade))),
+                         min_size=1, max_size=3, unique=True))
+    P = Multivector(n, grade, {key: draw(small_polys(n, 2)) for key in keys})
+    comps = []
+    for i in range(n):
+        comp = x(n, i)
+        for _ in range(draw(st.integers(0, 2))):
+            j, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            comp = comp + x(n, j).mul(x(n, k)).scale(draw(st.integers(-2, 2)))
+        comps.append(comp)
+    entries = draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n))
+    diag = draw(st.lists(st.sampled_from([Fraction(-2), Fraction(1, 2), Fraction(1), Fraction(3)]),
+                         min_size=n, max_size=n))
+    lower = RatMatrix([[entries[i * n + j] if j < i else int(i == j) for j in range(n)]
+                       for i in range(n)])
+    upper = RatMatrix([[entries[i * n + j] if j > i else diag[i] * (i == j) for j in range(n)]
+                       for i in range(n)])
+    linear = FormalMap.from_matrix(lower.matmul(upper))
+    return P, FormalMap(comps), linear, draw(st.integers(1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pushforward_cases())
+def test_pushforward_definition_properties(case):
+    P, phi, linear, N = case
+    n = P.nvars
+    pushed = pushforward_tensor(P, phi, N)
+    # the duality route is exact through N once the coefficients vanish at 0
+    P0 = P.map_coeffs(lambda c: c - Poly.const(n, c.constant_term()))
+    assert pushforward_tensor(P0, phi, N) == _pushforward_by_duality(P0, phi, N).truncate(N)
+    # every tensor is exact through N: three more orders change nothing there
+    assert pushforward_tensor(P, phi, N + 3).truncate(N) == pushed
+    # linear maps are transported exactly, with no truncation
+    moved = pushforward_tensor(P, linear)
+    assert moved == _pushforward_by_duality(P, linear, None)
+    assert pushforward_tensor(moved, linear.inverse()) == P
 
 
 # -- blocks, embedding, serialization ---------------------------------------------------

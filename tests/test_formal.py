@@ -462,6 +462,44 @@ def test_remove_multiplier_nonelliptic_and_parametric():
     assert (pushed - P1).truncate(N).is_zero()
 
 
+# f, signs, N, and what the constant part does: (scaling, obstruction)
+MULTIPLIER_PATHS = {
+    "reflection and scaling": ("-4 + x1 + x2*x3", [1, 1, 1, 1], 4, (2, None)),
+    "reflection and obstruction": ("-2 + x1*x2 + x4", [1, -1, 1, 1], 4,
+                                   (None, {"constant": "2", "exponent": 2})),
+    "obstruction with a nonconstant f": ("3 + x1", [1, 1, 1, 1], 4,
+                                         (None, {"constant": "3", "exponent": 2})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MULTIPLIER_PATHS))
+def test_remove_multiplier_constant_paths(case):
+    text, signs, N, (scaling, obstruction) = MULTIPLIER_PATHS[case]
+    n = len(signs)
+    P1, _ = normal_form_generator("type1", n, n - 1, r=n - 1, s=0, signs=signs)
+    f = parse_poly(text, n)
+    res = remove_multiplier(f, signs, N)
+    assert (res.scaling, res.obstruction) == (scaling, obstruction)
+    assert res.per_degree
+    c = 1 if obstruction is None else Fraction(obstruction["constant"])
+    pushed = pushforward_tensor(P1.poly_scale(f, N), res.change, N)
+    assert (pushed - P1.scale(c)).truncate(N).is_zero()
+
+
+def test_remove_multiplier_contract_catches_a_wrong_flow(monkeypatch):
+    real = formal._flow_map
+
+    def perturbed(W, N):
+        phi = real(W, N)
+        comps = list(phi.comps)
+        comps[0] = comps[0] + x(W.nvars, 2).mul(x(W.nvars, 3))
+        return FormalMap(comps, phi.trunc)
+
+    monkeypatch.setattr(formal, "_flow_map", perturbed)
+    with pytest.raises(SolveInconsistencyError, match="contract"):
+        remove_multiplier(parse_poly("1 + x1", 4), [1, 1, 1, 1], 3)
+
+
 def test_remove_multiplier_zero_constant_rejected():
     with pytest.raises(PreconditionError):
         remove_multiplier(Poly.variable(4, 0), [1, 1, 1, 1], 3)
@@ -582,6 +620,24 @@ def test_prelinearize_tracks_trusted_degrees(case, capsys, monkeypatch):
     assert lhs == linear.poly_scale(f, N).truncate(N)
 
 
+def test_prelinearize_degree_schedule():
+    # the module docstring's bookkeeping: one pass at Nw = N + 2(q-1) - 1, and
+    # slot i asks for its bracket with X at Nw - 1 - 2i and for its brackets
+    # between frame fields at Nw - 2 - 2i, so X ends trusted through N
+    q, values, make_map = TOP_DEGREE_CASES["5-4-3-diag(2,3)"]
+    N = 3
+    _, w0 = normal_form_generator("type2", 5, q, matrix=diagonal(values))
+    P = form_to_tensor(pullback_form(w0, make_map()))
+    _, quotients = prelinearize_once(P, N)
+    Nw = N + 2 * (q - 1) - 1
+    want = {}
+    for i in range(q - 1):
+        want[f"bracket ratio {i + 1}"] = Nw - 1 - 2 * i
+        for j in range(i + 1, q - 1):
+            want[f"frame bracket {i + 1},{j + 1}"] = Nw - 2 - 2 * i
+    assert {label: D for label, (D, _) in quotients.items()} == want
+
+
 @st.composite
 def perturbed_type2(draw):
     """A Type 2 normal form at (4,3), (5,4) or (5,3), pulled back along
@@ -609,11 +665,22 @@ def perturbed_type2(draw):
 
 
 def prelinearize_once(P, N):
+    """One attempt at order N, with each bracket quotient by its label and
+    the degree D it was asked for."""
+    quotients = {}
+    real = formal._bracket_quotient
+
+    def record(X, bracket, y, D, report, label):
+        h = real(X, bracket, y, D, report, label)
+        quotients[label] = (D, h)
+        return h
+
     with mock.patch.object(formal, "_prelinearize_attempt",
-                           wraps=formal._prelinearize_attempt) as attempt:
+                           wraps=formal._prelinearize_attempt) as attempt, \
+            mock.patch.object(formal, "_bracket_quotient", record):
         res = prelinearize_type2(P, N)
     assert attempt.call_count == 1
-    return res
+    return res, quotients
 
 
 @settings(max_examples=25, deadline=None)
@@ -621,11 +688,14 @@ def prelinearize_once(P, N):
 def test_prelinearize_order_consistency(P, N):
     # one more order changes nothing inside the old window: no term below N
     # depends on where the working degree was cut
-    lo = prelinearize_once(P, N)
-    hi = prelinearize_once(P, N + 1)
+    lo, lo_quotients = prelinearize_once(P, N)
+    hi, hi_quotients = prelinearize_once(P, N + 1)
     assert [c.truncate(N) for c in hi.change.comps] == list(lo.change.comps)
     assert hi.multiplier.truncate(N) == lo.multiplier
     assert hi.field.truncate(N) == lo.field
+    # each quotient is trusted through D - 1, so the deeper pass agrees there
+    for label, (D, h) in lo_quotients.items():
+        assert hi_quotients[label][1].truncate(D - 1) == h.truncate(D - 1), label
 
 
 # -- Poincare linearization ------------------------------------------------------------------

@@ -151,21 +151,22 @@ _coeff = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 4, 6,
 
 
 @st.composite
-def kernel_polys(draw, nvars):
-    """A random polynomial; sometimes zero, sometimes a (p + r)(p - r) factor
-    whose cross terms cancel."""
-    def raw():
+def kernel_polys(draw, nvars, max_degree=None):
+    """A random polynomial of total degree <= max_degree (if given); sometimes
+    zero, sometimes a (p + r)(p - r) factor whose cross terms cancel."""
+    def raw(cap):
         terms = draw(st.dictionaries(
             st.tuples(*[st.integers(0, 3)] * nvars), _coeff, max_size=5))
-        return Poly(nvars, terms)
+        return Poly(nvars, {e: c for e, c in terms.items() if cap is None or sum(e) <= cap})
     shape = draw(st.sampled_from(["plain", "plain", "zero", "cancel"]))
     if shape == "zero":
-        p = raw()
+        p = raw(max_degree)
         return p - p
     if shape == "cancel":
-        p, r = raw(), raw()
+        half = None if max_degree is None else max_degree // 2
+        p, r = raw(half), raw(half)
         return Poly(nvars, _schoolbook_mul(p + r, p - r))
-    return raw()
+    return raw(max_degree)
 
 
 def _truncations(draw, low, high):
@@ -219,7 +220,9 @@ def test_substitute_matches_schoolbook(data):
     n = data.draw(st.integers(1, 3))
     m = data.draw(st.integers(1, 3))
     p = data.draw(kernel_polys(n))
-    args = [data.draw(kernel_polys(m)) for _ in range(n)]
+    # deg p * max deg args <= 24 keeps the schoolbook reference small
+    cap = 24 // max(_degree_range(p)[1], 1)
+    args = [data.draw(kernel_polys(m, cap)) for _ in range(n)]
     full = p.substitute(args)
     assert full.terms == _schoolbook_substitute(p, args)
     _assert_stored_clean(full)
