@@ -17,7 +17,6 @@ from .polyalg import (
     eigen_data,
     inertia,
     parse_poly,
-    poly_arith,
     solve_linear,
 )
 from .exterior import (

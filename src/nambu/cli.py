@@ -20,7 +20,6 @@ from .polyalg import (
     PreconditionError,
     RatMatrix,
     SolveInconsistencyError,
-    parse_poly,
 )
 from .exterior import (
     DiffForm,
@@ -32,7 +31,6 @@ from .exterior import (
     pullback_form,
     pushforward_tensor,
     restrict,
-    standard_volume,
     tensor_to_form,
 )
 from .verify import is_conambu, is_nambu
@@ -87,16 +85,6 @@ def _default_tol(args) -> float:
     return 1e-9
 
 
-def _volume(args, nvars: int):
-    text = getattr(args, "volume", None)
-    if not text:
-        return None
-    f = parse_poly(text, nvars)
-    if f.constant_term() == 0:
-        raise InputError("volume multiplier must not vanish at the origin")
-    return standard_volume(nvars, f)
-
-
 def _emit(payload: dict, args) -> None:
     if getattr(args, "format", "json") == "json":
         sys.stdout.write(json.dumps(payload) + "\n")
@@ -125,7 +113,7 @@ def _cmd_verify(args) -> int:
     if isinstance(obj, DiffForm):
         verdict = is_conambu(obj)
     else:
-        verdict = is_nambu(obj, _volume(args, obj.nvars))
+        verdict = is_nambu(obj)
     _emit(verdict.to_json_obj(), args)
     return EXIT_OK if verdict.passed else EXIT_FAIL
 
@@ -136,7 +124,7 @@ def _cmd_classify(args) -> int:
     if isinstance(obj, DiffForm):
         report = classify_linear(obj)
     else:
-        report = classify_linear_tensor(obj, _volume(args, obj.nvars))
+        report = classify_linear_tensor(obj)
     _emit(report.to_json_obj(), args)
     return EXIT_OK
 
@@ -273,15 +261,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "linearization of Nambu tensors and co-Nambu forms")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_volume=True):
+    def common(p):
         p.add_argument("input", nargs="?", default="-",
                        help="input JSON path, or - for stdin")
         p.add_argument("--form", action="store_true",
                        help="interpret the input as a differential form")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        if with_volume:
-            p.add_argument("--volume", metavar="POLY",
-                           help="scalar multiplier f of the volume form, f(0) != 0")
 
     p = sub.add_parser("verify", help="check the Nambu / co-Nambu conditions")
     common(p)
@@ -292,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("linearize", help="finite-order formal linearization")
-    common(p, with_volume=False)
+    common(p)
     p.add_argument("--order", type=int, default=4, metavar="N")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--type1", action="store_true")

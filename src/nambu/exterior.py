@@ -299,9 +299,8 @@ def basis_multivector(nvars: int, key: Sequence[int]) -> Multivector:
     return Multivector(nvars, len(key), {tuple(key): Poly.one(nvars)})
 
 
-def standard_volume(nvars: int, multiplier: Optional[Poly] = None) -> DiffForm:
-    f = multiplier if multiplier is not None else Poly.one(nvars)
-    return DiffForm(nvars, nvars, {tuple(range(nvars)): f})
+def standard_volume(nvars: int) -> DiffForm:
+    return DiffForm(nvars, nvars, {tuple(range(nvars)): Poly.one(nvars)})
 
 
 # -- exterior algebra ----------------------------------------------------------
@@ -501,19 +500,11 @@ def lie_derivative(X: Multivector, T: Multivector) -> Multivector:
 
 
 # -- volume duality -------------------------------------------------------------
-
-def _check_volume(Omega: DiffForm):
-    n = Omega.nvars
-    if Omega.grade != n:
-        raise PreconditionError("volume form must have top grade")
-    key = tuple(range(n))
-    if set(Omega.comps) - {key}:
-        raise PreconditionError("volume form must have a single top component")
-    f = Omega.comps.get(key)
-    if f is None or f.constant_term() == 0:
-        raise PreconditionError("volume coefficient must not vanish at the origin")
-    return f
-
+#
+# A Nambu tensor P and its co-Nambu form are dual through the standard volume
+# form: omega = i_P (dx1^...^dxn). Whether omega is co-Nambu does not depend
+# on the volume form, and i_P (c * vol) = i_{c P} vol for a constant c, so
+# the standard one is the only one the library uses.
 
 def duality_sign(nvars: int, I: IndexTuple) -> int:
     """Sign s with i_{e_I}(dx_1^...^dx_n) = s * dx_complement(I)."""
@@ -521,30 +512,36 @@ def duality_sign(nvars: int, I: IndexTuple) -> int:
     return sign
 
 
-def tensor_to_form(P: Multivector, Omega: Optional[DiffForm] = None) -> DiffForm:
-    """omega = i_P Omega for a volume form Omega (default dx1^...^dxn)."""
-    if Omega is None:
-        Omega = standard_volume(P.nvars)
-    _check_volume(Omega)
-    return interior(P, Omega)
+def tensor_to_form(P: Multivector) -> DiffForm:
+    """omega = i_P (dx1^...^dxn), the co-Nambu form dual to P."""
+    return interior(P, standard_volume(P.nvars))
 
 
-def form_to_tensor(omega: DiffForm, Omega: Optional[DiffForm] = None) -> Multivector:
-    """Inverse of tensor_to_form for the same volume form."""
+def form_to_tensor(omega: DiffForm) -> Multivector:
+    """Inverse of tensor_to_form."""
     n = omega.nvars
-    if Omega is None:
-        Omega = standard_volume(n)
-    f = _check_volume(Omega)
     full = set(range(n))
     out: Dict[IndexTuple, Poly] = {}
-    constant_f = f.degree <= 0
-    inv_c = Fraction(1) / f.constant_term() if constant_f else None
     for K, c in omega.comps.items():
         I = tuple(sorted(full - set(K)))
-        sign = duality_sign(n, I)
-        coeff = c.scale(inv_c) if constant_f else c.exact_div(f)
-        out[I] = coeff if sign > 0 else -coeff
+        out[I] = c if duality_sign(n, I) > 0 else -c
     return Multivector(n, n - omega.grade, out)
+
+
+def field_matrix(X: Multivector, idx: Sequence[int]) -> RatMatrix:
+    """The linear matrix b of the vector field X on the variables idx.
+
+    b[a][c] is the coefficient of x_{idx[a]} in the d/dx_{idx[c]} component,
+    so X^(1) = sum b^i_j x_i d_j. Every component of X must lie on idx; linear
+    terms in other variables are not read, and callers check them.
+    """
+    pos = {v: k for k, v in enumerate(idx)}
+    B = [[Fraction(0)] * len(pos) for _ in pos]
+    for (j,), c in X.comps.items():
+        lin = c.linear_coefficients()
+        for a, i in enumerate(idx):
+            B[a][pos[j]] = lin[i]
+    return RatMatrix(B)
 
 
 # -- formal coordinate changes ----------------------------------------------------
@@ -624,13 +621,18 @@ class FormalMap:
     def inverse(self, trunc: Optional[int] = None) -> "FormalMap":
         """Formal inverse through the given degree (exact for linear maps).
 
-        Results are cached per truncation degree (maps are immutable).
+        Results are cached per truncation degree (maps are immutable). A
+        nonlinear result is cut at some degree t, and its own inverse through
+        t is self cut at t, so the result records that back link.
         """
         cached = self._inv_cache.get(trunc)
         if cached is not None:
             return cached
         result = self._inverse_impl(trunc)
         self._inv_cache[trunc] = result
+        if not result.is_linear():
+            t = result.trunc
+            result._inv_cache[trunc] = FormalMap([c.truncate(t) for c in self.comps], t)
         return result
 
     def _inverse_impl(self, trunc: Optional[int] = None) -> "FormalMap":

@@ -61,6 +61,7 @@ from .exterior import (
     coordinate_field,
     coordinate_form,
     dform,
+    field_matrix,
     lie_bracket,
     lie_derivative,
     merge_sign,
@@ -126,6 +127,15 @@ class ResonanceReport:
             out["bryuno"] = {"C": C, "eps": eps,
                              "orders": {str(k): v for k, v in sorted(self.bryuno.items())}}
         return out
+
+
+def _check_gap(gap, message: str) -> None:
+    """Raise SolveInconsistencyError when gap is nonzero, with the lowest
+    nonzero degree of gap and its residual at that degree."""
+    if not gap.is_zero():
+        bad = int(gap.min_coeff_degree())
+        raise SolveInconsistencyError(message, degree=bad,
+                                      residual=gap.homogeneous_component(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -213,26 +223,19 @@ def graded_divide(divisor, target, active: Sequence[int], N: int,
     result = kind(n, res_grade, {})
     result_parts: Dict[int, object] = {}
 
-    max_t = max(tgt_parts) if tgt_parts else 0
     for d in range(0, N):
         rhs = tgt_parts.get(d + 1, kind(n, k, {}))
         for m, piece in div_parts.items():
             if m >= 2 and (d + 1 - m) in result_parts:
                 rhs = rhs - wedge(piece, result_parts[d + 1 - m])
         if rhs.is_zero():
-            if d + 1 > max_t and all(e < d for e in result_parts):
-                break
             continue
         sol_part = _solve_wedge_degree(div_parts.get(1), rhs, active, d,
                                        res_tuples, n, kind, report, label)
         result_parts[d] = sol_part
         result = result + sol_part
-    check = wedge(divisor, result, N).truncate(N) - target.truncate(N)
-    if not check.is_zero():
-        bad = int(check.min_coeff_degree())
-        raise SolveInconsistencyError(
-            f"division failed{': ' + label if label else ''}",
-            degree=bad, residual=check.homogeneous_component(bad))
+    _check_gap(wedge(divisor, result, N).truncate(N) - target.truncate(N),
+               f"division failed{': ' + label if label else ''}")
     return result
 
 
@@ -377,12 +380,7 @@ def formal_decompose_type1(omega: DiffForm, N: int
         gamma = coordinate_form(n, j) + (theta_j if sign > 0 else -theta_j)
         gammas.append(gamma)
     candidate = wedge_all(gammas + [alpha], N) if gammas else alpha
-    diff = candidate.truncate(N) - omega
-    if not diff.is_zero():
-        bad = int(diff.min_coeff_degree())
-        raise SolveInconsistencyError(
-            "decomposition does not reproduce the form", degree=bad,
-            residual=diff.homogeneous_component(bad))
+    _check_gap(candidate.truncate(N) - omega, "decomposition does not reproduce the form")
     return gammas, alpha, report
 
 
@@ -503,9 +501,8 @@ def formal_linearize_type1(omega: DiffForm, N: int) -> Type1LinearizationResult:
             raise SolveInconsistencyError(
                 "multiplier absorption failed", degree=r, residual=gap)
 
-    final = pullback_form(omega, phi_total, N) - omega_lin.poly_scale(f_total, N)
-    if not final.truncate(N).is_zero():
-        raise SolveInconsistencyError("final linearization identity failed")
+    _check_gap((pullback_form(omega, phi_total, N) - omega_lin.poly_scale(f_total, N)).truncate(N),
+               "final linearization identity failed")
     return Type1LinearizationResult(phi_total, f_total, report, omega_lin)
 
 
@@ -719,12 +716,8 @@ def remove_multiplier(f: Poly, signs: Sequence[int], N: int,
                 "multiplier degree did not advance", degree=r)
 
     change = FormalMap([p.truncate(N) for p in phi_total.comps], trunc=N)
-    gap = (pushforward_tensor(P1.poly_scale(f, N), change, N) - P1.scale(c)).truncate(N)
-    if not gap.is_zero():
-        bad = int(gap.min_coeff_degree())
-        raise SolveInconsistencyError(
-            "multiplier removal contract failed", degree=bad,
-            residual=gap.homogeneous_component(bad))
+    _check_gap((pushforward_tensor(P1.poly_scale(f, N), change, N) - P1.scale(c)).truncate(N),
+               "multiplier removal contract failed")
     result.change = change
     return result
 
@@ -814,19 +807,13 @@ def _type2_linear_data(P: Multivector):
     W = blocks.get(frame_key)
     if W is None:
         raise PreconditionError("linear part vanishes")
-    m = len(y)
-    B = [[Fraction(0)] * m for _ in range(m)]
-    for (j,), c in W.comps.items():
-        coeffs = c.linear_coefficients()
-        if any(coeffs[t] != 0 for t in range(S)):
-            raise PreconditionError("linear field involves frame variables")
-        for idx, i in enumerate(y):
-            B[idx][y.index(j)] = coeffs[i]
-    Bm = RatMatrix(B)
+    if any(c.linear_coefficients()[t] for c in W.comps.values() for t in range(S)):
+        raise PreconditionError("linear field involves frame variables")
+    Bm = field_matrix(W, y)
     if Bm.det() == 0:
         raise PreconditionError("Type 2 linear part is degenerate")
     if q == n - 1:
-        trace = sum((Bm[i, i] for i in range(m)), Fraction(0))
+        trace = sum((Bm[i, i] for i in range(len(y))), Fraction(0))
         if trace == 0:
             raise PreconditionError(
                 "q = n-1 needs a nonzero trace for the prelinearization")
@@ -876,12 +863,8 @@ def _prelinearize_attempt(P: Multivector, N: int, Nw: int) -> Type2PrelinResult:
         vj = graded_divide(X, Bj.scale(-sign), y, Nw, report, label=f"frame {j + 1}")
         Vs.append(coordinate_field(n, j) + vj)
     cand = wedge_all(Vs + [X], Nw) if Vs else X
-    diff = (cand - T).truncate(Nw)
-    if not diff.is_zero():
-        bad = int(diff.min_coeff_degree())
-        raise SolveInconsistencyError(
-            "frame decomposition does not reproduce the tensor (input not Nambu?)",
-            degree=bad, residual=diff.homogeneous_component(bad))
+    _check_gap((cand - T).truncate(Nw),
+               "frame decomposition does not reproduce the tensor (input not Nambu?)")
 
     # trusted degrees of X, each V_j and f (module docstring)
     DX = Nw
@@ -912,14 +895,13 @@ def _prelinearize_attempt(P: Multivector, N: int, Nw: int) -> Type2PrelinResult:
         # pushing it loses no degree to the Jacobian
         Dp = min(DX, DV[i])
         psi = _straighten_flow(Vi.truncate(Dp), i, Dp)
+        # step's inverse through Dp is psi itself (FormalMap.inverse links it)
         step = psi.inverse(Dp)
-        # step's inverse through Dp is psi itself; seed the cache
-        step._inv_cache[Dp] = psi
         X = pushforward_tensor(X, step, Dp)
         DX = Dp
         for j in range(i + 1, S):
             # V_j's constant part d_j meets the Jacobian of psi; pushing at
-            # Dp, not below, reuses the one seeded inverse
+            # Dp, not below, reuses the one inverse of step
             DV[j] = min(DV[j], Dp) - 1
             Vs[j] = pushforward_tensor(Vs[j], step, Dp).truncate(DV[j])
         Df = min(Df, Dp)
@@ -941,10 +923,7 @@ def _prelinearize_attempt(P: Multivector, N: int, Nw: int) -> Type2PrelinResult:
     # the contract, verified at the user's order
     lhs = pushforward_tensor(P, change, N)
     rhs = wedge_all(frame + [X_out], N).poly_scale(f_out, N)
-    gap = (lhs - rhs).truncate(N)
-    if not gap.is_zero():
-        raise SolveInconsistencyError(
-            "prelinearization contract failed", degree=int(gap.min_coeff_degree()))
+    _check_gap((lhs - rhs).truncate(N), "prelinearization contract failed")
     return Type2PrelinResult(f_out, frame, X_out, change, report, B)
 
 
@@ -1082,12 +1061,7 @@ def poincare_linearize(X: Multivector, N: int, tol: float = 1e-9) -> PoincareRes
         raise PreconditionError("zero linear part")
     if not X.homogeneous_component(0).is_zero():
         raise PreconditionError("field must vanish at the origin")
-    M = [[Fraction(0)] * n for _ in range(n)]
-    for (j,), c in lin.comps.items():
-        coeffs = c.linear_coefficients()
-        for i in range(n):
-            M[i][j] = coeffs[i]
-    B = RatMatrix(M)  # b^i_j reading: coefficient of x_i in the d_j component
+    B = field_matrix(lin, range(n))
     reson = resonance_report(B, max(N, 2), tol)
     offending = [rel for rel in reson.resonances if sum(rel[1]) <= N]
     if offending:
@@ -1110,8 +1084,7 @@ def poincare_linearize(X: Multivector, N: int, tol: float = 1e-9) -> PoincareRes
         if not cur.homogeneous_component(d).is_zero():
             raise SolveInconsistencyError("homological step failed", degree=d)
         phi_total = step.compose(phi_total, N)
-    if not (cur - L).truncate(N).is_zero():
-        raise SolveInconsistencyError("linearization incomplete")
+    _check_gap((cur - L).truncate(N), "linearization incomplete")
     divisors = dict(reson.small_divisors)
     return PoincareResult(phi_total, report, reson, divisors)
 

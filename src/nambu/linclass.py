@@ -57,7 +57,9 @@ from .exterior import (
     _wedge_into,
     basis_multivector,
     coordinate_form,
+    field_matrix,
     form_to_tensor,
+    prefix_blocks,
     tensor_to_form,
     wedge,
 )
@@ -197,12 +199,6 @@ class ClassificationReport:
     def eigen(self) -> Optional[EigenData]:
         """Eigen data of the reported Type 2 matrix, computed on first read."""
         return eigen_data(self.matrix) if self.normal_form.tag == "type2" else None
-
-    @functools.cached_property
-    def rational_jordan(self) -> Optional[RatMatrix]:
-        """Jordan form of the reported matrix if all eigenvalues are rational, on first read."""
-        ed = self.eigen
-        return _rational_jordan(self.matrix, ed) if ed is not None and ed.all_rational else None
 
     def to_json_obj(self) -> dict:
         from .exterior import formal_map_to_json
@@ -572,14 +568,10 @@ def _type2_finisher(state: _State, p: int, q: int) -> ClassificationReport:
     # The raw a_i coefficients transform with a transpose twist under block
     # changes (they pair with the cofactor representation on dz-hat), so the
     # matrix whose Jordan data is the actual invariant is the one of the dual
-    # tensor's vector-field factor. Read it through the duality.
+    # tensor's vector-field factor. Read it through the duality: each dual
+    # component is (j,) + the outside variables, with j in the block.
     dual = form_to_tensor(achieved)
-    B = [[Fraction(0)] * (p + 1) for _ in range(p + 1)]
-    for key, coeff in dual.comps.items():  # key = (j,) + tail with j in the block
-        lin = coeff.linear_coefficients()
-        for i in block:
-            B[i][key[0]] = lin[i]
-    A = RatMatrix(B)
+    A = field_matrix(Multivector(n, 1, {key[:1]: c for key, c in dual.comps.items()}), block)
     nf = NormalForm("type2", matrix=A, char_coeffs=char_poly(A))
     return ClassificationReport(nf, state.change_map(), achieved, n, p, q)
 
@@ -646,47 +638,14 @@ def nondegeneracy(report: ClassificationReport) -> ClassificationReport:
 
 
 # ---------------------------------------------------------------------------
-# rational Jordan form (metadata when all eigenvalues are rational)
-# ---------------------------------------------------------------------------
-
-def _rational_jordan(A: RatMatrix, ed: EigenData) -> RatMatrix:
-    """The Jordan form of A, whose eigen data ed has only rational eigenvalues."""
-    n = A.rows
-    blocks: List[Tuple[Fraction, int]] = []
-    for lam in sorted(set(ed.rational_eigenvalues)):
-        mult = ed.rational_eigenvalues.count(lam)
-        N = RatMatrix([[A[i, j] - (lam if i == j else 0) for j in range(n)]
-                       for i in range(n)])
-        dims = [0]
-        power = RatMatrix.identity(n)
-        while dims[-1] < mult:
-            power = power.matmul(N)
-            dims.append(n - power.rank())
-        # number of blocks of size >= k is dims[k] - dims[k-1]
-        for k in range(1, len(dims)):
-            count_ge_k = dims[k] - dims[k - 1]
-            count_ge_k1 = (dims[k + 1] - dims[k]) if k + 1 < len(dims) else 0
-            for _ in range(count_ge_k - count_ge_k1):
-                blocks.append((lam, k))
-    blocks.sort(key=lambda t: (t[0], -t[1]))
-    out = [[Fraction(0)] * n for _ in range(n)]
-    pos = 0
-    for lam, size in blocks:
-        for i in range(size):
-            out[pos + i][pos + i] = lam
-            if i + 1 < size:
-                out[pos + i][pos + i + 1] = Fraction(1)
-        pos += size
-    return RatMatrix(out)
-
-
-# ---------------------------------------------------------------------------
 # tensors
 # ---------------------------------------------------------------------------
 
-def classify_linear_tensor(P: Multivector,
-                           Omega: Optional[DiffForm] = None) -> ClassificationReport:
+def classify_linear_tensor(P: Multivector) -> ClassificationReport:
     """Classify a linear Nambu tensor; report rendered in tensor conventions.
+
+    The tensor is classified through its dual form i_P (dx1^...^dxn), which
+    is co-Nambu exactly when P is Nambu, whatever the volume form.
 
     The permutation to the tensor convention (active block first) is folded
     into the change and relabels the achieved form's constant array, and the
@@ -697,7 +656,7 @@ def classify_linear_tensor(P: Multivector,
     """
     q = P.grade
     n = P.nvars
-    report = _certified_report(tensor_to_form(P, Omega))
+    report = _certified_report(tensor_to_form(P))
     p = n - q
 
     # permutation to the tensor convention: active block first, parameters last
@@ -726,22 +685,14 @@ def classify_linear_tensor(P: Multivector,
 
 def _extract_type2_field_matrix(P: Multivector, q: int) -> RatMatrix:
     """Read b with P = d1^...^d_{q-1}^(sum b^i_j x_i d_j) over the last block."""
-    n = P.nvars
     frame = tuple(range(q - 1))
-    yidx = list(range(q - 1, n))
-    m = len(yidx)
-    B = [[Fraction(0)] * m for _ in range(m)]
-    for key, c in P.comps.items():
-        if key[:q - 1] != frame or len(key) != q:
-            raise SolveInconsistencyError("achieved tensor is not in Type 2 shape")
-        j = key[q - 1]
-        coeffs = c.linear_coefficients()
-        for ii, i in enumerate(yidx):
-            B[ii][yidx.index(j)] = coeffs[i]
-        for k in range(n):
-            if coeffs[k] != 0 and k not in yidx:
-                raise SolveInconsistencyError("Type 2 field involves frame variables")
-    return RatMatrix(B)
+    blocks = prefix_blocks(P, q - 1)
+    if set(blocks) - {frame}:
+        raise SolveInconsistencyError("achieved tensor is not in Type 2 shape")
+    X = blocks.get(frame, Multivector(P.nvars, 1, {}))
+    if any(c.linear_coefficients()[k] for c in X.comps.values() for k in frame):
+        raise SolveInconsistencyError("Type 2 field involves frame variables")
+    return field_matrix(X, range(q - 1, P.nvars))
 
 
 # ---------------------------------------------------------------------------

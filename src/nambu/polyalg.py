@@ -319,46 +319,6 @@ class Poly:
                     acc[exps] = get(exps, 0) + scale * v
         return _from_integer_form(m, D0 * L, [acc])
 
-    def evaluate(self, point: Sequence) -> Fraction:
-        pt = [_as_fraction(v) for v in point]
-        if len(pt) != self.nvars:
-            raise ValueError("point has wrong dimension")
-        total = Fraction(0)
-        for exps, c in self.terms.items():
-            v = c
-            for x, e in zip(pt, exps):
-                for _ in range(e):
-                    v *= x
-            total += v
-        return total
-
-    def exact_div(self, divisor: "Poly") -> "Poly":
-        """Exact division; raises SolveInconsistencyError on a nonzero remainder."""
-        self._check(divisor)
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        # long division with the graded-lex leading term of the divisor
-        lead = max(divisor.terms, key=_grlex_key)
-        lead_c = divisor.terms[lead]
-        rem = dict(self.terms)
-        quot = {}
-        while rem:
-            exps = max(rem, key=_grlex_key)
-            diff = tuple(a - b for a, b in zip(exps, lead))
-            if any(d < 0 for d in diff):
-                raise SolveInconsistencyError(
-                    "polynomial division left a nonzero remainder")
-            c = rem[exps] / lead_c
-            quot[diff] = quot.get(diff, Fraction(0)) + c
-            for de, dc in divisor.terms.items():
-                key = tuple(a + b for a, b in zip(diff, de))
-                s = rem.get(key, Fraction(0)) - c * dc
-                if s:
-                    rem[key] = s
-                else:
-                    rem.pop(key, None)
-        return Poly._make(self.nvars, {k: v for k, v in quot.items() if v})
-
     def linear_coefficients(self) -> List[Fraction]:
         """Coefficient vector of the degree-1 part."""
         out = [Fraction(0)] * self.nvars
@@ -448,19 +408,6 @@ def _mul_buckets(b1, b2, trunc: Optional[int]) -> list:
 def _from_integer_form(nvars: int, D: int, buckets) -> Poly:
     """The Poly (1/D) * buckets, one Fraction per nonzero term."""
     return Poly._make(nvars, {e: Fraction(v, D) for b in buckets for e, v in b.items() if v})
-
-
-def poly_arith(op: str, lhs: Poly, rhs) -> Poly:
-    """Dispatch helper mirroring the add/sub/mul/scale operation table."""
-    if op == "add":
-        return lhs + rhs
-    if op == "sub":
-        return lhs - rhs
-    if op == "mul":
-        return lhs.mul(rhs)
-    if op == "scale":
-        return lhs.scale(rhs)
-    raise ValueError(f"unknown op {op!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -656,9 +603,6 @@ class RatMatrix:
                for i in range(self.rows)]
         return RatMatrix._make(out)
 
-    def __matmul__(self, other):
-        return self.matmul(other)
-
     def matvec(self, vec: Sequence) -> List[Fraction]:
         v = [_as_fraction(x) for x in vec]
         if len(v) != self.cols:
@@ -675,7 +619,7 @@ class RatMatrix:
     def rref(self):
         """Reduced row echelon form.
 
-        Returns (R, T, pivots) with T @ self == R exactly. [R | T] is the RREF
+        Returns (R, T, pivots) with T.matmul(self) == R exactly. [R | T] is the RREF
         of [self | I], so T is the canonical transform: its rows past the rank
         span the left kernel.
         """

@@ -119,10 +119,11 @@ def _first_failure(omega: DiffForm):
     return None
 
 
-def is_nambu(P: Multivector, Omega: Optional[DiffForm] = None) -> ConambuVerdict:
-    """Nambu check through the volume duality omega = i_P Omega."""
+def is_nambu(P: Multivector) -> ConambuVerdict:
+    """Nambu check through the volume duality omega = i_P (dx1^...^dxn); the
+    verdict does not depend on the volume form."""
     _require_order(P.grade)
-    return is_conambu(tensor_to_form(P, Omega))
+    return is_conambu(tensor_to_form(P))
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,16 @@ def test_classify_tensor(capsys, monkeypatch):
     assert data["zero_set_dim"] == 2
 
 
+@pytest.mark.parametrize("command", ["classify", "verify"])
+def test_volume_option_is_gone(capsys, command):
+    # the dual form is taken against the standard volume form only: a scaled
+    # volume is a scaled tensor, and the verdict never depends on it
+    with pytest.raises(SystemExit) as exc:
+        run([command, "-", "--volume", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --volume 2" in capsys.readouterr().err
+
+
 def test_generate_roundtrip_verify(capsys, monkeypatch):
     code, out, _ = invoke(capsys, ["generate", "type1", "--n", "4", "--q", "3",
                                    "--r", "3", "--s", "0", "--signs", "++++"])

@@ -208,8 +208,8 @@ def test_tensor_to_form_golden_sign():
 def test_tensor_to_form_zero_and_scaled():
     assert tensor_to_form(Multivector(5, 3, {})).is_zero()
     P = basis_multivector(4, (0, 1, 2))
-    om = tensor_to_form(P, standard_volume(4, Poly.const(4, 2)))
-    assert om == coordinate_form(4, 3).scale(2)
+    # i_P (2 vol) = i_{2P} vol
+    assert tensor_to_form(P.scale(2)) == coordinate_form(4, 3).scale(2)
 
 
 def test_form_to_tensor_examples():
@@ -224,15 +224,7 @@ def test_duality_round_trip_randomized():
         n = rng.randint(3, 6)
         k = rng.randint(0, n)
         P = random_tensor(rng, n, k, max_degree=3)
-        f = Poly.const(n, Fraction(rng.randint(1, 5)))
-        Om = standard_volume(n, f)
-        assert form_to_tensor(tensor_to_form(P, Om), Om) == P
-
-
-def test_degenerate_volume_rejected():
-    bad = standard_volume(3, Poly.variable(3, 0))
-    with pytest.raises(PreconditionError):
-        tensor_to_form(basis_multivector(3, (0,)), bad)
+        assert form_to_tensor(tensor_to_form(P)) == P
 
 
 # -- formal maps ---------------------------------------------------------------------

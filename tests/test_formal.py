@@ -293,6 +293,40 @@ def test_division_matches_per_pattern_solves(case, nondegenerate):
 
 
 @st.composite
+def unit_multiple_divisions(draw):
+    """(divisor, u, s, active, N): the divisor is X = u L, with L a
+    nondegenerate linear field on the active block and u = 1 + terms of
+    degree 2 and 3, so X has terms of degree >= 3; s is homogeneous of degree
+    k and N = k + 4. The target s L = h X with h = s / u is zero above degree
+    k + 1, yet h goes on to every degree."""
+    n, active = _draw_block(draw)
+    m = len(active)
+    b = [[draw(st.integers(-2, 2)) for _ in range(m)] for _ in range(m)]
+    assume(RatMatrix(b).det() != 0)
+    kind = draw(st.sampled_from([Multivector, DiffForm]))
+    L = kind(n, 1, {(j,): Poly(n, {tuple(int(v == i) for v in range(n)): b[a][c]
+                                   for a, i in enumerate(active)})
+                    for c, j in enumerate(active)})
+    u = Poly.one(n) + _draw_poly(draw, n, [2, 3])
+    k = draw(st.integers(0, 2))
+    s = _draw_poly(draw, n, [k])
+    assume(u.degree >= 2 and not s.is_zero())
+    return L.poly_scale(u), u, L.poly_scale(s), s, active, k + 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_multiple_divisions())
+def test_division_by_a_unit_multiple_runs_to_N(case):
+    # the quotient h = s / u must be solved through degree N - 1 although the
+    # target stops at degree k + 1: h_e meets the divisor's degree-m part at
+    # degree m + e, and the division may not stop before N
+    X, u, target, s, active, N = case
+    h = formal.graded_divide(X, target, active, N).as_poly()
+    assert h.degree <= N - 1
+    assert (h.mul(u) - s).truncate(N - 1).is_zero()
+
+
+@st.composite
 def split_inputs(draw):
     """(alpha1, rho, y, r, n): alpha1 = sum d_j x_j dx_j on the active block y
     and a degree-r 1-form rho on it, f * alpha1 + d_y(h) half the time."""
@@ -594,14 +628,10 @@ TOP_DEGREE_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(TOP_DEGREE_CASES))
-def test_prelinearize_tracks_trusted_degrees(case, capsys, monkeypatch):
-    q, values, make_map = TOP_DEGREE_CASES[case]
-    N = 3
-    psi = make_map()
-    n = psi.nvars
-    _, w0 = normal_form_generator("type2", n, q, matrix=diagonal(values))
-    P = form_to_tensor(pullback_form(w0, psi))
+def assert_type2_contracts(P, N, capsys, monkeypatch):
+    """The library's prelinearization contract and the CLI's
+    Phi_* P == multiplier * Lambda(field_matrix), both through N."""
+    n, q = P.nvars, P.grade
     res = prelinearize_type2(P, N)
     lhs = pushforward_tensor(P, res.change, N)
     rhs = wedge_all(res.frame + [res.field], N).poly_scale(res.multiplier, N)
@@ -618,6 +648,30 @@ def test_prelinearize_tracks_trusted_degrees(case, capsys, monkeypatch):
     linear, _ = normal_form_generator("type2", n, q, matrix=B)
     lhs = pushforward_tensor(P, phi, N).truncate(N)
     assert lhs == linear.poly_scale(f, N).truncate(N)
+
+
+@pytest.mark.parametrize("case", sorted(TOP_DEGREE_CASES))
+def test_prelinearize_tracks_trusted_degrees(case, capsys, monkeypatch):
+    q, values, make_map = TOP_DEGREE_CASES[case]
+    psi = make_map()
+    _, w0 = normal_form_generator("type2", psi.nvars, q, matrix=diagonal(values))
+    assert_type2_contracts(form_to_tensor(pullback_form(w0, psi)), 3, capsys, monkeypatch)
+
+
+# The (6,5) normal form with a scalar linear part cI, pulled back along a
+# quadratic map. The bracket quotient at slot 3 is an infinite series, while
+# the bracket itself, cut at the trusted degree, stops at degree 2; a division
+# that stopped once the target ran out missed the quotient's degree-3 term.
+SCALAR_SUPPORT = ["x1 - 2*x3*x4 + 2*x1*x4", "x2 + 2*x4*x6 - 2*x2*x6", "x3 + x6^2 - 2*x3*x6",
+                  "x4 - x3*x5 + 2*x1*x3", "x5 + x4*x6 - x2^2", "x6 + x3*x5"]
+
+
+@pytest.mark.parametrize("c", [1, 2])
+@pytest.mark.parametrize("N", [2, 3])
+def test_prelinearize_scalar_linear_part(c, N, capsys, monkeypatch):
+    psi = FormalMap([parse_poly(t, 6) for t in SCALAR_SUPPORT])
+    _, w0 = normal_form_generator("type2", 6, 5, matrix=diagonal([c, c]))
+    assert_type2_contracts(form_to_tensor(pullback_form(w0, psi)), N, capsys, monkeypatch)
 
 
 def test_prelinearize_degree_schedule():

@@ -1,7 +1,9 @@
-"""Source hygiene: every name a module imports is used in that module, and
-every local a library function assigns is read."""
+"""Source hygiene: every name a module imports is used in that module, every
+local a library function assigns is read, and every library function is
+referenced somewhere."""
 
 import ast
+import collections
 import pathlib
 
 import pytest
@@ -106,3 +108,58 @@ def test_scan_finds_unused_locals():
 @pytest.mark.parametrize("path", LIBRARY, ids=lambda p: str(p.relative_to(ROOT)))
 def test_locals_are_read(path):
     assert unused_locals(path.read_text(encoding="utf-8")) == []
+
+
+def _names(tree):
+    """How often each name is read, as a bare name or as an attribute."""
+    counts = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            counts[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            counts[node.attr] += 1
+    return counts
+
+
+def unreferenced_functions(defining, referencing):
+    """Functions and methods defined in `defining` ({label: source}) whose name
+    no source in `referencing` reads outside the function's own body, as
+    "label line N: name". Dunder methods are exempt. An import is not a
+    reference, so a re-export does not keep a function alive."""
+    read = collections.Counter()
+    for source in referencing:
+        read += _names(ast.parse(source))
+    found = []
+    for label, source in defining.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if read[name] - _names(node)[name] <= 0:
+                found.append(f"{label} line {node.lineno}: {name}")
+    return found
+
+
+def test_scan_finds_unreferenced_functions():
+    module = ("def used():\n    return 1\n"
+              "def unused():\n    return used()\n"
+              "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
+              "class C:\n"
+              "    def __len__(self):\n        return 0\n"
+              "    def method(self):\n        return 1\n"
+              "    def caller(self):\n        return self.method()\n")
+    package_init = "from .m import caller, unused\n"
+    assert unreferenced_functions({"m": module}, [module]) == [
+        "m line 3: unused", "m line 5: recursive", "m line 12: caller"]
+    # a use in another file counts; a re-export does not
+    assert unreferenced_functions({"m": module}, [module, "C().caller()\n", package_init]) == [
+        "m line 3: unused", "m line 5: recursive"]
+
+
+def test_every_library_function_is_referenced():
+    # references come from the library and the tests; the package's
+    # __init__.py only re-exports
+    defining = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in LIBRARY}
+    assert unreferenced_functions(defining, [p.read_text(encoding="utf-8") for p in SOURCES]) == []

@@ -440,17 +440,6 @@ def test_report_json_shape():
     assert "change" in data and "achieved" in data
 
 
-def test_rational_jordan_block():
-    # a nilpotent block survives classification (eigenvalue scaled by one scalar)
-    B = RatMatrix([[1, 1], [0, 1]])
-    P, w = normal_form_generator("type2", 5, 4, matrix=B)
-    rep = classify_linear(w)
-    J = rep.rational_jordan
-    assert J is not None
-    lam = J.data[0][0]
-    assert lam != 0 and J.data[1][1] == lam and J.data[0][1] == 1
-
-
 # -- properties over moved normal forms ----------------------------------------------------
 
 @st.composite

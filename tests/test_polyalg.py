@@ -16,7 +16,6 @@ from nambu.polyalg import (
     eigen_data,
     inertia,
     parse_poly,
-    poly_arith,
     solve_linear,
     solve_sparse,
 )
@@ -50,21 +49,21 @@ def random_invertible(rng, n, spread=3):
 # -- arithmetic (spec examples) ---------------------------------------------
 
 def test_mul_difference_of_squares():
-    assert poly_arith("mul", P("x1+x2", 2), P("x1-x2", 2)) == P("x1^2-x2^2", 2)
+    assert P("x1+x2", 2).mul(P("x1-x2", 2)) == P("x1^2-x2^2", 2)
 
 
 def test_add_zero_identity():
     p = P("3/2*x1^2*x3 - x2 + 1", 3)
-    assert poly_arith("add", p, Poly.zero(3)) == p
+    assert p + Poly.zero(3) == p
 
 
 def test_scale_cancels():
-    assert poly_arith("scale", P("1/2*x1^2", 2), 2) == P("x1^2", 2)
+    assert P("1/2*x1^2", 2).scale(2) == P("x1^2", 2)
 
 
 def test_variable_count_mismatch():
     with pytest.raises(ValueError):
-        poly_arith("add", P("x1", 1), P("x1", 2))
+        P("x1", 1) + P("x1", 2)
 
 
 def test_partial_examples():
