@@ -10,6 +10,7 @@ without a traceback. Exit 1 never reports a crash.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -254,7 +255,10 @@ def _linearize_type2(obj, N, args) -> int:
 
 # -- argument parsing ---------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; `run` picks the
+    subcommand's handler by name at each call."""
     parser = argparse.ArgumentParser(
         prog="nambu",
         description="Exact verification, classification and formal "
@@ -270,11 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check the Nambu / co-Nambu conditions")
     common(p)
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("classify", help="linear normal-form classification")
     common(p)
-    p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("linearize", help="finite-order formal linearization")
     common(p)
@@ -283,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--type1", action="store_true")
     group.add_argument("--type2", action="store_true")
     p.add_argument("--tol", type=float, default=None)
-    p.set_defaults(func=_cmd_linearize)
 
     p = sub.add_parser("resonance", help="eigenvalue resonance diagnostics")
     p.add_argument("input", nargs="?", default="-")
@@ -292,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bryuno", metavar="C,EPS",
                    help="also evaluate the finite-order Bryuno proxy")
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(func=_cmd_resonance)
 
     p = sub.add_parser("generate", help="emit a normal-form fixture")
     p.add_argument("tag", choices=("type1", "type2"))
@@ -305,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--form", action="store_true",
                    help="emit the dual form instead of the tensor")
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(func=_cmd_generate)
     return parser
 
 
@@ -320,8 +319,10 @@ def run(argv=None) -> int:
         if args.max_order < 2:
             print("error: --max-order must be >= 2", file=sys.stderr)
             return EXIT_INPUT
+    handler = {"verify": _cmd_verify, "classify": _cmd_classify, "linearize": _cmd_linearize,
+               "resonance": _cmd_resonance, "generate": _cmd_generate}[args.command]
     try:
-        return args.func(args)
+        return handler(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -333,6 +333,21 @@ def _wedge_into(out: dict, a: dict, b: dict, trunc: Optional[int] = None) -> dic
     return out
 
 
+def _prefix_minors(vectors, keys, one, trunc: Optional[int] = None) -> Dict[IndexTuple, dict]:
+    """Raw wedge vectors[K[0]] ^ ... ^ vectors[K[-1]] for each key K.
+
+    vectors[i] holds raw grade-1 components and `one` is the unit
+    coefficient. Each product extends the one of its longest prefix, so a
+    shared index prefix is wedged once; the table also holds the prefixes.
+    """
+    minors: Dict[IndexTuple, dict] = {(): {(): one}}
+    for K in keys:
+        for t in range(1, len(K) + 1):
+            if K[:t] not in minors:
+                minors[K[:t]] = _wedge_into({}, minors[K[:t - 1]], vectors[K[t - 1]], trunc)
+    return minors
+
+
 def _contract_single(comps: dict, j: int) -> dict:
     """Leading-slot single contraction along direction j on raw components.
 
@@ -698,22 +713,14 @@ def pullback_form(omega: DiffForm, phi: FormalMap, N: Optional[int] = None) -> D
     if omega.nvars != phi.nvars:
         raise ValueError("nvars mismatch")
     n = omega.nvars
-    dphi = []
-    for c in phi.comps:
-        dphi.append(DiffForm(n, 1, {(j,): c.partial(j) for j in range(n)
-                                    if not c.partial(j).is_zero()}))
-    result = DiffForm(n, omega.grade, {})
-    for K, c in omega.comps.items():
-        coeff = c.substitute(phi.comps, N)
-        if coeff.is_zero():
-            continue
-        if K:
-            block = wedge_all([dphi[i] for i in K], N)
-            term = block.poly_scale(coeff, N)
-        else:
-            term = scalar_form(coeff)
-        result = result + term
-    return result
+    dphi = [{(j,): d for j in range(n) if (d := c.partial(j))} for c in phi.comps]
+    coeffs = {K: v for K, c in omega.comps.items() if (v := c.substitute(phi.comps, N))}
+    minors = _prefix_minors(dphi, coeffs, Poly.one(n), N)
+    out: Dict[IndexTuple, Poly] = {}
+    for K, coeff in coeffs.items():
+        for L, v in minors[K].items():
+            _accumulate(out, L, v.mul(coeff, N))
+    return DiffForm._make(n, omega.grade, out)
 
 
 def pushforward_tensor(P: Multivector, phi: FormalMap, N: Optional[int] = None) -> Multivector:
@@ -736,13 +743,9 @@ def pushforward_tensor(P: Multivector, phi: FormalMap, N: Optional[int] = None) 
 
     columns = [{(k,): at_inv(d) for k, c in enumerate(phi.comps) if (d := c.partial(i))}
                for i in range(n)]
-    # wedges of the columns named by each index prefix
-    minors: Dict[IndexTuple, dict] = {(): {(): Poly.one(n)}}
+    minors = _prefix_minors(columns, P.comps, Poly.one(n), N)
     out: Dict[IndexTuple, Poly] = {}
     for I, c in P.comps.items():
-        for t in range(1, len(I) + 1):
-            if I[:t] not in minors:
-                minors[I[:t]] = _wedge_into({}, minors[I[:t - 1]], columns[I[t - 1]], N)
         coeff = at_inv(c)
         for K, v in minors[I].items():
             _accumulate(out, K, coeff.mul(v, N))

@@ -21,17 +21,19 @@ Degree bookkeeping: a coefficient-degree-d vector field moves degree-d
 structure. Each object carries the degree through which it is trusted, and
 every operation is truncated there: a bracket loses one degree, a division by
 a field with a linear leading part one more, and a transport solve along
-d_i + (higher terms) gains one back. In Type 2 prelinearization X starts at
-Nw and each frame field V_j, a quotient by X, at Nw - 1. Slot i gives [V_i, X],
-hence g, gX and f / g, the degree min(DX - 1, DV_i); [V_i, V_j] and the
-corrected V_j min(DV_i, DV_j) - 1; the straightening map and the pushed X
-Dp = min(DX, DV_i), since X vanishes at 0 and loses no degree to the map's
-Jacobian; a pushed V_j min(DV_j, Dp) - 1, as its constant part d_j meets that
-Jacobian. Each slot costs the later frame fields two degrees, and X follows
-them: the first slot costs X one degree and each later slot two, so one pass
-at Nw = N + 2(q - 1) - 1 is trusted through N, and an inconsistency inside a
-trusted window is an obstruction of the input. Contracts are checked at the
-user's N.
+d_i + (higher terms) gains one back. Type 2 prelinearization has S = q - 1
+frame slots and one rule: slot i (i = 0..S-1) works at D = N + S - 1 - i.
+The frame decomposition runs once, at N + S, so X is trusted through N + S
+and each frame field V_j, a quotient by X, through N + S - 1. In slot i,
+[V_i, X] is trusted through D, as it loses a degree of X but none of V_i
+(X vanishes at 0); so g, gX, f / g, the straightening map psi and the step
+map are cut at D, and so is the pushed X, which loses no degree to the
+step's Jacobian. [V_i, V_j] loses a degree of both, so the later frame fields
+are corrected at D - 1, and pushed at D - 1 too, as their constant parts d_j
+meet that Jacobian, right through D - 1. That is the next slot's D, and the
+last slot works at N: one pass is trusted through N, and an inconsistency
+inside a trusted window is an obstruction of the input. Contracts are checked
+at the user's N.
 """
 
 from __future__ import annotations
@@ -465,7 +467,9 @@ def formal_linearize_type1(omega: DiffForm, N: int) -> Type1LinearizationResult:
             phi_k = _resolve_beta_chain(alpha1, omega_k, y, N, report)
             if shift_comps is None:
                 shift_comps = [Poly.variable(n, i) for i in range(n)]
-            sign = _shift_sign(n, p, k, alpha1, phi_k, omega_k)
+            # x_k -> x_k + s phi_k adds s (-1)^(p-1-k) omega_k (d_y phi_k moves
+            # past p - 2 - k dx's and alpha1), so s = (-1)^(p-k) cancels it
+            sign = (-1) ** (p - k)
             shift_comps[k] = shift_comps[k] + (phi_k if sign > 0 else -phi_k)
         if shift_comps is not None:
             step = FormalMap(shift_comps, trunc=N)
@@ -504,28 +508,6 @@ def formal_linearize_type1(omega: DiffForm, N: int) -> Type1LinearizationResult:
     _check_gap((pullback_form(omega, phi_total, N) - omega_lin.poly_scale(f_total, N)).truncate(N),
                "final linearization identity failed")
     return Type1LinearizationResult(phi_total, f_total, report, omega_lin)
-
-
-def _shift_sign(n, p, k, alpha1, phi_k, omega_k) -> int:
-    """Exact sign for the shift x_k += phi_k from the induced correction."""
-    # correction of dx-prefix ^ alpha1 under x_k -> x_k + phi_k at the block
-    # missing dx_k equals (-1)^{p-1-k-1}-style; derive it by one cheap wedge
-    dphi = DiffForm(n, 1, {(j,): phi_k.partial(j) for j in range(n)
-                           if not phi_k.partial(j).is_zero()})
-    # insert d(phi_k) in slot k and compare against the target block layout
-    ordered = []
-    for i in range(p - 1):
-        ordered.append(dphi if i == k else coordinate_form(n, i))
-    correction = wedge_all(ordered + [alpha1])
-    key = tuple(t for t in range(p - 1) if t != k)
-    corr_block = prefix_blocks(correction, p - 1).get(key)
-    if corr_block is None or corr_block.is_zero():
-        raise SolveInconsistencyError("shift produced no correction")
-    if corr_block == -omega_k:
-        return 1
-    if corr_block == omega_k:
-        return -1
-    raise SolveInconsistencyError("shift correction does not match the block")
 
 
 def _split_multiplier(alpha1, rho, y, r, n, report):
@@ -829,27 +811,27 @@ def prelinearize_type2(P: Multivector, N: int) -> Type2PrelinResult:
     components and no frame-variable dependence through degree N, and
         pushforward_tensor(P, change, N) == f * frame ^ X   (truncated at N).
 
-    One pass at Nw = N + 2(q - 1) - 1, with the trusted degrees of the
-    module docstring ("Degree bookkeeping"): each slot costs the later frame
-    fields two degrees, one to their brackets with V_i and one to the
-    straightening map, and X, which must commute with them, follows; the
-    first slot costs X one degree and each later slot two, so X, f and the
-    change end trusted through N. An inconsistency inside the window is an
-    obstruction of the input and raises; the contract check at N is a check,
-    not a retry condition.
+    One pass on one precision schedule (module docstring, "Degree
+    bookkeeping"): the frame decomposition runs at N + q - 1, and slot i
+    (i = 0..q-2) works at D = N + q - 2 - i. X, g, f, the straightening map
+    and the step map are cut at D, and the later frame fields, corrected and
+    pushed, at D - 1, the next slot's D; so the last slot works at N, and X,
+    f and the change end trusted through N. An inconsistency inside the
+    window is an obstruction of the input and raises; the contract check at
+    N is a check, not a retry condition.
     """
     if N < 2:
         raise PreconditionError("N must be >= 2")
-    return _prelinearize_attempt(P, N, N + 2 * (P.grade - 1) - 1)
+    return _prelinearize_attempt(P, N)
 
 
-def _prelinearize_attempt(P: Multivector, N: int, Nw: int) -> Type2PrelinResult:
+def _prelinearize_attempt(P: Multivector, N: int) -> Type2PrelinResult:
     n = P.nvars
     q, y, B = _type2_linear_data(P)
     S = q - 1
     frame_key = tuple(range(S))
     report = GradedSolveReport()
-    T = P.truncate(Nw)
+    T = P.truncate(N + S)
 
     # decomposition: the full-frame block is X itself; one division per slot
     blocks = prefix_blocks(T, S)
@@ -860,53 +842,41 @@ def _prelinearize_attempt(P: Multivector, N: int, Nw: int) -> Type2PrelinResult:
         Bj = blocks.get(key, Multivector(n, 2, {}))
         sign = (-1) ** (S - 1 - j)
         # B_j = sign * v_j ^ X  =>  X ^ v_j = -sign * B_j
-        vj = graded_divide(X, Bj.scale(-sign), y, Nw, report, label=f"frame {j + 1}")
+        vj = graded_divide(X, Bj.scale(-sign), y, N + S, report, label=f"frame {j + 1}")
         Vs.append(coordinate_field(n, j) + vj)
-    cand = wedge_all(Vs + [X], Nw) if Vs else X
-    _check_gap((cand - T).truncate(Nw),
+    cand = wedge_all(Vs + [X], N + S)
+    _check_gap((cand - T).truncate(N + S),
                "frame decomposition does not reproduce the tensor (input not Nambu?)")
 
-    # trusted degrees of X, each V_j and f (module docstring)
-    DX = Nw
-    DV = [Nw - 1] * S
-    Df = Nw
     f_acc = Poly.one(n)
     phi_total = FormalMap.identity(n)
-
     for i in range(S):
+        # slot i's one precision (module docstring); the later frame fields
+        # leave it at D - 1, the next slot's D
+        D = N + S - 1 - i
         Vi = Vs[i]
         # (a) make X commute with V_i: X <- gX with V_i(g) + f_i g = 0
-        Dg = min(DX - 1, DV[i])
-        f_i = _bracket_quotient(X, lie_bracket(Vi, X), y, Dg, report,
+        f_i = _bracket_quotient(X, lie_bracket(Vi, X), y, D, report,
                                 f"bracket ratio {i + 1}")
-        g = _transport_solve(Vi, f_i, i, Dg)
-        DX = Dg
-        X = X.poly_scale(g, DX)
-        Df = min(Df, Dg)
-        f_acc = f_acc.mul(_poly_inverse(g, Dg), Df)
+        g = _transport_solve(Vi, f_i, i, D)
+        X = X.poly_scale(g, D)
+        f_acc = f_acc.mul(_poly_inverse(g, D), D)
         # (b) correct the later frame fields: V_j <- V_j + gamma_j X
         for j in range(i + 1, S):
-            DV[j] = min(DV[i], DV[j]) - 1
-            g_ij = _bracket_quotient(X, lie_bracket(Vi, Vs[j]), y, DV[j], report,
+            g_ij = _bracket_quotient(X, lie_bracket(Vi, Vs[j]), y, D - 1, report,
                                      f"frame bracket {i + 1},{j + 1}")
-            gamma = _transport_solve(Vi, Poly.zero(n), i, DV[j], rhs=-g_ij)
-            Vs[j] = (Vs[j] + X.poly_scale(gamma, DV[j])).truncate(DV[j])
-        # (c) straighten V_i to the coordinate field; X vanishes at 0, so
-        # pushing it loses no degree to the Jacobian
-        Dp = min(DX, DV[i])
-        psi = _straighten_flow(Vi.truncate(Dp), i, Dp)
-        # step's inverse through Dp is psi itself (FormalMap.inverse links it)
-        step = psi.inverse(Dp)
-        X = pushforward_tensor(X, step, Dp)
-        DX = Dp
+            gamma = _transport_solve(Vi, Poly.zero(n), i, D - 1, rhs=-g_ij)
+            Vs[j] = (Vs[j] + X.poly_scale(gamma, D - 1)).truncate(D - 1)
+        # (c) straighten V_i to the coordinate field; step's inverse through D
+        # is psi itself (FormalMap.inverse links it)
+        psi = _straighten_flow(Vi.truncate(D), i, D)
+        step = psi.inverse(D)
+        X = pushforward_tensor(X, step, D)
         for j in range(i + 1, S):
-            # V_j's constant part d_j meets the Jacobian of psi; pushing at
-            # Dp, not below, reuses the one inverse of step
-            DV[j] = min(DV[j], Dp) - 1
-            Vs[j] = pushforward_tensor(Vs[j], step, Dp).truncate(DV[j])
-        Df = min(Df, Dp)
-        f_acc = f_acc.substitute(psi.comps, Df)
-        phi_total = step.compose(phi_total, Dp)
+            # pushed at D, not D - 1, so the one inverse of step serves
+            Vs[j] = pushforward_tensor(Vs[j], step, D).truncate(D - 1)
+        f_acc = f_acc.substitute(psi.comps, D)
+        phi_total = step.compose(phi_total, D)
         Vs[i] = coordinate_field(n, i)
 
     # drop any frame components X may carry (they do not change the product)

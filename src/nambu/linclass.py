@@ -54,7 +54,7 @@ from .exterior import (
     Multivector,
     _contract,
     _integer_parts,
-    _wedge_into,
+    _prefix_minors,
     basis_multivector,
     coordinate_form,
     field_matrix,
@@ -278,13 +278,10 @@ def _pull_back(coeffs: Dict[Tuple[int, ...], List[Fraction]],
     """
     n = len(A)
     rows = [{(l,): v for l, v in enumerate(row) if v} for row in A]
-    minors = {(): {(): 1}}  # wedge of the rows A_i, i in K, per prefix K
+    minors = _prefix_minors(rows, coeffs, 1)  # wedge of the rows A_i, i in K
     out: Dict[Tuple[int, ...], List[Fraction]] = {}
     for K, c in coeffs.items():
         cA = _row_times(c, A)
-        for t in range(len(K)):
-            if K[:t + 1] not in minors:
-                minors[K[:t + 1]] = _wedge_into({}, minors[K[:t]], rows[K[t]])
         for L, m in minors[K].items():
             row = out.setdefault(L, [Fraction(0)] * n)
             for k, v in enumerate(cA):

@@ -271,3 +271,13 @@ def test_internal_error_exit5_without_traceback(capsys, monkeypatch):
     assert out == ""
     assert err == "internal error: RuntimeError: boom\n"
     assert "Traceback" not in err
+
+
+def test_parser_built_once_and_dispatch_late_bound(capsys, monkeypatch):
+    import nambu.cli as cli
+
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "_cmd_verify", lambda args: 7)
+    code, _, _ = invoke(capsys, ["verify", "-"], "{}", monkeypatch)
+    assert code == 7
+    assert cli.build_parser() is parser

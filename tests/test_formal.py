@@ -430,6 +430,27 @@ def test_linearize_type1_round_trips():
             assert res.multiplier.constant_term() == 1
 
 
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_linearize_type1_shift_sign(p):
+    # omega = omega_lin + dx_{prefix without k} ^ alpha1 ^ d_y phi: the shift
+    # x_k -> x_k + (-1)^(p-k) phi cancels that block, and linearization finds it
+    n = p + 2
+    w_lin = type1_form(n, p, [1, -1, 1])
+    alpha1 = DiffForm(n, 1, {(j,): x(n, j).scale(s) for j, s in zip(range(p - 1, n), [1, -1, 1])})
+    a, b, c = range(p - 1, n)
+    phi = x(n, a).mul(x(n, b)) + x(n, c).mul(x(n, c)).scale(2) - x(n, a).mul(x(n, c))
+    d_phi = DiffForm(n, 1, {(j,): phi.partial(j) for j in (a, b, c)})
+    for k in range(p - 1):
+        block = wedge_all([dx(n, t) for t in range(p - 1) if t != k] + [alpha1, d_phi])
+        w = w_lin + block
+        shift = FormalMap([x(n, i) + (phi.scale((-1) ** (p - k)) if i == k else Poly.zero(n))
+                           for i in range(n)])
+        assert pullback_form(w, shift, 2).truncate(2) == w_lin
+        res = formal_linearize_type1(w, 3)
+        resid = pullback_form(w, res.change, 3) - w_lin.poly_scale(res.multiplier, 3)
+        assert resid.truncate(3).is_zero()
+
+
 def test_linearize_type1_rejects_degenerate():
     n = 5
     w = wedge(dx(n, 0), DiffForm(n, 1, {(i,): x(n, i) for i in range(1, 4)}))
@@ -628,19 +649,19 @@ TOP_DEGREE_CASES = {
 }
 
 
-def assert_type2_contracts(P, N, capsys, monkeypatch):
-    """The library's prelinearization contract and the CLI's
-    Phi_* P == multiplier * Lambda(field_matrix), both through N."""
+def linearize_type2_cli(P, N, capsys, monkeypatch):
+    """The exit code of `linearize --type2` on P. Exit 0 must come with the
+    CLI's contract Phi_* P == multiplier * Lambda(field_matrix) through N,
+    read back from the printed map and multiplier; exit 1 with the resonant
+    flag."""
     n, q = P.nvars, P.grade
-    res = prelinearize_type2(P, N)
-    lhs = pushforward_tensor(P, res.change, N)
-    rhs = wedge_all(res.frame + [res.field], N).poly_scale(res.multiplier, N)
-    assert (lhs - rhs).truncate(N).is_zero()
-    # the CLI's whole pipeline: Phi_* P == multiplier * Lambda(field_matrix)
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(P.to_json_obj())))
     code = run(["linearize", "-", "--type2", "--order", str(N)])
     out = capsys.readouterr().out
-    assert code == 0
+    if code == 1:
+        assert json.loads(out)["resonant"] is True
+    if code != 0:
+        return code
     data = json.loads(out)
     phi = formal_map_from_json(data["map"])
     f = parse_poly(data["multiplier"], n)
@@ -648,6 +669,17 @@ def assert_type2_contracts(P, N, capsys, monkeypatch):
     linear, _ = normal_form_generator("type2", n, q, matrix=B)
     lhs = pushforward_tensor(P, phi, N).truncate(N)
     assert lhs == linear.poly_scale(f, N).truncate(N)
+    return code
+
+
+def assert_type2_contracts(P, N, capsys, monkeypatch):
+    """The library's prelinearization contract and the CLI's
+    Phi_* P == multiplier * Lambda(field_matrix), both through N."""
+    res = prelinearize_type2(P, N)
+    lhs = pushforward_tensor(P, res.change, N)
+    rhs = wedge_all(res.frame + [res.field], N).poly_scale(res.multiplier, N)
+    assert (lhs - rhs).truncate(N).is_zero()
+    assert linearize_type2_cli(P, N, capsys, monkeypatch) == 0
 
 
 @pytest.mark.parametrize("case", sorted(TOP_DEGREE_CASES))
@@ -674,29 +706,53 @@ def test_prelinearize_scalar_linear_part(c, N, capsys, monkeypatch):
     assert_type2_contracts(form_to_tensor(pullback_form(w0, psi)), N, capsys, monkeypatch)
 
 
+def sweep_matrix(kind, m):
+    """The linear part B of a sweep case, m = 2 or 3."""
+    if kind == "scalar":
+        return diagonal([2] * m)
+    if kind == "diagonal":
+        return diagonal([2, 3] if m == 2 else [3, 4, 5])
+    if kind == "jordan":
+        return RatMatrix([[2 if i == j else int(j == i + 1) for j in range(m)] for i in range(m)])
+    # companion matrices of x^2 - x - 1 and x^3 - 9x^2 + 26x - 23
+    return RatMatrix([[0, 1], [1, 1]] if m == 2 else [[0, 1, 0], [0, 0, 1], [23, -26, 9]])
+
+
+@pytest.mark.parametrize("N", [3, 4])
+@pytest.mark.parametrize("kind", ["scalar", "diagonal", "jordan", "companion"])
+@pytest.mark.parametrize("shape", [(4, 3), (5, 4), (6, 4), (6, 5)], ids="{0[0]},{0[1]}".format)
+def test_linearize_type2_sweep(shape, kind, N, capsys, monkeypatch):
+    # each input is linearizable by construction: it exits 0 with its
+    # contract, or 1 as resonant, and never 4 (inconsistency) or 5 (crash)
+    n, q = shape
+    _, w0 = normal_form_generator("type2", n, q, matrix=sweep_matrix(kind, n - q + 1))
+    psi = quad_perturbation(random.Random(100 * n + q), n, denom=False)
+    P = form_to_tensor(pullback_form(w0, psi))
+    assert linearize_type2_cli(P, N, capsys, monkeypatch) in (0, 1)
+
+
 def test_prelinearize_degree_schedule():
-    # the module docstring's bookkeeping: one pass at Nw = N + 2(q-1) - 1, and
-    # slot i asks for its bracket with X at Nw - 1 - 2i and for its brackets
-    # between frame fields at Nw - 2 - 2i, so X ends trusted through N
+    # the module docstring's bookkeeping: slot i works at D = N + q - 2 - i,
+    # asking for its bracket with X at D and for its brackets between frame
+    # fields at D - 1, so the last slot works at N
     q, values, make_map = TOP_DEGREE_CASES["5-4-3-diag(2,3)"]
     N = 3
     _, w0 = normal_form_generator("type2", 5, q, matrix=diagonal(values))
     P = form_to_tensor(pullback_form(w0, make_map()))
     _, quotients = prelinearize_once(P, N)
-    Nw = N + 2 * (q - 1) - 1
     want = {}
     for i in range(q - 1):
-        want[f"bracket ratio {i + 1}"] = Nw - 1 - 2 * i
+        want[f"bracket ratio {i + 1}"] = N + q - 2 - i
         for j in range(i + 1, q - 1):
-            want[f"frame bracket {i + 1},{j + 1}"] = Nw - 2 - 2 * i
+            want[f"frame bracket {i + 1},{j + 1}"] = N + q - 3 - i
     assert {label: D for label, (D, _) in quotients.items()} == want
 
 
 @st.composite
 def perturbed_type2(draw):
-    """A Type 2 normal form at (4,3), (5,4) or (5,3), pulled back along
-    x_i -> x_i + two quadratic terms."""
-    n, q = draw(st.sampled_from([(4, 3), (5, 4), (5, 3)]))
+    """A Type 2 normal form at (4,3), (5,4), (5,3), (6,4) or (6,5), pulled
+    back along x_i -> x_i + two quadratic terms."""
+    n, q = draw(st.sampled_from([(4, 3), (5, 4), (5, 3), (6, 4), (6, 5)]))
     m = n - q + 1
     values = draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]),
                            min_size=m, max_size=m))
