@@ -99,8 +99,6 @@ def _render_text(payload: dict, indent: str = "") -> str:
         if isinstance(value, dict):
             lines.append(f"{indent}{key}:")
             lines.append(_render_text(value, indent + "  "))
-        elif isinstance(value, list):
-            lines.append(f"{indent}{key}: {value}")
         else:
             lines.append(f"{indent}{key}: {value}")
     return "\n".join(lines)

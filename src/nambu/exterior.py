@@ -458,24 +458,14 @@ def dform(omega: DiffForm, var_indices: Optional[Sequence[int]] = None) -> DiffF
 
 
 def lie_bracket(X: Multivector, Y: Multivector) -> Multivector:
-    """Commutator of two vector fields."""
+    """Commutator of two vector fields: [X, Y]_k = X(Y_k) - Y(X_k)."""
     if X.grade != 1 or Y.grade != 1:
         raise ValueError("lie_bracket needs two grade-1 fields")
     if X.nvars != Y.nvars:
         raise ValueError("nvars mismatch")
-    n = X.nvars
-    out: Dict[IndexTuple, Poly] = {}
-    for k in range(n):
-        acc = Poly.zero(n)
-        yk = Y.component((k,))
-        xk = X.component((k,))
-        for (i,), xi in X.comps.items():
-            acc = acc + xi.mul(yk.partial(i))
-        for (i,), yi in Y.comps.items():
-            acc = acc - yi.mul(xk.partial(i))
-        if not acc.is_zero():
-            out[(k,)] = acc
-    return Multivector(n, 1, out)
+    return Multivector(X.nvars, 1, {
+        (k,): apply_vector(X, Y.component((k,))) - apply_vector(Y, X.component((k,)))
+        for k in range(X.nvars)})
 
 
 def apply_vector(X: Multivector, f: Poly) -> Poly:
@@ -636,19 +626,12 @@ class FormalMap:
     def inverse(self, trunc: Optional[int] = None) -> "FormalMap":
         """Formal inverse through the given degree (exact for linear maps).
 
-        Results are cached per truncation degree (maps are immutable). A
-        nonlinear result is cut at some degree t, and its own inverse through
-        t is self cut at t, so the result records that back link.
+        Results are cached per truncation degree (maps are immutable).
         """
         cached = self._inv_cache.get(trunc)
-        if cached is not None:
-            return cached
-        result = self._inverse_impl(trunc)
-        self._inv_cache[trunc] = result
-        if not result.is_linear():
-            t = result.trunc
-            result._inv_cache[trunc] = FormalMap([c.truncate(t) for c in self.comps], t)
-        return result
+        if cached is None:
+            cached = self._inv_cache[trunc] = self._inverse_impl(trunc)
+        return cached
 
     def _inverse_impl(self, trunc: Optional[int] = None) -> "FormalMap":
         L = self.linear_matrix()

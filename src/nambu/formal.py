@@ -26,14 +26,14 @@ frame slots and one rule: slot i (i = 0..S-1) works at D = N + S - 1 - i.
 The frame decomposition runs once, at N + S, so X is trusted through N + S
 and each frame field V_j, a quotient by X, through N + S - 1. In slot i,
 [V_i, X] is trusted through D, as it loses a degree of X but none of V_i
-(X vanishes at 0); so g, gX, f / g, the straightening map psi and the step
-map are cut at D, and so is the pushed X, which loses no degree to the
-step's Jacobian. [V_i, V_j] loses a degree of both, so the later frame fields
-are corrected at D - 1, and pushed at D - 1 too, as their constant parts d_j
-meet that Jacobian, right through D - 1. That is the next slot's D, and the
-last slot works at N: one pass is trusted through N, and an inconsistency
-inside a trusted window is an obstruction of the input. Contracts are checked
-at the user's N.
+(X vanishes at 0); so g, gX, f / g and the straightening step are cut at
+D, and so is the pushed X, which loses no degree to the step's Jacobian.
+[V_i, V_j] loses a degree of both, so the later frame fields are corrected
+at D - 1, and pushed at D - 1 too, as their constant parts d_j meet that
+Jacobian, right through D - 1. That is the next slot's D, and the last slot
+works at N: one pass is trusted through N, and an inconsistency inside a
+trusted window is an obstruction of the input. Contracts are checked at the
+user's N.
 """
 
 from __future__ import annotations
@@ -807,18 +807,20 @@ def prelinearize_type2(P: Multivector, N: int) -> Type2PrelinResult:
 
     Decompose with one graded division per frame slot, make the frame commute
     with everything by transport solves along V_i, and straighten each V_i
-    with its formal flow. In the returned coordinates X has no frame
-    components and no frame-variable dependence through degree N, and
+    by flow-box coordinates u_k = x_k + w_k, with V_i(w_k) = -(V_i - d_i)_k
+    and w_k = 0 on x_i = 0: one more transport solve per coordinate. In the
+    returned coordinates X has no frame components and no frame-variable
+    dependence through degree N, and
         pushforward_tensor(P, change, N) == f * frame ^ X   (truncated at N).
 
     One pass on one precision schedule (module docstring, "Degree
     bookkeeping"): the frame decomposition runs at N + q - 1, and slot i
-    (i = 0..q-2) works at D = N + q - 2 - i. X, g, f, the straightening map
-    and the step map are cut at D, and the later frame fields, corrected and
-    pushed, at D - 1, the next slot's D; so the last slot works at N, and X,
-    f and the change end trusted through N. An inconsistency inside the
-    window is an obstruction of the input and raises; the contract check at
-    N is a check, not a retry condition.
+    (i = 0..q-2) works at D = N + q - 2 - i. X, g, f and the straightening
+    step are cut at D, and the later frame fields, corrected and pushed, at
+    D - 1, the next slot's D; so the last slot works at N, and X, f and the
+    change end trusted through N. An inconsistency inside the window is an
+    obstruction of the input and raises; the contract check at N is a check,
+    not a retry condition.
     """
     if N < 2:
         raise PreconditionError("N must be >= 2")
@@ -850,32 +852,35 @@ def _prelinearize_attempt(P: Multivector, N: int) -> Type2PrelinResult:
 
     f_acc = Poly.one(n)
     phi_total = FormalMap.identity(n)
+    zero = Poly.zero(n)
     for i in range(S):
         # slot i's one precision (module docstring); the later frame fields
         # leave it at D - 1, the next slot's D
         D = N + S - 1 - i
         Vi = Vs[i]
-        # (a) make X commute with V_i: X <- gX with V_i(g) + f_i g = 0
+        # (a) make X commute with V_i: X <- gX with V_i(g) + f_i g = 0; 1/g
+        # solves V_i(1/g) = f_i / g with the same slice value 1
         f_i = _bracket_quotient(X, lie_bracket(Vi, X), y, D, report,
                                 f"bracket ratio {i + 1}")
-        g = _transport_solve(Vi, f_i, i, D)
-        X = X.poly_scale(g, D)
-        f_acc = f_acc.mul(_poly_inverse(g, D), D)
+        X = X.poly_scale(_transport_solve(Vi, i, D, f_i, zero, 1), D)
+        f_acc = f_acc.mul(_transport_solve(Vi, i, D, -f_i, zero, 1), D)
         # (b) correct the later frame fields: V_j <- V_j + gamma_j X
         for j in range(i + 1, S):
             g_ij = _bracket_quotient(X, lie_bracket(Vi, Vs[j]), y, D - 1, report,
                                      f"frame bracket {i + 1},{j + 1}")
-            gamma = _transport_solve(Vi, Poly.zero(n), i, D - 1, rhs=-g_ij)
+            gamma = _transport_solve(Vi, i, D - 1, zero, -g_ij, 0)
             Vs[j] = (Vs[j] + X.poly_scale(gamma, D - 1)).truncate(D - 1)
-        # (c) straighten V_i to the coordinate field; step's inverse through D
-        # is psi itself (FormalMap.inverse links it)
-        psi = _straighten_flow(Vi.truncate(D), i, D)
-        step = psi.inverse(D)
+        # (c) straighten V_i to the coordinate field: flow-box coordinates
+        # u_k = x_k + w_k with V_i(u_k) = delta_ik and u = x on x_i = 0
+        tail = Vi - coordinate_field(n, i)
+        step = FormalMap([Poly.variable(n, k)
+                          + _transport_solve(Vi, i, D, zero, -tail.component((k,)), 0)
+                          for k in range(n)], trunc=D)
         X = pushforward_tensor(X, step, D)
         for j in range(i + 1, S):
             # pushed at D, not D - 1, so the one inverse of step serves
             Vs[j] = pushforward_tensor(Vs[j], step, D).truncate(D - 1)
-        f_acc = f_acc.substitute(psi.comps, D)
+        f_acc = f_acc.substitute(step.inverse(D).comps, D)
         phi_total = step.compose(phi_total, D)
         Vs[i] = coordinate_field(n, i)
 
@@ -915,92 +920,29 @@ def _bracket_quotient(X, bracket, y, D, report, label) -> Poly:
     return graded_divide(X.truncate(D), t, y, D, report, label).as_poly()
 
 
-def _transport_solve(V: Multivector, f: Poly, i: int, N: int,
-                     rhs: Optional[Poly] = None) -> Poly:
-    """Solve V(g) + f g = 0 with g(0) = 1 (or V(g) = rhs with g(0) = 0).
+def _transport_solve(V: Multivector, i: int, N: int, f: Poly, rhs: Poly,
+                     start: int) -> Poly:
+    """Solve V(g) + f g = rhs through degree N, with g = start on x_i = 0.
 
-    V = d_i + higher terms, so each degree is an exact x_i-antiderivative of
-    lower data; the x_i-free kernel is pinned to zero.
+    V = d_i + a tail vanishing at 0, so the degree-d part of g is the exact
+    x_i-antiderivative of the degree-(d - 1) part of rhs - tail(g) - f g,
+    which only the parts of g below degree d reach: each pass cuts its
+    products at d - 1.
     """
     n = V.nvars
-    if rhs is None:
-        g = Poly.one(n)
-        homog = True
-    else:
-        g = Poly.zero(n)
-        homog = False
     tail = V - coordinate_field(n, i)
+    g = Poly.const(n, start)
     for d in range(1, N + 1):
-        if homog:
-            r = (apply_vector(tail, g) + f.mul(g)).homogeneous_component(d - 1)
-            r = -r
-        else:
-            r = (rhs - apply_vector(tail, g)).homogeneous_component(d - 1)
-        if r.is_zero():
-            continue
+        r = rhs - f.mul(g, d - 1)
+        for (k,), t in tail.comps.items():
+            r = r - t.mul(g.partial(k), d - 1)
         inc = {}
-        for exps, c in r.terms.items():
+        for exps, c in r.homogeneous_component(d - 1).terms.items():
             new = list(exps)
             new[i] += 1
             inc[tuple(new)] = c / new[i]
         g = g + Poly(n, inc)
     return g
-
-
-def _poly_inverse(g: Poly, N: int) -> Poly:
-    c0 = g.constant_term()
-    if c0 == 0:
-        raise PreconditionError("series inverse needs a unit constant term")
-    n = g.nvars
-    inv = Poly.const(n, Fraction(1) / c0)
-    for _ in range(N):
-        err = Poly.one(n) - g.mul(inv, N)
-        if err.is_zero():
-            break
-        inv = inv + inv.mul(err, N)
-    return inv.truncate(N)
-
-
-def _straighten_flow(V: Multivector, i: int, N: int) -> FormalMap:
-    """Map psi (new -> old) with V = d/du_i in the new coordinates.
-
-    Solves d psi / d u_i = V(psi) with psi|_{u_i = 0} the identity embedding,
-    order by order in u_i.
-    """
-    n = V.nvars
-    comps = []
-    for j in range(n):
-        if j == i:
-            comps.append(Poly.zero(n))
-        else:
-            comps.append(Poly.variable(n, j))
-    for k in range(0, N + 1):
-        # defect at order u_i^k
-        image = [V.component((j,)).substitute(comps, N) for j in range(n)]
-        for j in range(n):
-            dcomp = comps[j].partial(i)
-            defect = image[j] - dcomp
-            piece = _ui_coefficient(defect, i, k)
-            if piece.is_zero():
-                continue
-            lift = {}
-            for exps, c in piece.terms.items():
-                new = list(exps)
-                new[i] = k + 1
-                lift[tuple(new)] = c / (k + 1)
-            comps[j] = comps[j] + Poly(n, lift)
-    comps = [c.truncate(N) for c in comps]
-    return FormalMap(comps, trunc=N)
-
-
-def _ui_coefficient(p: Poly, i: int, k: int) -> Poly:
-    """Terms of p with exact u_i-exponent k (exponent kept in place as k)."""
-    n = p.nvars
-    out = {}
-    for exps, c in p.terms.items():
-        if exps[i] == k:
-            out[exps] = c
-    return Poly(n, out)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .exterior import (
     _contract,
     _integer_parts,
     _wedge_into,
+    apply_vector,
     basis_multivector,
     contract_oneform,
     dform,
@@ -169,18 +170,11 @@ def fundamental_identity_residual(P: Multivector, fs: Sequence[Poly],
     if len(fs) != q - 1 or len(gs) != q:
         raise ValueError("arity mismatch in fundamental identity")
     X = hamiltonian_vf(P, fs)
-
-    def xf(h: Poly) -> Poly:
-        acc = Poly.zero(P.nvars)
-        for (i,), xi in X.comps.items():
-            acc = acc + xi.mul(h.partial(i))
-        return acc
-
-    lhs = xf(nambu_bracket(P, gs))
+    lhs = apply_vector(X, nambu_bracket(P, gs))
     rhs = Poly.zero(P.nvars)
     for i in range(q):
         args = list(gs)
-        args[i] = xf(gs[i])
+        args[i] = apply_vector(X, gs[i])
         rhs = rhs + nambu_bracket(P, args)
     return lhs - rhs
 
@@ -221,17 +215,10 @@ def search_identity_violation(P: Multivector, max_degree: int = 2,
         X = hamiltonian_vf(P, fs)
         if X.is_zero():
             continue
-
-        def xf(h: Poly) -> Poly:
-            acc = Poly.zero(n)
-            for (i,), xi in X.comps.items():
-                acc = acc + xi.mul(h.partial(i))
-            return acc
-
-        images = [xf(m) for m in mons]
+        images = [apply_vector(X, m) for m in mons]
         for gs_idx in itertools.combinations(range(len(mons)), q):
             gs = [mons[i] for i in gs_idx]
-            lhs = xf(nambu_bracket(P, gs))
+            lhs = apply_vector(X, nambu_bracket(P, gs))
             residual = lhs
             for slot, i in enumerate(gs_idx):
                 if images[i].is_zero():

@@ -26,6 +26,8 @@ from nambu.exterior import (
     DiffForm,
     FormalMap,
     Multivector,
+    apply_vector,
+    coordinate_field,
     coordinate_form,
     dform,
     form_to_tensor,
@@ -806,6 +808,40 @@ def test_prelinearize_order_consistency(P, N):
     # each quotient is trusted through D - 1, so the deeper pass agrees there
     for label, (D, h) in lo_quotients.items():
         assert hi_quotients[label][1].truncate(D - 1) == h.truncate(D - 1), label
+
+
+def test_linearize_type2_deep_order(capsys, monkeypatch):
+    # slot i straightens V_i through D = N + q - 2 - i, here degree 9
+    _, w0 = normal_form_generator("type2", 4, 3, matrix=sweep_matrix("companion", 2))
+    P = form_to_tensor(pullback_form(w0, shifted_support_map(4, 1, -1)))
+    assert linearize_type2_cli(P, 8, capsys, monkeypatch) == 0
+
+
+@st.composite
+def transport_inputs(draw):
+    """(V, i, N, f, rhs, start): V = d_i + a tail whose coefficients have
+    degree >= 1, in any direction, including d_i."""
+    n = draw(st.integers(2, 4))
+    i = draw(st.integers(0, n - 1))
+    tail = Multivector(n, 1, {(k,): _draw_poly(draw, n, [1, 2, 3]) for k in range(n)})
+    return (coordinate_field(n, i) + tail, i, draw(st.integers(2, 5)),
+            _draw_poly(draw, n, [0, 1, 2]), _draw_poly(draw, n, [0, 1, 2]),
+            draw(st.sampled_from([0, 1])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(transport_inputs())
+def test_transport_solve(case):
+    V, i, N, f, rhs, start = case
+    n = V.nvars
+    g = formal._transport_solve(V, i, N, f, rhs, start)
+    assert (apply_vector(V, g) + f.mul(g) - rhs).truncate(N - 1).is_zero()
+    assert {e: c for e, c in g.terms.items() if e[i] == 0} == Poly.const(n, start).terms
+    # V(1/g) = f / g when V(g) = -f g, and both are 1 on x_i = 0
+    zero = Poly.zero(n)
+    g_plus = formal._transport_solve(V, i, N, f, zero, 1)
+    g_minus = formal._transport_solve(V, i, N, -f, zero, 1)
+    assert g_plus.mul(g_minus, N) == Poly.one(n)
 
 
 # -- Poincare linearization ------------------------------------------------------------------
