@@ -457,24 +457,24 @@ def dform(omega: DiffForm, var_indices: Optional[Sequence[int]] = None) -> DiffF
     return DiffForm._make(n, omega.grade + 1, out)
 
 
-def lie_bracket(X: Multivector, Y: Multivector) -> Multivector:
-    """Commutator of two vector fields: [X, Y]_k = X(Y_k) - Y(X_k)."""
+def lie_bracket(X: Multivector, Y: Multivector, trunc: Optional[int] = None) -> Multivector:
+    """[X, Y]_k = X(Y_k) - Y(X_k), cut at trunc inside the products."""
     if X.grade != 1 or Y.grade != 1:
         raise ValueError("lie_bracket needs two grade-1 fields")
     if X.nvars != Y.nvars:
         raise ValueError("nvars mismatch")
-    return Multivector(X.nvars, 1, {
-        (k,): apply_vector(X, Y.component((k,))) - apply_vector(Y, X.component((k,)))
-        for k in range(X.nvars)})
+    return Multivector(X.nvars, 1, {(k,): apply_vector(X, Y.component((k,)), trunc)
+                                    - apply_vector(Y, X.component((k,)), trunc)
+                                    for k in range(X.nvars)})
 
 
-def apply_vector(X: Multivector, f: Poly) -> Poly:
-    """Derivation X(f)."""
+def apply_vector(X: Multivector, f: Poly, trunc: Optional[int] = None) -> Poly:
+    """Derivation X(f), cut at trunc inside the products."""
     if X.grade != 1:
         raise ValueError("apply_vector needs a grade-1 field")
     acc = Poly.zero(X.nvars)
     for (i,), xi in X.comps.items():
-        acc = acc + xi.mul(f.partial(i))
+        acc = acc + xi.mul(f.partial(i), trunc)
     return acc
 
 
@@ -710,9 +710,10 @@ def pushforward_tensor(P: Multivector, phi: FormalMap, N: Optional[int] = None) 
     """Transport P contravariantly along phi: phi_* P = (Lambda Dphi . P) o phi^{-1}.
 
     Each d_i becomes the Jacobian column sum_k (d_i phi_k) d_k. Coefficients
-    and columns are read at phi.inverse(N), and the wedges of columns (shared
-    along common index prefixes) are cut at N, so the result is exact through
-    N. N=None is allowed for linear maps only, and is then exact.
+    and columns are read at phi.inverse(N), which phi caches for other
+    callers; the wedges of columns (shared along common index prefixes) are
+    cut at N, so the result is exact through N. N=None is allowed for linear
+    maps only, and is then exact.
     """
     if P.nvars != phi.nvars:
         raise ValueError("nvars mismatch")

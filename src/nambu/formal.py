@@ -11,11 +11,13 @@ variables off the active block as parameters (Saito's de Rham lemma with
 parameters), so each degree is one solve per active degree, with columns over
 active monomials and a Poly in the inert variables per row.
 
-Transport: a map moves a tensor by its Jacobian (exterior.pushforward_tensor).
-The Type 1 multiplier step never moves a tensor: L_X Pi_1 = f_r Pi_1 keeps
-every pushed tensor a multiple g * Pi_1, so each time-1 flow acts on g alone
-by the Lie series exp(-(X + f_r)) (Deprit 1969), and the composed map is
-checked once at the end.
+Transport: the passes move objects by derivations and invert no map; the
+Jacobian transport at the map's inverse (exterior.pushforward_tensor) checks
+their contracts. Type 2 prelinearization moves fields that commute with V_i
+by slice transport, Poincare solves the conjugacy equation X(Phi) = L o Phi,
+and the Type 1 multiplier step never moves a tensor: L_X Pi_1 = f_r Pi_1
+keeps every pushed tensor a multiple g * Pi_1, so each time-1 flow acts on g
+alone by the Lie series exp(-(X + f_r)) (Deprit 1969).
 
 Degree bookkeeping: a coefficient-degree-d vector field moves degree-d
 structure. Each object carries the degree through which it is trusted, and
@@ -26,14 +28,14 @@ frame slots and one rule: slot i (i = 0..S-1) works at D = N + S - 1 - i.
 The frame decomposition runs once, at N + S, so X is trusted through N + S
 and each frame field V_j, a quotient by X, through N + S - 1. In slot i,
 [V_i, X] is trusted through D, as it loses a degree of X but none of V_i
-(X vanishes at 0); so g, gX, f / g and the straightening step are cut at
-D, and so is the pushed X, which loses no degree to the step's Jacobian.
-[V_i, V_j] loses a degree of both, so the later frame fields are corrected
-at D - 1, and pushed at D - 1 too, as their constant parts d_j meet that
-Jacobian, right through D - 1. That is the next slot's D, and the last slot
-works at N: one pass is trusted through N, and an inconsistency inside a
-trusted window is an obstruction of the input. Contracts are checked at the
-user's N.
+(X vanishes at 0); so g, gX, f / g and the flow-box coordinates u are cut
+at D, and so is the pushed X: X(u_k) stays exact through D, as X vanishes
+at 0. [V_i, V_j] loses a degree of both, so the later frame fields are
+corrected at D - 1, and pushed at D - 1 too: V_j(u_k) is exact through
+D - 1, as d_j u_k is. That is the next slot's D, and the last slot works at
+N: one pass is trusted through N, and an inconsistency inside a trusted
+window is an obstruction of the input. Contracts are checked at the user's
+N.
 """
 
 from __future__ import annotations
@@ -94,8 +96,15 @@ class GradedSolveRecord:
 class GradedSolveReport:
     records: List[GradedSolveRecord] = field(default_factory=list)
 
-    def add(self, degree, rows, cols, solved, note=""):
-        self.records.append(GradedSolveRecord(degree, rows, cols, solved, note))
+    def solve(self, system, degree: int, note: str, message: str, residual=None) -> list:
+        """Solve and record system; raise SolveInconsistencyError(message)
+        with degree and residual when it is inconsistent."""
+        res = system.solve()
+        self.records.append(GradedSolveRecord(degree, len(system.rows), system.ncols,
+                                              res.consistent, note))
+        if not res.consistent:
+            raise SolveInconsistencyError(message, degree=degree, residual=residual)
+        return res.solution
 
     def to_json_obj(self):
         return [{"degree": r.degree, "rows": r.rows, "cols": r.cols,
@@ -197,6 +206,8 @@ def graded_divide(divisor, target, active: Sequence[int], N: int,
     kind = type(divisor)
     if type(target) is not kind:
         raise ValueError("divisor/target kind mismatch")
+    if report is None:
+        report = GradedSolveReport()
     n = divisor.nvars
     active = list(active)
     active_set = set(active)
@@ -270,15 +281,10 @@ def _solve_wedge_degree(lin_divisor, rhs, active, d, res_tuples,
                     system.add((tuple(new), key), col, sign * c)
         for row, v in rows.items():
             system.rhs(row, v)
-        res = system.solve()
-        if report is not None:
-            report.add(d, len(system.rows), system.ncols, res.consistent, label)
-        if not res.consistent:
-            raise SolveInconsistencyError(
-                f"inconsistent wedge division at degree {d}"
-                f"{': ' + label if label else ''}",
-                degree=d, residual=rhs)
-        for (mon, J), v in zip(cols, res.solution):
+        solution = report.solve(system, d, label,
+                                f"inconsistent wedge division at degree {d}"
+                                f"{': ' + label if label else ''}", rhs)
+        for (mon, J), v in zip(cols, solution):
             for inert, c in v.terms.items():
                 out_terms.setdefault(J, {})[tuple(map(add, mon, inert))] = c
     return kind(n, len(res_tuples[0]) if res_tuples else 0,
@@ -539,12 +545,9 @@ def _split_multiplier(alpha1, rho, y, r, n, report):
                 system.add((tuple(new), (j,)), col, Fraction(mon[j]))
         for row, v in rows.items():
             system.rhs(row, v)
-        res = system.solve()
-        report.add(r, len(system.rows), system.ncols, res.consistent, "multiplier split")
-        if not res.consistent:
-            raise SolveInconsistencyError(
-                "multiplier split inconsistent", degree=r, residual=rho)
-        for (kind_, mon), v in zip(cols, res.solution):
+        solution = report.solve(system, r, "multiplier split",
+                                "multiplier split inconsistent", rho)
+        for (kind_, mon), v in zip(cols, solution):
             for inert, c in v.terms.items():
                 terms[kind_][tuple(map(add, mon, inert))] = c
     return Poly(n, terms["f"]), Poly(n, terms["h"])
@@ -592,10 +595,6 @@ def _rational_kth_root(c: Fraction, k: int) -> Optional[Fraction]:
     if num is None or den is None:
         return None
     return Fraction(num, den)
-
-
-def _euler_field(n: int, active: Sequence[int]) -> Multivector:
-    return Multivector(n, 1, {(i,): Poly.variable(n, i) for i in active})
 
 
 def _exp_series(op, p: Poly, N: int) -> Poly:
@@ -715,7 +714,7 @@ def _solve_lie_multiplier(P1: Multivector, diag: Sequence[int], f_r: Poly,
     inert-parameter monomials.
     """
     r = int(f_r.degree)
-    E = _euler_field(n, active)
+    E = Multivector(n, 1, {(i,): Poly.variable(n, i) for i in active})  # Euler field
 
     fields: List[Multivector] = []
     mons = _monomials_of_degree(n, r)
@@ -750,12 +749,10 @@ def _solve_lie_multiplier(P1: Multivector, diag: Sequence[int], f_r: Poly,
     for key, poly in P1.poly_scale(f_r).comps.items():
         for exps, c in poly.terms.items():
             system.rhs((key, exps), c)
-    res = system.solve()
-    report.add(r, len(system.rows), system.ncols, res.consistent, "Lie multiplier")
-    if not res.consistent:
-        raise SolveInconsistencyError("multiplier Lie solve inconsistent", degree=r)
+    solution = report.solve(system, r, "Lie multiplier",
+                            "multiplier Lie solve inconsistent")
     X = Multivector(n, 1, {})
-    for vf, v in zip(fields, res.solution):
+    for vf, v in zip(fields, solution):
         if v:
             X = X + vf.scale(v)
     return X
@@ -808,19 +805,18 @@ def prelinearize_type2(P: Multivector, N: int) -> Type2PrelinResult:
     Decompose with one graded division per frame slot, make the frame commute
     with everything by transport solves along V_i, and straighten each V_i
     by flow-box coordinates u_k = x_k + w_k, with V_i(w_k) = -(V_i - d_i)_k
-    and w_k = 0 on x_i = 0: one more transport solve per coordinate. In the
-    returned coordinates X has no frame components and no frame-variable
-    dependence through degree N, and
+    and w_k = 0 on x_i = 0: one more transport solve per coordinate. X and
+    the later frame fields commute with V_i and move by slice transport; the
+    multiplier is kept as F = f o change, and f takes the one inverse of
+    change that the contract check reads too. In the returned coordinates X
+    has no frame components and no frame-variable dependence through N, and
         pushforward_tensor(P, change, N) == f * frame ^ X   (truncated at N).
 
     One pass on one precision schedule (module docstring, "Degree
     bookkeeping"): the frame decomposition runs at N + q - 1, and slot i
-    (i = 0..q-2) works at D = N + q - 2 - i. X, g, f and the straightening
-    step are cut at D, and the later frame fields, corrected and pushed, at
-    D - 1, the next slot's D; so the last slot works at N, and X, f and the
-    change end trusted through N. An inconsistency inside the window is an
-    obstruction of the input and raises; the contract check at N is a check,
-    not a retry condition.
+    (i = 0..q-2) works at D = N + q - 2 - i, so the last works at N. An
+    inconsistency inside the window is an obstruction of the input and
+    raises; the contract check at N is a check, not a retry condition.
     """
     if N < 2:
         raise PreconditionError("N must be >= 2")
@@ -850,7 +846,7 @@ def _prelinearize_attempt(P: Multivector, N: int) -> Type2PrelinResult:
     _check_gap((cand - T).truncate(N + S),
                "frame decomposition does not reproduce the tensor (input not Nambu?)")
 
-    f_acc = Poly.one(n)
+    F = Poly.one(n)  # the multiplier, read in the input's coordinates
     phi_total = FormalMap.identity(n)
     zero = Poly.zero(n)
     for i in range(S):
@@ -859,14 +855,15 @@ def _prelinearize_attempt(P: Multivector, N: int) -> Type2PrelinResult:
         D = N + S - 1 - i
         Vi = Vs[i]
         # (a) make X commute with V_i: X <- gX with V_i(g) + f_i g = 0; 1/g
-        # solves V_i(1/g) = f_i / g with the same slice value 1
-        f_i = _bracket_quotient(X, lie_bracket(Vi, X), y, D, report,
+        # solves V_i(1/g) = f_i / g with the same slice value 1, and F takes
+        # it on through the map so far
+        f_i = _bracket_quotient(X, lie_bracket(Vi, X, D), y, D, report,
                                 f"bracket ratio {i + 1}")
         X = X.poly_scale(_transport_solve(Vi, i, D, f_i, zero, 1), D)
-        f_acc = f_acc.mul(_transport_solve(Vi, i, D, -f_i, zero, 1), D)
+        F = F.mul(_transport_solve(Vi, i, D, -f_i, zero, 1).substitute(phi_total.comps, D), D)
         # (b) correct the later frame fields: V_j <- V_j + gamma_j X
         for j in range(i + 1, S):
-            g_ij = _bracket_quotient(X, lie_bracket(Vi, Vs[j]), y, D - 1, report,
+            g_ij = _bracket_quotient(X, lie_bracket(Vi, Vs[j], D - 1), y, D - 1, report,
                                      f"frame bracket {i + 1},{j + 1}")
             gamma = _transport_solve(Vi, i, D - 1, zero, -g_ij, 0)
             Vs[j] = (Vs[j] + X.poly_scale(gamma, D - 1)).truncate(D - 1)
@@ -876,11 +873,9 @@ def _prelinearize_attempt(P: Multivector, N: int) -> Type2PrelinResult:
         step = FormalMap([Poly.variable(n, k)
                           + _transport_solve(Vi, i, D, zero, -tail.component((k,)), 0)
                           for k in range(n)], trunc=D)
-        X = pushforward_tensor(X, step, D)
+        X = _slice_push(X, step, i, D)
         for j in range(i + 1, S):
-            # pushed at D, not D - 1, so the one inverse of step serves
-            Vs[j] = pushforward_tensor(Vs[j], step, D).truncate(D - 1)
-        f_acc = f_acc.substitute(step.inverse(D).comps, D)
+            Vs[j] = _slice_push(Vs[j], step, i, D - 1)
         phi_total = step.compose(phi_total, D)
         Vs[i] = coordinate_field(n, i)
 
@@ -893,8 +888,9 @@ def _prelinearize_attempt(P: Multivector, N: int) -> Type2PrelinResult:
             if any(exps[t] for t in range(S)):
                 raise SolveInconsistencyError(
                     "field keeps frame-variable dependence", degree=sum(exps))
-    f_out = f_acc.truncate(N)
     change = FormalMap([c.truncate(N) for c in phi_total.comps], trunc=N)
+    # f = F o change^-1; the contract's pushforward reads the same cached inverse
+    f_out = F.substitute(change.inverse(N).comps, N)
     # the contract, verified at the user's order
     lhs = pushforward_tensor(P, change, N)
     rhs = wedge_all(frame + [X_out], N).poly_scale(f_out, N)
@@ -918,6 +914,17 @@ def _bracket_quotient(X, bracket, y, D, report, label) -> Poly:
             f"bracket leaves the active block: {label}", degree=bad,
             residual=t.homogeneous_component(bad))
     return graded_divide(X.truncate(D), t, y, D, report, label).as_poly()
+
+
+def _slice_push(Y: Multivector, step: FormalMap, i: int, D: int) -> Multivector:
+    """step_* Y through D for Y commuting with V_i, step's components being
+    V_i's flow-box coordinates u (V_i(u_k) = delta_ik, u = x on x_i = 0):
+    V_i(Y(u_k)) = [V_i, Y](u_k) = 0, so Y(u_k) o step^-1 is Y(u_k) on x_i = 0.
+    """
+    n = Y.nvars
+    return Multivector(n, 1, {
+        (k,): Poly(n, {e: c for e, c in apply_vector(Y, u, D).terms.items() if not e[i]})
+        for k, u in enumerate(step.comps)})
 
 
 def _transport_solve(V: Multivector, i: int, N: int, f: Poly, rhs: Poly,
@@ -954,7 +961,6 @@ class PoincareResult:
     change: FormalMap
     report: GradedSolveReport
     resonance: "ResonanceReport"
-    divisors: Dict[int, float]
 
 
 def poincare_linearize(X: Multivector, N: int, tol: float = 1e-9) -> PoincareResult:
@@ -962,8 +968,9 @@ def poincare_linearize(X: Multivector, N: int, tol: float = 1e-9) -> PoincareRes
 
     The resonance gate runs first (orders 2..N at tolerance tol); the
     homological operator is a rational matrix, so each degree is solved
-    exactly over Q whether or not the eigenvalues are rational. Divisor
-    magnitudes are recorded for the report.
+    exactly over Q whether or not the eigenvalues are rational. The change
+    solves X(Phi_j) = L_j o Phi degree by degree, phi_d = -U for [L, U] = R,
+    R the degree-d part of X(Phi); it is unique through N (Murdock 2003).
     """
     if X.grade != 1:
         raise PreconditionError("poincare_linearize needs a vector field")
@@ -981,24 +988,19 @@ def poincare_linearize(X: Multivector, N: int, tol: float = 1e-9) -> PoincareRes
             f"resonances of order <= {N} at tol={tol}: {offending}")
 
     report = GradedSolveReport()
-    cur = X.truncate(N)
-    phi_total = FormalMap.identity(n)
-    L = lin
+    comps = [Poly.variable(n, i) for i in range(n)]
     for d in range(2, N + 1):
-        R = cur.homogeneous_component(d)
+        # Phi stops below degree d, so L o Phi has no part of degree d
+        R = Multivector(n, 1, {(j,): apply_vector(X, c, d).homogeneous_component(d)
+                               for j, c in enumerate(comps)})
         if R.is_zero():
             continue
-        U = _homological_solve(L, R, d, report)
-        # pushing forward along x -> x + U adds [L, U]; kill R with -U
-        comps = [Poly.variable(n, i) - U.component((i,)) for i in range(n)]
-        step = FormalMap(comps, trunc=N)
-        cur = pushforward_tensor(cur, step, N)
-        if not cur.homogeneous_component(d).is_zero():
-            raise SolveInconsistencyError("homological step failed", degree=d)
-        phi_total = step.compose(phi_total, N)
-    _check_gap((cur - L).truncate(N), "linearization incomplete")
-    divisors = dict(reson.small_divisors)
-    return PoincareResult(phi_total, report, reson, divisors)
+        U = _homological_solve(lin, R, d, report)
+        comps = [c - U.component((j,)) for j, c in enumerate(comps)]
+    gap = {(j,): apply_vector(X, c, N) - lin.component((j,)).substitute(comps)
+           for j, c in enumerate(comps)}  # X(Phi_j) - L_j o Phi
+    _check_gap(Multivector(n, 1, gap), "linearization incomplete")
+    return PoincareResult(FormalMap(comps, trunc=N), report, reson)
 
 
 def _homological_solve(L: Multivector, R: Multivector, d: int,
@@ -1017,12 +1019,9 @@ def _homological_solve(L: Multivector, R: Multivector, d: int,
     for (j,), poly in R.comps.items():
         for exps, c in poly.terms.items():
             system.rhs((exps, j), c)
-    res = system.solve()
-    report.add(d, len(system.rows), system.ncols, res.consistent, "homological")
-    if not res.consistent:
-        raise SolveInconsistencyError("homological equation inconsistent", degree=d)
+    solution = report.solve(system, d, "homological", "homological equation inconsistent")
     terms: Dict[tuple, dict] = {}
-    for (mon, i), v in zip(basis, res.solution):
+    for (mon, i), v in zip(basis, solution):
         if v:
             terms.setdefault((i,), {})[mon] = v
     return Multivector(n, 1, {k: Poly(n, t) for k, t in terms.items()})

@@ -12,6 +12,7 @@ from nambu.exterior import (
     DiffForm,
     FormalMap,
     Multivector,
+    apply_vector,
     basis_multivector,
     coordinate_field,
     coordinate_form,
@@ -195,6 +196,25 @@ def test_lie_bracket_jacobi_randomized():
             lie_bracket(Y, lie_bracket(Z, X)) + \
             lie_bracket(Z, lie_bracket(X, Y))
         assert jac.is_zero()
+
+
+@st.composite
+def field_pairs(draw):
+    """Two vector fields on 2..4 variables with coefficients of degree <= 3,
+    and a cut degree."""
+    n = draw(st.integers(2, 4))
+    X, Y = (Multivector(n, 1, {(k,): draw(small_polys(n, 3)) for k in range(n)})
+            for _ in range(2))
+    return X, Y, draw(st.integers(0, 5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(field_pairs())
+def test_cut_derivations_equal_the_truncated_uncut_ones(case):
+    X, Y, trunc = case
+    f = Y.component((0,))
+    assert apply_vector(X, f, trunc) == apply_vector(X, f).truncate(trunc)
+    assert lie_bracket(X, Y, trunc) == lie_bracket(X, Y).truncate(trunc)
 
 
 # -- duality -----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Formal normalization: divisions, Type-1/Type-2 inductions, resonances."""
 
+import hashlib
 import io
 import itertools
 import json
@@ -817,6 +818,25 @@ def test_linearize_type2_deep_order(capsys, monkeypatch):
     assert linearize_type2_cli(P, 8, capsys, monkeypatch) == 0
 
 
+# sha256 of the `linearize --type2` output, reports included, pinned from
+# passes that moved every object by a Jacobian pushforward: moving them by
+# derivations instead must change no byte
+GOLDEN_TYPE2 = {
+    (4, 3, 8): "e10a4af4b40e7b1823bc321a9b2311545750ebbbe71765780a3e2ce1475ea7fa",
+    (6, 4, 5): "1ef9551f3d6721b9d53e26c040b6e98856ccdd99bad957228975f094554d5658",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(GOLDEN_TYPE2), ids="{0[0]},{0[1]},{0[2]}".format)
+def test_linearize_type2_golden_output(shape, capsys, monkeypatch):
+    n, q, N = shape
+    _, w0 = normal_form_generator("type2", n, q, matrix=sweep_matrix("companion", n - q + 1))
+    P = form_to_tensor(pullback_form(w0, shifted_support_map(n, 1, -1)))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(P.to_json_obj())))
+    assert run(["linearize", "-", "--type2", "--order", str(N)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN_TYPE2[shape]
+
+
 @st.composite
 def transport_inputs(draw):
     """(V, i, N, f, rhs, start): V = d_i + a tail whose coefficients have
@@ -842,6 +862,38 @@ def test_transport_solve(case):
     g_plus = formal._transport_solve(V, i, N, f, zero, 1)
     g_minus = formal._transport_solve(V, i, N, -f, zero, 1)
     assert g_plus.mul(g_minus, N) == Poly.one(n)
+
+
+@st.composite
+def commuting_fields(draw):
+    """(V, Y, i, D, exact): V = chi_* d_i and Y = chi_* Z for a map chi =
+    x + (quadratic terms) and a field Z whose coefficients do not involve x_i,
+    so [V, Y] = chi_* [d_i, Z] = 0; both are pushed through D + 2. Z vanishes
+    at 0 or not, and the pushed Y is exact through `exact`, D or D - 1."""
+    n = draw(st.integers(2, 4))
+    i = draw(st.integers(0, n - 1))
+    D = draw(st.integers(2, 4))
+    vanishing = draw(st.booleans())
+    chi = FormalMap([x(n, k) + _draw_poly(draw, n, [2]) for k in range(n)])
+    Z = Multivector(n, 1, {
+        (k,): Poly(n, {e: c for e, c in _draw_poly(draw, n, [1, 2] if vanishing else [0, 1, 2])
+                       .terms.items() if not e[i]})
+        for k in range(n)})
+    V = pushforward_tensor(coordinate_field(n, i), chi, D + 2)
+    return V, pushforward_tensor(Z, chi, D + 2), i, D, D if vanishing else D - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(commuting_fields())
+def test_slice_push_is_the_pushforward(case):
+    V, Y, i, D, exact = case
+    n = V.nvars
+    tail = V - coordinate_field(n, i)
+    step = FormalMap([x(n, k) + formal._transport_solve(V, i, D, Poly.zero(n),
+                                                        -tail.component((k,)), 0)
+                      for k in range(n)], trunc=D)
+    assert (formal._slice_push(Y, step, i, D).truncate(exact)
+            == pushforward_tensor(Y, step, D).truncate(exact))
 
 
 # -- Poincare linearization ------------------------------------------------------------------
@@ -880,7 +932,59 @@ def test_poincare_nonresonant_linearizes():
         pushed = pushforward_tensor(X, res.change, N)
         assert (pushed - lin).truncate(N).is_zero()
         # divisors never vanish: min over orders 2..3 of |2a+3b - lam| >= 1
-        assert all(v >= 1 for v in res.divisors.values())
+        assert all(v >= 1 for v in res.resonance.small_divisors.values())
+
+
+def poincare_by_pushforward(X, N):
+    """Poincare linearization by a per-degree pushforward loop, an
+    independent reference: solve [L, U] = R for the lowest nonlinear part R
+    of the current field, push the field along x -> x - U and compose."""
+    n = X.nvars
+    L = X.homogeneous_component(1)
+    cur = X.truncate(N)
+    phi = FormalMap.identity(n)
+    for d in range(2, N + 1):
+        R = cur.homogeneous_component(d)
+        if R.is_zero():
+            continue
+        U = formal._homological_solve(L, R, d, GradedSolveReport())
+        step = FormalMap([x(n, i) - U.component((i,)) for i in range(n)], trunc=N)
+        cur = pushforward_tensor(cur, step, N)
+        assert cur.homogeneous_component(d).is_zero()
+        phi = step.compose(phi, N)
+    assert (cur - L).truncate(N).is_zero()
+    return phi
+
+
+@st.composite
+def poincare_inputs(draw):
+    """(X, N): a diagonal or companion linear part on 2 or 3 variables, with
+    no resonance of order <= N, plus terms of degree 2 and 3."""
+    n = draw(st.integers(2, 3))
+    N = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        values = draw(st.lists(st.sampled_from([-3, -2, 2, 3, 5, 7]),
+                               min_size=n, max_size=n, unique=True))
+        B = diagonal(values)
+    else:
+        # companion matrix of x^n - c_{n-1} x^{n-1} - ... - c_0
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        B = RatMatrix([[int(j == i + 1) for j in range(n)] for i in range(n - 1)] + [coeffs])
+    assume(B.det() != 0)
+    assume(not [r for r in resonance_report(B, N).resonances if sum(r[1]) <= N])
+    lin = Multivector(n, 1, {(j,): sum((x(n, i).scale(B[i, j]) for i in range(n)), Poly.zero(n))
+                             for j in range(n)})
+    pert = Multivector(n, 1, {(j,): _draw_poly(draw, n, [2, 3]) for j in range(n)})
+    return lin + pert, N
+
+
+@settings(max_examples=40, deadline=None)
+@given(poincare_inputs())
+def test_poincare_solves_what_the_pushforward_loop_solves(case):
+    # without resonances of order <= N the change tangent to the identity is
+    # unique through N, so the conjugacy equation finds the loop's map
+    X, N = case
+    assert poincare_linearize(X, N).change.comps == poincare_by_pushforward(X, N).comps
 
 
 def test_poincare_zero_linear_part_rejected():
