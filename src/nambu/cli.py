@@ -1,8 +1,10 @@
 """Command-line front end: verify / classify / linearize / resonance / generate.
 
 Exit codes: 0 success or verified-pass, 1 verified-fail or resonance found,
-2 malformed input, 3 precondition unmet (q < 3, not co-Nambu, degenerate
-linear part, zero trace), 4 internal solve inconsistency, 5 any other
+2 malformed input or flag value (a --tol, NAMBU_TOL or --bryuno value that
+is not finite, a --tol that is not positive), 3 precondition unmet (q < 3,
+not co-Nambu, degenerate linear part, zero trace, empty resonance matrix),
+4 internal solve inconsistency, 5 any other
 internal error, printed as one line (`internal error: <Type>: <message>`)
 without a traceback. Exit 1 never reports a crash.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -72,18 +75,37 @@ def parse_input(data: dict, as_form: bool = False):
 
 
 def _default_tol(args) -> float:
-    env = os.environ.get("NAMBU_TOL")
-    if getattr(args, "tol", None) is not None:
-        return args.tol
-    if env:
+    """--tol, else NAMBU_TOL, else 1e-9; either must be positive and finite."""
+    value, source = args.tol, "--tol"
+    if value is None:
+        env = os.environ.get("NAMBU_TOL")
+        if not env:
+            return 1e-9
         try:
             value = float(env)
         except ValueError:
             raise InputError(f"bad NAMBU_TOL value {env!r}")
-        if value <= 0:
-            raise InputError("NAMBU_TOL must be positive")
-        return value
-    return 1e-9
+        source = "NAMBU_TOL"
+    if not 0 < value < math.inf:
+        raise InputError(f"{source} must be positive and finite, not {value}")
+    return value
+
+
+def _read_matrix(data) -> RatMatrix:
+    """The matrix of {"matrix": [[...], ...]}: rows of JSON numbers or rational strings."""
+    if not isinstance(data, dict) or "matrix" not in data:
+        raise InputError('resonance input needs {"matrix": [[...], ...]}')
+    rows = data["matrix"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise InputError("matrix must be a list of rows")
+    for row in rows:
+        for v in row:
+            if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+                raise InputError(f"bad matrix entries: {v!r} is not a number")
+    try:
+        return RatMatrix([[Fraction(v) for v in row] for row in rows])
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise InputError(f"bad matrix entries: {exc}")
 
 
 def _emit(payload: dict, args) -> None:
@@ -158,13 +180,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_resonance(args) -> int:
-    data = _read_payload(args.input)
-    if not isinstance(data, dict) or "matrix" not in data:
-        raise InputError('resonance input needs {"matrix": [[...], ...]}')
-    try:
-        B = RatMatrix([[Fraction(v) for v in row] for row in data["matrix"]])
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise InputError(f"bad matrix entries: {exc}")
+    tol = _default_tol(args)
     C = eps = None
     if args.bryuno:
         try:
@@ -172,7 +188,10 @@ def _cmd_resonance(args) -> int:
             C, eps = float(c_text), float(eps_text)
         except ValueError:
             raise InputError("--bryuno expects C,EPS")
-    rep = resonance_report(B, args.max_order, _default_tol(args), C, eps)
+        if not (math.isfinite(C) and math.isfinite(eps)):
+            raise InputError(f"--bryuno expects finite C,EPS, not {args.bryuno}")
+    B = _read_matrix(_read_payload(args.input))
+    rep = resonance_report(B, args.max_order, tol, C, eps)
     _emit(rep.to_json_obj(), args)
     return EXIT_FAIL if rep.resonant else EXIT_OK
 
@@ -211,6 +230,7 @@ def _linearize_type1(obj, N, args) -> int:
 
 
 def _linearize_type2(obj, N, args) -> int:
+    tol = _default_tol(args)
     if isinstance(obj, DiffForm):
         P = form_to_tensor(obj)
     else:
@@ -227,7 +247,6 @@ def _linearize_type2(obj, N, args) -> int:
     n = P.nvars
     yidx = list(range(q - 1, n))
     Xy = restrict(pre.field, yidx)
-    tol = _default_tol(args)
     try:
         pres = poincare_linearize(Xy, N, tol)
     except PreconditionError as exc:

@@ -1031,54 +1031,68 @@ def _homological_solve(L: Multivector, R: Multivector, d: int,
 # resonance and small-divisor diagnostics
 # ---------------------------------------------------------------------------
 
+def _weighted_multi_indices(values: Sequence, order: int):
+    """Yield (m, <m, values>) for every multi-index m with |m| = order, in the
+    order of itertools.combinations_with_replacement(range(len(values)),
+    order), so m_1 falls first. The sums are nested prefix sums: each is
+    0 + m_1 v_1 + m_2 v_2 + ..., added left to right from int 0 as sum() adds.
+    Nothing is stored, so memory stays flat at any order."""
+    last = len(values) - 1
+
+    def extend(j, left, prefix, m):
+        if j == last:
+            yield m + (left,), prefix + left * values[j]
+            return
+        v = values[j]
+        for c in range(left, -1, -1):
+            yield from extend(j + 1, left - c, prefix + c * v, m + (c,))
+
+    return extend(0, order, 0, ())
+
+
 def resonance_report(B: RatMatrix, M: int, tol: float = 1e-9,
                      C: Optional[float] = None,
                      eps: Optional[float] = None) -> ResonanceReport:
     """Enumerate eigenvalue relations lambda_i = <m, lambda> for 2 <= |m| <= M.
 
     Exact arithmetic when every eigenvalue is rational (then the result is
-    tolerance-independent); numeric at tol otherwise. With (C, eps) the
-    finite-order Bryuno proxy records, per order, whether
+    tolerance-independent): the eigenvalues are written a_j / D over the lcm D
+    of their denominators, so every sum <m, a> and gap <m, a> - a_i is an int,
+    and the smallest |gap| of each order is divided by D once (int / int
+    division is correctly rounded). Numeric at tol otherwise. With (C, eps)
+    the finite-order Bryuno proxy records, per order, whether
     min |<m,lambda> - lambda_k| > C exp(-|m|^(1-eps)).
     """
     if B.rows != B.cols:
         raise PreconditionError("resonance_report needs a square matrix")
+    if B.rows == 0:
+        raise PreconditionError("resonance_report needs a nonempty matrix")
     if M < 2:
         raise PreconditionError("max order must be >= 2")
-    if tol <= 0:
-        raise PreconditionError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise PreconditionError("tol must be positive and finite")
     ed = eigen_data(B, tol)
-    P = B.rows
     exact = ed.all_rational
-    lams_exact = ed.rational_eigenvalues if exact else None
     lams = ed.numeric_eigenvalues
+    if exact:
+        rats = ed.rational_eigenvalues
+        D = math.lcm(*(lam.denominator for lam in rats))
+        values = [lam.numerator * (D // lam.denominator) for lam in rats]
+        reach = 0  # an int gap is a resonance only when it is 0
+    else:
+        D, values, reach = 1, lams, tol
     resonances = []
     small: Dict[int, float] = {}
     for order in range(2, M + 1):
-        best = None
-        for m in itertools.combinations_with_replacement(range(P), order):
-            counts = [0] * P
-            for i in m:
-                counts[i] += 1
-            if exact:
-                total = sum((counts[j] * lams_exact[j] for j in range(P)),
-                            Fraction(0))
-            else:
-                total = sum(counts[j] * lams[j] for j in range(P))
-            for i in range(P):
-                if exact:
-                    delta = total - lams_exact[i]
-                    mag = abs(float(delta))
-                    hit = delta == 0
-                else:
-                    delta = total - lams[i]
-                    mag = abs(delta)
-                    hit = mag <= tol
-                if hit:
-                    resonances.append((i + 1, tuple(counts)))
-                if best is None or mag < best:
-                    best = mag
-        small[order] = best if best is not None else float("inf")
+        best = math.inf
+        for m, total in _weighted_multi_indices(values, order):
+            for i, v in enumerate(values, 1):
+                gap = abs(total - v)
+                if gap <= reach:
+                    resonances.append((i, m))
+                if gap < best:
+                    best = gap
+        small[order] = best / D
     bry = None
     params = None
     if C is not None:

@@ -14,7 +14,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 from typing import List, Optional, Sequence, Tuple
 
 Rational = Fraction
@@ -425,22 +425,28 @@ def parse_poly(text: str, nvars: int, varname: str = "x") -> Poly:
     if not tokens:
         raise PolyParseError("empty polynomial", 0)
     pos = 0
-    result = Poly.zero(nvars)
+    terms = {}
     first = True
     while pos < len(tokens):
         kind, _, at = tokens[pos]
-        sign = Fraction(1)
+        sign = 1
         if kind in ("+", "-"):
-            sign = Fraction(1) if kind == "+" else Fraction(-1)
+            sign = 1 if kind == "+" else -1
             pos += 1
             if pos >= len(tokens):
                 raise PolyParseError("expected a term after sign", at + 1)
         elif not first:
             raise PolyParseError("expected '+' or '-' between terms", at)
-        term, pos = _parse_term(tokens, pos, nvars, varname, text)
-        result = result + term.scale(sign)
+        exps, coeff, pos = _parse_term(tokens, pos, nvars, varname, text)
         first = False
-    return result
+        if coeff:
+            # a sum that cancels leaves the dict, as in Poly.__add__
+            s = terms.get(exps, 0) + sign * coeff
+            if s:
+                terms[exps] = s
+            else:
+                del terms[exps]
+    return Poly._make(nvars, {e: Fraction(c) for e, c in terms.items()})
 
 
 def _tokenize(text: str, varname: str):
@@ -474,7 +480,7 @@ def _tokenize(text: str, varname: str):
                 tokens.append(("num", Fraction(num, den), i))
                 i = m
             else:
-                tokens.append(("num", Fraction(num), i))
+                tokens.append(("num", num, i))
                 i = j
             continue
         if text.startswith(varname, i):
@@ -492,7 +498,8 @@ def _tokenize(text: str, varname: str):
 
 
 def _parse_term(tokens, pos, nvars, varname, text):
-    coeff = Fraction(1)
+    """(exponent tuple, coefficient, next position) of the term at pos."""
+    coeff = 1
     exps = [0] * nvars
     saw_factor = False
     star_at = None
@@ -535,7 +542,7 @@ def _parse_term(tokens, pos, nvars, varname, text):
     if not saw_factor:
         at = tokens[pos][2] if pos < len(tokens) else len(text)
         raise PolyParseError("expected a term", at)
-    return Poly.monomial(nvars, exps, coeff), pos
+    return tuple(exps), coeff, pos
 
 
 # ---------------------------------------------------------------------------
@@ -964,29 +971,37 @@ def inertia(S: RatMatrix) -> InertiaResult:
 # ---------------------------------------------------------------------------
 
 def char_poly(M: RatMatrix) -> List[Fraction]:
-    """Monic characteristic polynomial det(tI - M), coefficients ascending."""
+    """Monic characteristic polynomial det(tI - M), coefficients ascending.
+
+    Faddeev-LeVerrier on the integer matrix A = d*M, d the lcm of M's
+    denominators: A's coefficients c_k are ints (each division by k is exact),
+    and M's coefficient of t^(n-k) is c_k / d^k.
+    """
     if M.rows != M.cols:
         raise PreconditionError("characteristic polynomial of a non-square matrix")
     n = M.rows
-    # Faddeev-LeVerrier over Q
+    d = math.lcm(*(v.denominator for row in M.data for v in row))
+    A = [[v.numerator * (d // v.denominator) for v in row] for row in M.data]
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
-    A = RatMatrix.identity(n)
+    # after step k, W = A^k + c_1 A^(k-1) + ... + c_k I
+    W = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        A = M.matmul(A)
-        trace = sum((A.data[i][i] for i in range(n)), Fraction(0))
-        c = -trace / k
-        coeffs[n - k] = c
-        A = RatMatrix([[A.data[i][j] + (c if i == j else 0) for j in range(n)]
-                       for i in range(n)])
+        cols = list(zip(*W))
+        W = [[sum(map(mul, row, col)) for col in cols] for row in A]
+        c = -sum(W[i][i] for i in range(n)) // k
+        coeffs[n - k] = Fraction(c, d ** k)
+        for i in range(n):
+            W[i][i] += c
     return coeffs
 
 
 def rational_roots(coeffs: Sequence[Fraction]) -> Tuple[List[Fraction], List[Fraction]]:
     """All rational roots (with multiplicity) plus the remaining factor.
 
-    Uses the rational-root theorem on the integer-cleared polynomial and
-    deflates each found root by synthetic division.
+    Uses the rational-root theorem on the integer-cleared polynomial, tests
+    each candidate p/q by integer Horner on q^deg * f(p/q), and deflates each
+    found root by synthetic division.
     """
     work = [Fraction(v) for v in coeffs]
     while work and work[-1] == 0:
@@ -1014,7 +1029,7 @@ def rational_roots(coeffs: Sequence[Fraction]) -> Tuple[List[Fraction], List[Fra
     while len(work) > 1 and changed:
         changed = False
         denom = math.lcm(*(c.denominator for c in work))
-        ints = [int(c * denom) for c in work]
+        ints = [c.numerator * (denom // c.denominator) for c in work]
         lead, const = ints[-1], ints[0]
         if const == 0:
             roots.append(Fraction(0))
@@ -1026,10 +1041,12 @@ def rational_roots(coeffs: Sequence[Fraction]) -> Tuple[List[Fraction], List[Fra
              for s in (1, -1)},
             key=lambda f: (abs(f), f < 0))
         for cand in candidates:
-            # synthetic division test
-            acc = Fraction(0)
-            for c in reversed(work):
-                acc = acc * cand + c
+            # p/q is a root iff q^deg * f(p/q) = sum_i ints[i] p^i q^(deg-i) is 0
+            p, q = cand.numerator, cand.denominator
+            acc, qk = 0, 1
+            for c in reversed(ints):
+                acc = acc * p + c * qk
+                qk *= q
             if acc == 0:
                 roots.append(cand)
                 new = [Fraction(0)] * (len(work) - 1)

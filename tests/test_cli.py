@@ -174,6 +174,56 @@ def test_nambu_tol_env(capsys, monkeypatch):
     assert code == 2 and "NAMBU_TOL" in err
 
 
+# a matrix with the irrational pair (1 +- sqrt 5) / 2: the numeric path reads tol
+IRRATIONAL_PAYLOAD = json.dumps({"matrix": [["0", "1"], ["1", "1"]]})
+
+
+def _assert_input_error(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+def test_resonance_nonfinite_or_nonpositive_tol_exit2(capsys, monkeypatch, tol):
+    _assert_input_error(*invoke(capsys, ["resonance", "-", f"--tol={tol}"],
+                                IRRATIONAL_PAYLOAD, monkeypatch))
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_nambu_tol_env_nonfinite_exit2(capsys, monkeypatch, tol):
+    monkeypatch.setenv("NAMBU_TOL", tol)
+    code, out, err = invoke(capsys, ["resonance", "-"], IRRATIONAL_PAYLOAD, monkeypatch)
+    _assert_input_error(code, out, err)
+    assert "NAMBU_TOL" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_linearize_nonfinite_tol_exit2(capsys, monkeypatch, tol):
+    _, fixture, _ = invoke(capsys, ["generate", "type2", "--n", "5", "--q", "4",
+                                    "--matrix", "2,0;0,3"])
+    _assert_input_error(*invoke(capsys, ["linearize", "-", "--type2", "--order", "3",
+                                         "--tol", tol], fixture, monkeypatch))
+
+
+@pytest.mark.parametrize("bryuno", ["nan,0.5", "1.0,nan", "inf,0.5"])
+def test_resonance_nonfinite_bryuno_exit2(capsys, monkeypatch, bryuno):
+    _assert_input_error(*invoke(capsys, ["resonance", "-", "--bryuno", bryuno],
+                                IRRATIONAL_PAYLOAD, monkeypatch))
+
+
+def test_resonance_empty_matrix_exit3(capsys, monkeypatch):
+    code, out, err = invoke(capsys, ["resonance", "-"], '{"matrix": []}', monkeypatch)
+    assert code == 3 and out == ""
+    assert "nonempty" in err
+
+
+@pytest.mark.parametrize("payload", ['{"matrix": [[true]]}', '{"matrix": [[1, false], [0, 1]]}',
+                                     '{"matrix": ["12", "34"]}', '{"matrix": 3}',
+                                     '{"matrix": [[null]]}'])
+def test_resonance_non_numeric_matrix_exit2(capsys, monkeypatch, payload):
+    _assert_input_error(*invoke(capsys, ["resonance", "-"], payload, monkeypatch))
+
+
 def test_linearize_type2_zero_trace_exit3(capsys, monkeypatch):
     _, fixture, _ = invoke(capsys, ["generate", "type2", "--n", "5", "--q", "4",
                                     "--matrix", "0,1;-1,0"])

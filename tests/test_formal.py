@@ -4,6 +4,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -21,6 +22,7 @@ from nambu.polyalg import (
     PreconditionError,
     RatMatrix,
     SolveInconsistencyError,
+    eigen_data,
     parse_poly,
 )
 from nambu.exterior import (
@@ -49,6 +51,7 @@ from nambu.formal import (
     homotopy_antiderivative,
     poincare_linearize,
     prelinearize_type2,
+    ResonanceReport,
     remove_multiplier,
     resonance_report,
 )
@@ -1040,3 +1043,100 @@ def test_bryuno_proxy():
     assert all(rep.bryuno.values())
     rep2 = resonance_report(RatMatrix([[2, 0], [0, 3]]), 8, C=50.0, eps=0.5)
     assert not all(rep2.bryuno.values())
+
+
+def _fraction_resonance_report(B, M, tol=1e-9, C=None, eps=None):
+    """Reference: the Fraction enumeration that resonance_report replaced, one
+    Fraction sum and one float per multi-index and eigenvalue."""
+    ed = eigen_data(B, tol)
+    P = B.rows
+    exact = ed.all_rational
+    lams_exact = ed.rational_eigenvalues if exact else None
+    lams = ed.numeric_eigenvalues
+    resonances = []
+    small = {}
+    for order in range(2, M + 1):
+        best = None
+        for m in itertools.combinations_with_replacement(range(P), order):
+            counts = [0] * P
+            for i in m:
+                counts[i] += 1
+            if exact:
+                total = sum((counts[j] * lams_exact[j] for j in range(P)), Fraction(0))
+            else:
+                total = sum(counts[j] * lams[j] for j in range(P))
+            for i in range(P):
+                if exact:
+                    delta = total - lams_exact[i]
+                    mag = abs(float(delta))
+                    hit = delta == 0
+                else:
+                    delta = total - lams[i]
+                    mag = abs(delta)
+                    hit = mag <= tol
+                if hit:
+                    resonances.append((i + 1, tuple(counts)))
+                if best is None or mag < best:
+                    best = mag
+        small[order] = best
+    bry = params = None
+    if C is not None:
+        bry = {k: small[k] > C * math.exp(-k ** (1.0 - eps)) for k in small}
+        params = (C, eps)
+    return ResonanceReport(lams, M, exact, resonances, small, bry, params)
+
+
+# rational eigenvalues with zero, negatives, fractions and (by repeated draws) repeats
+_RESONANCE_RATIONALS = [Fraction(v) for v in (0, 1, -1, 2, -2, 3)] + [
+    Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3), Fraction(5, 4), Fraction(-7, 6)]
+# (a, b) with t^2 - a t - b irreducible over Q: real and complex irrational pairs
+_IRRATIONAL_PAIRS = [(1, 1), (0, 2), (0, 3), (2, 1), (1, -1), (0, -1), (-1, Fraction(5, 4))]
+
+
+@st.composite
+def resonance_inputs(draw):
+    """(B, M, tol, C, eps): B conjugate to a block upper triangular matrix whose
+    diagonal blocks are the drawn rational eigenvalues and at most two
+    irrational 2x2 companion blocks."""
+    size = draw(st.integers(1, 4))
+    # distinct pairs: mpmath.polyroots does not converge on a repeated irrational pair
+    blocks = draw(st.lists(st.sampled_from(_IRRATIONAL_PAIRS), max_size=size // 2, unique=True))
+    T = [[Fraction(0)] * size for _ in range(size)]
+    k = 0
+    for a, b in blocks:
+        T[k][k + 1], T[k + 1][k], T[k + 1][k + 1] = Fraction(b), Fraction(1), Fraction(a)
+        k += 2
+    for j in range(k, size):
+        T[j][j] = draw(st.sampled_from(_RESONANCE_RATIONALS))
+    for i in range(size):
+        for j in range(i + 1, size):
+            if T[i][j] == 0:  # above the blocks; a block's own corner holds b != 0
+                T[i][j] = draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(-2, 3)]))
+    G = [[Fraction(int(i == j)) if j >= i else draw(st.sampled_from([0, 1, -1, 2]))
+          for j in range(size)] for i in range(size)]
+    G = RatMatrix(G)
+    B = G.matmul(RatMatrix(T)).matmul(G.inverse())
+    M = draw(st.integers(2, 8))
+    tol = draw(st.sampled_from([1e-9, 1e-3]))
+    C = eps = None
+    if draw(st.booleans()):
+        C, eps = draw(st.sampled_from([0.5, 1.0, 3.0])), draw(st.sampled_from([0.25, 0.5]))
+    return B, M, tol, C, eps
+
+
+@settings(max_examples=200, deadline=None)
+@given(resonance_inputs())
+def test_resonance_report_matches_the_fraction_enumeration(case):
+    # json text compares every float by its repr: resonance order, exactness and
+    # bit-identical small divisors and Bryuno verdicts
+    got = resonance_report(*case).to_json_obj()
+    want = _fraction_resonance_report(*case).to_json_obj()
+    assert json.dumps(got) == json.dumps(want)
+
+
+def test_resonance_report_rejects_empty_and_nonfinite_tol():
+    with pytest.raises(PreconditionError, match="nonempty"):
+        resonance_report(RatMatrix([]), 4)
+    for tol in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(PreconditionError, match="tol"):
+            resonance_report(RatMatrix([[1, 0], [0, 2]]), 4, tol)

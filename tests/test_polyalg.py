@@ -16,6 +16,7 @@ from nambu.polyalg import (
     eigen_data,
     inertia,
     parse_poly,
+    rational_roots,
     solve_linear,
     solve_sparse,
 )
@@ -256,6 +257,40 @@ def test_parse_errors_have_positions():
 
 def test_parse_implicit_multiplication():
     assert parse_poly("2x1x2", 2) == P("2*x1*x2", 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_parse_print_roundtrip(data):
+    n = data.draw(st.integers(1, 4))
+    p = data.draw(kernel_polys(n))
+    back = parse_poly(p.to_str(), n)
+    assert back == p
+    _assert_stored_clean(back)
+
+
+def test_parse_cancelled_terms_leave_no_zero():
+    p = parse_poly("x1 - x1 + 2", 1)
+    assert p == Poly.const(1, 2)
+    assert list(p.terms) == [(0,)]
+    assert parse_poly("x1 - x1", 1).is_zero()
+    assert parse_poly("0*x1 + 0", 1).is_zero()
+
+
+_term_texts = st.tuples(st.sampled_from(["+", "-"]), st.sampled_from(["", "2*", "3/2*", "0*", "2 3/4 "]),
+                        st.sampled_from(["1", "x1", "x2^2", "x1*x2", "x2 x1", "x1^0"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_term_texts, min_size=1, max_size=8))
+def test_parse_term_order_is_the_fold_of_poly_add(terms):
+    # downstream dict order (pivot ties, bucket order) follows the parsed
+    # term order, so it must be the order of adding the terms one by one
+    text = " ".join(sign + coeff + mon for sign, coeff, mon in terms)
+    fold = Poly.zero(2)
+    for sign, coeff, mon in terms:
+        fold = fold + parse_poly(sign + coeff + mon, 2)
+    assert list(parse_poly(text, 2).terms.items()) == list(fold.terms.items())
 
 
 # -- linear solving -----------------------------------------------------------
@@ -576,3 +611,94 @@ def test_char_poly_companion():
     assert char_poly(M) == [Fraction(-6), Fraction(11), Fraction(-6), Fraction(1)]
     ed = eigen_data(M)
     assert ed.rational_eigenvalues == [Fraction(1), Fraction(2), Fraction(3)]
+
+
+def _fraction_char_poly(M):
+    """Reference: Faddeev-LeVerrier over Q, as char_poly ran before its integer form."""
+    n = M.rows
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = Fraction(1)
+    A = RatMatrix.identity(n)
+    for k in range(1, n + 1):
+        A = M.matmul(A)
+        c = -sum((A.data[i][i] for i in range(n)), Fraction(0)) / k
+        coeffs[n - k] = c
+        A = RatMatrix([[A.data[i][j] + (c if i == j else 0) for j in range(n)]
+                       for i in range(n)])
+    return coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_char_poly_matches_fraction_faddeev_leverrier(data):
+    n = data.draw(st.integers(0, 5))
+    M = RatMatrix([[data.draw(_coeff) for _ in range(n)] for _ in range(n)])
+    got = char_poly(M)
+    assert got == _fraction_char_poly(M)
+    assert all(isinstance(c, Fraction) for c in got)
+
+
+def _fraction_rational_roots(coeffs):
+    """Reference: rational_roots with the Fraction synthetic-division test."""
+    import math
+
+    work = [Fraction(v) for v in coeffs]
+    while work and work[-1] == 0:
+        work.pop()
+    roots = []
+    while work[0] == 0:
+        roots.append(Fraction(0))
+        work.pop(0)
+
+    def divisors(k):
+        k = abs(k)
+        return sorted({e for d in range(1, math.isqrt(k) + 1) if k % d == 0 for e in (d, k // d)})
+
+    changed = True
+    while len(work) > 1 and changed:
+        changed = False
+        denom = math.lcm(*(c.denominator for c in work))
+        ints = [int(c * denom) for c in work]
+        candidates = sorted({Fraction(s * p, q) for p in divisors(ints[0])
+                             for q in divisors(ints[-1]) for s in (1, -1)},
+                            key=lambda f: (abs(f), f < 0))
+        for cand in candidates:
+            acc = Fraction(0)
+            for c in reversed(work):
+                acc = acc * cand + c
+            if acc == 0:
+                roots.append(cand)
+                new = [Fraction(0)] * (len(work) - 1)
+                carry = Fraction(0)
+                for i in range(len(work) - 1, 0, -1):
+                    carry = work[i] + carry * cand
+                    new[i - 1] = carry
+                work = new
+                changed = True
+                break
+    return roots, work
+
+
+def _poly_times(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+# t^2 - a t - b irreducible over Q
+_QUADRATICS = [(1, 1), (0, 2), (2, 1), (1, -1), (0, -1), (-1, Fraction(5, 4)), (Fraction(1, 3), 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6])), max_size=4),
+       st.sampled_from(_QUADRATICS), _coeff.filter(bool))
+def test_rational_roots_match_the_fraction_test(roots, quadratic, lead):
+    a, b = quadratic
+    coeffs = [-Fraction(b) * lead, -Fraction(a) * lead, lead]
+    for r in roots:
+        coeffs = _poly_times(coeffs, [-r, Fraction(1)])
+    got = rational_roots(coeffs)
+    assert got == _fraction_rational_roots(coeffs)
+    assert sorted(got[0]) == sorted(roots) and len(got[1]) == 3
