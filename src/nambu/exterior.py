@@ -374,17 +374,15 @@ def _contract(comps: dict, I: IndexTuple) -> dict:
 def _integer_parts(obj) -> Dict[Tuple[int, ...], dict]:
     """Split obj = (1/D) sum_m x^m w_m into integer constant components w_m.
 
-    Keys are exponent tuples m and D is the lcm of the coefficient
+    Keys are exponent tuples m and D is the lcm of the components'
     denominators, so w_m is D times the constant form that x^m multiplies.
     """
-    D = 1
-    for c in obj.comps.values():
-        for v in c.terms.values():
-            D = math.lcm(D, v.denominator)
+    D = math.lcm(*[c.den for c in obj.comps.values()])
     parts: Dict[Tuple[int, ...], dict] = {}
     for K, c in obj.comps.items():
-        for m, v in c.terms.items():
-            parts.setdefault(m, {})[K] = v.numerator * (D // v.denominator)
+        f = D // c.den
+        for m, n in c.num.items():
+            parts.setdefault(m, {})[K] = n * f
     return parts
 
 

@@ -134,10 +134,8 @@ class SpanTable:
 
 def _require_linear(omega: DiffForm):
     for c in omega.comps.values():
-        for exps in c.terms:
-            if sum(exps) != 1:
-                raise PreconditionError(
-                    "classification needs a homogeneous linear form")
+        if c and (c.min_degree() != 1 or c.degree != 1):
+            raise PreconditionError("classification needs a homogeneous linear form")
 
 
 def span_table(omega: DiffForm) -> SpanTable:

@@ -1,16 +1,17 @@
 """Exact scalar arithmetic: multivariate polynomials over Q and rational matrices.
 
 Everything in this module is exact. Polynomials are kept in a sparse
-exponent-vector representation with `fractions.Fraction` coefficients and a
-graded-lexicographic canonical ordering, so printing and JSON output are
-byte-stable. Matrices carry Fraction entries and support exact rank, kernel,
-solving (with a Farkas inconsistency certificate), congruence diagonalization
-of symmetric forms, and exact characteristic polynomials.
+exponent-vector representation, as integer numerators over one denominator in
+lowest terms, and print in graded-lexicographic order, so printing and JSON
+output are byte-stable. Matrices carry Fraction entries and support exact
+rank, kernel, solving (with a Farkas inconsistency certificate), congruence
+diagonalization of symmetric forms, and exact characteristic polynomials.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -59,6 +60,13 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"cannot coerce {value!r} to an exact rational")
 
 
+def _over_one_denominator(coeffs: dict):
+    """(num, den) of a dict of nonzero ints and Fractions: over the lcm of
+    the reduced denominators the numerators have no common factor with it."""
+    den = math.lcm(*[c.denominator for c in coeffs.values()])
+    return {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}, den
+
+
 def _grlex_key(exps: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...]]:
     return (sum(exps), exps)
 
@@ -66,12 +74,15 @@ def _grlex_key(exps: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...]]:
 class Poly:
     """Multivariate polynomial with exact rational coefficients.
 
-    ``terms`` maps exponent vectors (tuples of length ``nvars``) to nonzero
-    Fractions. Instances are immutable; arithmetic returns new objects.
-    The degree of the zero polynomial is ``float('-inf')``.
+    Stored as integer numerators over one denominator: ``num`` maps exponent
+    vectors (tuples of length ``nvars``) to nonzero ints, ``den`` is a
+    positive int, and gcd(den, *num) = 1, so the zero polynomial has den 1.
+    ``terms`` is the view ``{exps: Fraction(n, den)}``, built when read.
+    Instances are immutable; arithmetic returns new objects, each reduced
+    once. The degree of the zero polynomial is ``float('-inf')``.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "num", "den", "_buckets")
 
     def __init__(self, nvars: int, terms=None):
         if nvars < 0:
@@ -88,25 +99,34 @@ class Poly:
                 coeff = _as_fraction(coeff)
                 if coeff != 0:
                     clean[exps] = coeff
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        self._set(nvars, *_over_one_denominator(clean))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    def _set(self, nvars: int, num: dict, den: int) -> None:
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _make(cls, nvars: int, terms: dict) -> "Poly":
-        """Internal constructor for already-normalized term dicts."""
+    def _make(cls, nvars: int, num: dict, den: int) -> "Poly":
+        """Internal constructor: the Poly num / den, num's values nonzero
+        ints, brought to canonical form by one gcd."""
+        if den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                num = {e: n // g for e, n in num.items()}
+                den //= g
         self = object.__new__(cls)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", terms)
+        self._set(nvars, num, den)
         return self
 
     @staticmethod
     def zero(nvars: int) -> "Poly":
-        return Poly._make(nvars, {})
+        return Poly._make(nvars, {}, 1)
 
     @staticmethod
     def const(nvars: int, value) -> "Poly":
@@ -129,23 +149,44 @@ class Poly:
 
     # -- basic queries -----------------------------------------------------
 
+    @property
+    def terms(self) -> dict:
+        """{exps: Fraction coefficient}, in the order of ``num``."""
+        den = self.den
+        return {e: Fraction(n, den) for e, n in self.num.items()}
+
+    def _degree_buckets(self) -> list:
+        """num by total degree: buckets[d] maps the exponent vectors of
+        degree d to their numerators, in the order of ``num``; kept once
+        built."""
+        buckets = getattr(self, "_buckets", None)
+        if buckets is None:
+            buckets = []
+            for e, n in self.num.items():
+                d = sum(e)
+                while len(buckets) <= d:
+                    buckets.append({})
+                buckets[d][e] = n
+            object.__setattr__(self, "_buckets", buckets)
+        return buckets
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num)
 
     @property
     def degree(self):
-        if not self.terms:
+        if not self.num:
             return NEG_INF
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.num)
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        return Fraction(self.num.get(tuple(exps), 0), self.den)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+        return self.coefficient((0,) * self.nvars)
 
     def sorted_terms(self):
         """Terms in graded-lexicographic order (deterministic)."""
@@ -154,7 +195,8 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return (self.nvars == other.nvars and self.den == other.den
+                and self.num == other.num)
 
     __hash__ = None
 
@@ -165,43 +207,44 @@ class Poly:
             raise ValueError(
                 f"variable-count mismatch: {self.nvars} vs {other.nvars}")
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def _add(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other over the lcm of the two denominators."""
         self._check(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = out.get(exps, Fraction(0)) + c
+        den = math.lcm(self.den, other.den)
+        f1, f2 = den // self.den, sign * (den // other.den)
+        out = dict(self.num) if f1 == 1 else {e: n * f1 for e, n in self.num.items()}
+        get = out.get
+        for e, n in other.num.items():
+            s = get(e, 0) + f2 * n
             if s:
-                out[exps] = s
+                out[e] = s
             else:
-                out.pop(exps, None)
-        return Poly._make(self.nvars, out)
+                del out[e]
+        return Poly._make(self.nvars, out, den)
+
+    def __add__(self, other: "Poly") -> "Poly":
+        return self._add(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = out.get(exps, Fraction(0)) - c
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
-        return Poly._make(self.nvars, out)
+        return self._add(other, -1)
 
     def __neg__(self) -> "Poly":
-        return Poly._make(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Poly._make(self.nvars, {e: -n for e, n in self.num.items()}, self.den)
 
     def scale(self, scalar) -> "Poly":
         scalar = _as_fraction(scalar)
         if scalar == 0:
             return Poly.zero(self.nvars)
-        return Poly._make(self.nvars, {e: c * scalar for e, c in self.terms.items()})
+        p = scalar.numerator
+        return Poly._make(self.nvars, {e: n * p for e, n in self.num.items()},
+                          self.den * scalar.denominator)
 
     def mul(self, other: "Poly", trunc: Optional[int] = None) -> "Poly":
         """Exact product; terms of total degree > trunc are dropped if given."""
         self._check(other)
-        D1, b1 = _integer_form(self.terms)
-        D2, b2 = _integer_form(other.terms)
-        return _from_integer_form(self.nvars, D1 * D2, _mul_buckets(b1, b2, trunc))
+        buckets = _mul_buckets(self._degree_buckets(), other._degree_buckets(), trunc)
+        return Poly._make(self.nvars, {e: v for b in buckets for e, v in b.items() if v},
+                          self.den * other.den)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
@@ -231,29 +274,30 @@ class Poly:
         if not 0 <= i < self.nvars:
             raise IndexError(f"variable index {i} out of range")
         out = {}
-        for exps, c in self.terms.items():
+        for exps, n in self.num.items():
             e = exps[i]
             if e == 0:
                 continue
             new = list(exps)
             new[i] = e - 1
-            out[tuple(new)] = c * e
-        return Poly._make(self.nvars, out)
+            out[tuple(new)] = n * e
+        return Poly._make(self.nvars, out, self.den)
 
     def homogeneous_component(self, d: int) -> "Poly":
         if d < 0:
             raise ValueError("degree must be nonnegative")
         return Poly._make(self.nvars,
-                          {e: c for e, c in self.terms.items() if sum(e) == d})
+                          {e: n for e, n in self.num.items() if sum(e) == d}, self.den)
 
     def truncate(self, max_degree: int) -> "Poly":
         return Poly._make(self.nvars,
-                          {e: c for e, c in self.terms.items() if sum(e) <= max_degree})
+                          {e: n for e, n in self.num.items() if sum(e) <= max_degree},
+                          self.den)
 
     def min_degree(self):
-        if not self.terms:
+        if not self.num:
             return NEG_INF
-        return min(sum(e) for e in self.terms)
+        return min(sum(e) for e in self.num)
 
     def substitute(self, args: Sequence["Poly"], trunc: Optional[int] = None) -> "Poly":
         """Substitute args[i] for variable i; all args share one variable count.
@@ -271,9 +315,8 @@ class Poly:
         for a in args:
             if a.nvars != m:
                 raise ValueError("substitution arguments disagree on nvars")
-        # powers[i][k] = (d_i^k, integer buckets of d_i^k * args[i]^k), where
-        # d_i is the denominator of the integer form of args[i]
-        forms = [_integer_form(a.terms) for a in args]
+        # powers[i][k] = (D_i^k, degree buckets of D_i^k * args[i]^k), where
+        # D_i is the denominator of args[i]
         one = (1, [{(0,) * m: 1}])
         powers = [[one] for _ in args]
 
@@ -281,17 +324,16 @@ class Poly:
             cache = powers[i]
             while len(cache) <= k:
                 D, b = cache[-1]
-                cache.append((D * forms[i][0], _mul_buckets(b, forms[i][1], trunc)))
+                cache.append((D * args[i].den, _mul_buckets(b, args[i]._degree_buckets(), trunc)))
             return cache[k]
 
-        # self = (1/D0) sum n_e x^e. The terms are visited in lexicographic
+        # self = (1/den) sum n_e x^e. The terms are visited in lexicographic
         # order, so terms with a common exponent prefix are adjacent and
         # path[j] holds the product of the powers named by the first j
         # exponents of the current term. The term of e adds n_e * (L / D_e)
-        # times its product over the common denominator D0 * L.
-        D0, buckets = _integer_form(self.terms)
-        terms = sorted((e, n) for bucket in buckets for e, n in bucket.items())
-        L = math.lcm(*[math.prod(forms[i][0] ** k for i, k in enumerate(e) if k)
+        # times its product over the common denominator den * L.
+        terms = sorted(self.num.items())
+        L = math.lcm(*[math.prod(args[i].den ** k for i, k in enumerate(e) if k)
                        for e, _ in terms])
         path = [one] * (self.nvars + 1)
         prev = None
@@ -317,20 +359,20 @@ class Poly:
             for bucket in product:
                 for exps, v in bucket.items():
                     acc[exps] = get(exps, 0) + scale * v
-        return _from_integer_form(m, D0 * L, [acc])
+        return Poly._make(m, {e: v for e, v in acc.items() if v}, self.den * L)
 
     def linear_coefficients(self) -> List[Fraction]:
         """Coefficient vector of the degree-1 part."""
         out = [Fraction(0)] * self.nvars
-        for exps, c in self.terms.items():
+        for exps, n in self.num.items():
             if sum(exps) == 1:
-                out[exps.index(1)] = c
+                out[exps.index(1)] = Fraction(n, self.den)
         return out
 
     # -- printing ----------------------------------------------------------
 
     def to_str(self, varname: str = "x") -> str:
-        if not self.terms:
+        if not self.num:
             return "0"
         pieces = []
         for exps, c in self.sorted_terms():
@@ -361,27 +403,10 @@ class Poly:
         return f"Poly({self.nvars}, {self.to_str()!r})"
 
 
-# -- integer product kernel ------------------------------------------------
-#
-# An integer form (D, buckets) stands for (1/D) * sum_d sum_e buckets[d][e] x^e:
-# buckets[d] maps the exponent vectors of total degree d to integers. Products
-# then cost one integer multiply-add per term pair, and a degree cut never
-# visits the pairs it drops.
-
-def _integer_form(terms: dict):
-    """(D, buckets) of a term dict, D the least common denominator."""
-    D = math.lcm(*[c.denominator for c in terms.values()])
-    buckets = []
-    for e, c in terms.items():
-        d = sum(e)
-        while len(buckets) <= d:
-            buckets.append({})
-        buckets[d][e] = c.numerator * (D // c.denominator)
-    return D, buckets
-
-
 def _mul_buckets(b1, b2, trunc: Optional[int]) -> list:
-    """Buckets of the product of two integer forms, cut above degree trunc."""
+    """Degree buckets of the product of two numerator bucket lists, cut above
+    degree trunc: one integer multiply-add per term pair, and the pairs a cut
+    drops are never visited."""
     if not b1 or not b2:
         return []
     top = len(b1) + len(b2) - 2
@@ -403,11 +428,6 @@ def _mul_buckets(b1, b2, trunc: Optional[int]) -> list:
                     e = tuple(map(add, e1, e2))
                     acc[e] = get(e, 0) + n1 * n2
     return out
-
-
-def _from_integer_form(nvars: int, D: int, buckets) -> Poly:
-    """The Poly (1/D) * buckets, one Fraction per nonzero term."""
-    return Poly._make(nvars, {e: Fraction(v, D) for b in buckets for e, v in b.items() if v})
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +466,7 @@ def parse_poly(text: str, nvars: int, varname: str = "x") -> Poly:
                 terms[exps] = s
             else:
                 del terms[exps]
-    return Poly._make(nvars, {e: Fraction(c) for e, c in terms.items()})
+    return Poly._make(nvars, *_over_one_denominator(terms))
 
 
 def _tokenize(text: str, varname: str):
@@ -1071,8 +1091,58 @@ class EigenData:
         return len(self.rational_eigenvalues) == len(self.char_coeffs) - 1
 
 
+def _square_free_factors(f: List[Fraction]) -> List[Tuple[List[Fraction], int]]:
+    """Yun's square-free decomposition over Q of f (coefficients ascending,
+    degree >= 1): pairs (g, k) with f = lc(f) * prod g^k, the g square-free
+    and pairwise coprime. A square-free f comes back as [(f, 1)] unchanged."""
+    def trim(p):
+        while p and not p[-1]:
+            p.pop()
+        return p
+
+    def deriv(p):
+        return [k * c for k, c in enumerate(p)][1:]
+
+    def sub(p, q):
+        return trim([a - b for a, b in itertools.zip_longest(p, q, fillvalue=0)])
+
+    def divmod_(p, q):
+        p, quot = list(p), [Fraction(0)] * (len(p) - len(q) + 1)
+        for i in reversed(range(len(quot))):
+            c = quot[i] = p[i + len(q) - 1] / q[-1]
+            for j, v in enumerate(q):
+                p[i + j] -= c * v
+        return quot, trim(p[:len(q) - 1])
+
+    def gcd(p, q):
+        while q:
+            p, q = q, divmod_(p, q)[1]
+        return [c / p[-1] for c in p]
+
+    df = deriv(f)
+    a = gcd(f, df)
+    if len(a) == 1:
+        return [(f, 1)]
+    b = divmod_(f, a)[0]
+    d = sub(divmod_(df, a)[0], deriv(b))
+    out, k = [], 1
+    while len(b) > 1:
+        a = gcd(b, d)
+        b = divmod_(b, a)[0]
+        d = sub(divmod_(d, a)[0], deriv(b))
+        if len(a) > 1:
+            out.append((a, k))
+        k += 1
+    return out
+
+
 def eigen_data(M: RatMatrix, tol: float = 1e-9) -> EigenData:
-    """Exact characteristic polynomial, exact rational roots, numeric rest."""
+    """Exact characteristic polynomial, exact rational roots, numeric rest.
+
+    The rest is found by `mpmath.polyroots` on each exact square-free factor
+    of the residual, each root repeated by its multiplicity; a residual that
+    is square-free goes to `polyroots` whole.
+    """
     if M.rows != M.cols:
         raise PreconditionError("eigen_data requires a square matrix")
     if tol <= 0:
@@ -1085,12 +1155,18 @@ def eigen_data(M: RatMatrix, tol: float = 1e-9) -> EigenData:
         import mpmath
 
         digits = max(30, int(-math.log10(tol)) + 15)
+        extra = []
         with mpmath.workdps(digits):
-            rest = mpmath.polyroots(
-                [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-                 for c in reversed(residual)], maxsteps=200, extraprec=80)
-            extra = [complex(float(mpmath.re(r)), float(mpmath.im(r)))
-                     for r in rest]
+            for g, k in _square_free_factors(residual):
+                try:
+                    rest = mpmath.polyroots(
+                        [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
+                         for c in reversed(g)], maxsteps=200, extraprec=80)
+                except mpmath.libmp.NoConvergence as exc:
+                    raise PreconditionError(
+                        f"irrational eigenvalues not found to tolerance: {exc}")
+                extra += [complex(float(mpmath.re(r)), float(mpmath.im(r)))
+                          for r in rest] * k
         extra.sort(key=lambda z: (z.real, z.imag))
         numeric.extend(extra)
     return EigenData(coeffs, rats, numeric)

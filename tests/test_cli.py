@@ -217,6 +217,29 @@ def test_resonance_empty_matrix_exit3(capsys, monkeypatch):
     assert "nonempty" in err
 
 
+def test_resonance_repeated_irrational_pair(capsys, monkeypatch):
+    # the golden pair twice: roots found on the square-free factor, each repeated
+    payload = json.dumps({"matrix": [[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 1]]})
+    code, out, err = invoke(capsys, ["resonance", "-"], payload, monkeypatch)
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data["exact"] is False and data["resonances"] == []
+    phi = (1 + 5 ** 0.5) / 2
+    assert [z for z, _ in data["eigenvalues"]] == pytest.approx([1 - phi, 1 - phi, phi, phi])
+
+
+def test_resonance_root_finder_failure_exit3(capsys, monkeypatch):
+    import mpmath
+
+    def fail(*args, **kwargs):
+        raise mpmath.libmp.NoConvergence("Didn't converge in maxsteps=200 steps.")
+
+    monkeypatch.setattr(mpmath, "polyroots", fail)
+    code, out, err = invoke(capsys, ["resonance", "-"], IRRATIONAL_PAYLOAD, monkeypatch)
+    assert code == 3 and out == ""
+    assert "precondition unmet" in err and "NoConvergence" not in err
+
+
 @pytest.mark.parametrize("payload", ['{"matrix": [[true]]}', '{"matrix": [[1, false], [0, 1]]}',
                                      '{"matrix": ["12", "34"]}', '{"matrix": 3}',
                                      '{"matrix": [[null]]}'])

@@ -1,5 +1,6 @@
 """Exact polynomial and matrix layer: spec examples plus algebraic properties."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -87,11 +88,24 @@ def test_ring_axioms_randomized():
     for _ in range(40):
         n = rng.randint(1, 4)
         a, b, c = (random_poly(rng, n) for _ in range(3))
-        assert a + b == b + a
-        assert a.mul(b) == b.mul(a)
-        assert a.mul(b.mul(c)) == a.mul(b).mul(c)
-        assert a.mul(b + c) == a.mul(b) + a.mul(c)
-        assert (a + b) - b == a
+        assert _clean(a + b) == _clean(b + a)
+        assert _clean(a.mul(b)) == _clean(b.mul(a))
+        assert _clean(a.mul(_clean(b.mul(c)))) == _clean(_clean(a.mul(b)).mul(c))
+        assert _clean(a.mul(_clean(b + c))) == _clean(a.mul(b) + a.mul(c))
+        assert _clean(_clean(a + b) - b) == a
+
+
+def test_cancellation_raises_the_gcd():
+    half = P("1/2*x1", 1)
+    assert half.num == {(1,): 1} and half.den == 2
+    total = _clean(half + half)
+    assert total == P("x1", 1) and total.num == {(1,): 1} and total.den == 1
+    assert _clean(P("1/2*x1 + 1/2", 1) - P("1/2", 1)) == half
+    zero = _clean(half - half)
+    assert zero.is_zero() and zero.den == 1
+    assert _clean(P("1/2*x1^2", 1).partial(0)) == P("x1", 1)
+    assert _clean(P("1/2*x1 + 1/3", 1).homogeneous_component(1)) == half
+    assert _clean(P("2/3*x1", 1).scale(Fraction(3, 2))).den == 1
 
 
 def test_partials_commute_randomized():
@@ -143,7 +157,17 @@ def _schoolbook_substitute(p, args, trunc=None):
 
 
 def _assert_stored_clean(p):
-    assert all(isinstance(c, Fraction) and c != 0 for c in p.terms.values())
+    """The canonical storage: nonzero int numerators over a positive int
+    denominator in lowest terms, and ``terms`` their Fractions, in order."""
+    assert isinstance(p.den, int) and p.den > 0
+    assert all(isinstance(n, int) and n != 0 for n in p.num.values())
+    assert math.gcd(p.den, *p.num.values()) == 1
+    assert list(p.terms.items()) == [(e, Fraction(n, p.den)) for e, n in p.num.items()]
+
+
+def _clean(p):
+    _assert_stored_clean(p)
+    return p
 
 
 # mixed denominators, and zeros that the constructor must drop
@@ -187,13 +211,14 @@ def test_mul_matches_schoolbook(data):
     a, b = data.draw(kernel_polys(n)), data.draw(kernel_polys(n))
     (la, ha), (lb, hb) = _degree_range(a), _degree_range(b)
     trunc = _truncations(data.draw, la + lb, ha + hb)
+    _assert_stored_clean(a)
     prod = a.mul(b, trunc)
     assert prod.terms == _schoolbook_mul(a, b, trunc)
     _assert_stored_clean(prod)
     if trunc is not None:
-        assert prod == a.mul(b).truncate(trunc)
+        assert prod == _clean(_clean(a.mul(b)).truncate(trunc))
     # the cross terms of (a + b)(a - b) cancel
-    square = (a + b).mul(a - b, trunc)
+    square = _clean(a + b).mul(_clean(a - b), trunc)
     assert square.terms == _schoolbook_mul(a + b, a - b, trunc)
     _assert_stored_clean(square)
 
@@ -229,16 +254,34 @@ def test_substitute_matches_schoolbook(data):
     low, high = _degree_range(full)
     trunc = data.draw(st.sampled_from([max(low - 1, 0), data.draw(st.integers(low, high))]))
     cut = p.substitute(args, trunc)
-    assert cut == full.truncate(trunc)
+    assert cut == _clean(full.truncate(trunc))
     assert cut.terms == _schoolbook_substitute(p, args, trunc)
     _assert_stored_clean(cut)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_unary_operations_match_the_fraction_terms(data):
+    n = data.draw(st.integers(1, 3))
+    p = data.draw(kernel_polys(n))
+    c = data.draw(_coeff)
+    i = data.draw(st.integers(0, n - 1))
+    d = data.draw(st.integers(0, 6))
+    terms = p.terms
+    assert _clean(-p).terms == {e: -v for e, v in terms.items()}
+    assert _clean(p.scale(c)).terms == {e: v * c for e, v in terms.items() if v * c}
+    assert _clean(p.partial(i)).terms == {
+        e[:i] + (e[i] - 1,) + e[i + 1:]: v * e[i] for e, v in terms.items() if e[i]}
+    assert _clean(p.homogeneous_component(d)).terms == {
+        e: v for e, v in terms.items() if sum(e) == d}
+    assert _clean(p.truncate(d)).terms == {e: v for e, v in terms.items() if sum(e) <= d}
 
 
 # -- parser ------------------------------------------------------------------
 
 def test_parse_roundtrip_canonical():
     p = P("3/2*x1^2*x3 - x2 + 1", 3)
-    assert parse_poly(p.to_str(), 3) == p
+    assert _clean(parse_poly(p.to_str(), 3)) == p
 
 
 def test_parse_errors_have_positions():
@@ -290,7 +333,7 @@ def test_parse_term_order_is_the_fold_of_poly_add(terms):
     fold = Poly.zero(2)
     for sign, coeff, mon in terms:
         fold = fold + parse_poly(sign + coeff + mon, 2)
-    assert list(parse_poly(text, 2).terms.items()) == list(fold.terms.items())
+    assert list(_clean(parse_poly(text, 2)).terms.items()) == list(fold.terms.items())
 
 
 # -- linear solving -----------------------------------------------------------
@@ -597,6 +640,18 @@ def test_eigen_irrational_against_newton_oracle():
     vals = sorted(z.real for z in ed.numeric_eigenvalues)
     assert abs(vals[1] - root) < 1e-9
     assert abs(vals[0] + root) < 1e-9
+    assert all(abs(z.imag) < 1e-12 for z in ed.numeric_eigenvalues)
+
+
+def test_eigen_repeated_irrational_roots_keep_their_multiplicity():
+    # [[C, I], [0, C]], C the companion of t^2 - 2, beside the 1x1 block 3:
+    # det(tI - M) = (t^2 - 2)^2 (t - 3), each root of t^2 - 2 twice
+    M = RatMatrix([[0, 2, 1, 0, 0], [1, 0, 0, 1, 0], [0, 0, 0, 2, 0],
+                   [0, 0, 1, 0, 0], [0, 0, 0, 0, 3]])
+    ed = eigen_data(M)
+    assert ed.rational_eigenvalues == [Fraction(3)]
+    root = float(newton_sqrt2())
+    assert [z.real for z in ed.numeric_eigenvalues] == pytest.approx([3, -root, -root, root, root])
     assert all(abs(z.imag) < 1e-12 for z in ed.numeric_eigenvalues)
 
 
