@@ -180,13 +180,13 @@ def _rhs_by_active_degree(obj, active) -> Dict[int, Dict[tuple, Poly]]:
     the monomial, component key) -> the Poly of its inert parts."""
     n = obj.nvars
     active_set = set(active)
-    out: Dict[int, Dict[tuple, dict]] = {}
+    out: Dict[int, Dict[tuple, tuple]] = {}
     for key, poly in obj.comps.items():
-        for exps, c in poly.terms.items():
+        for exps, v in poly.num.items():
             act = tuple(e if i in active_set else 0 for i, e in enumerate(exps))
             inert = tuple(e - a for e, a in zip(exps, act))
-            out.setdefault(sum(act), {}).setdefault((act, key), {})[inert] = c
-    return {a: {row: Poly(n, terms) for row, terms in rows.items()}
+            out.setdefault(sum(act), {}).setdefault((act, key), ({}, poly.den))[0][inert] = v
+    return {a: {row: Poly._make(n, num, den) for row, (num, den) in rows.items()}
             for a, rows in out.items()}
 
 
@@ -259,7 +259,8 @@ def _solve_wedge_degree(lin_divisor, rhs, active, d, res_tuples,
     if lin_divisor is None:
         raise SolveInconsistencyError(
             f"divisor has no linear part{': ' + label if label else ''}", degree=d)
-    lin_coeffs = {key[0]: {t: c for t, c in enumerate(poly.linear_coefficients()) if c}
+    lin_coeffs = {key[0]: ({exps.index(1): v for exps, v in poly.num.items() if sum(exps) == 1},
+                           poly.den)
                   for key, poly in lin_divisor.comps.items()}
 
     out_terms: Dict[tuple, dict] = {}
@@ -270,15 +271,15 @@ def _solve_wedge_degree(lin_divisor, rhs, active, d, res_tuples,
                 for J in res_tuples]
         system = GradedSystem(len(cols))
         for col, (mon, J) in enumerate(cols):
-            for j, coeffs in lin_coeffs.items():
+            for j, (coeffs, den) in lin_coeffs.items():
                 ms = merge_sign((j,), J)
                 if ms is None:
                     continue
                 key, sign = ms
-                for t, c in coeffs.items():
+                for t, v in coeffs.items():
                     new = list(mon)
                     new[t] += 1
-                    system.add((tuple(new), key), col, sign * c)
+                    system.add((tuple(new), key), col, sign * v, den)
         for row, v in rows.items():
             system.rhs(row, v)
         solution = report.solve(system, d, label,
@@ -542,7 +543,7 @@ def _split_multiplier(alpha1, rho, y, r, n, report):
                     continue
                 new = list(mon)
                 new[j] -= 1
-                system.add((tuple(new), (j,)), col, Fraction(mon[j]))
+                system.add((tuple(new), (j,)), col, mon[j])
         for row, v in rows.items():
             system.rhs(row, v)
         solution = report.solve(system, r, "multiplier split",
@@ -744,11 +745,11 @@ def _solve_lie_multiplier(P1: Multivector, diag: Sequence[int], f_r: Poly,
     system = GradedSystem(len(fields))
     for col, vf in enumerate(fields):
         for key, poly in lie_derivative(vf, P1).comps.items():
-            for exps, c in poly.terms.items():
-                system.add((key, exps), col, c)
+            for exps, v in poly.num.items():
+                system.add((key, exps), col, v, poly.den)
     for key, poly in P1.poly_scale(f_r).comps.items():
-        for exps, c in poly.terms.items():
-            system.rhs((key, exps), c)
+        for exps, v in poly.num.items():
+            system.rhs((key, exps), v, poly.den)
     solution = report.solve(system, r, "Lie multiplier",
                             "multiplier Lie solve inconsistent")
     X = Multivector(n, 1, {})
@@ -1014,11 +1015,11 @@ def _homological_solve(L: Multivector, R: Multivector, d: int,
         U = Multivector(n, 1, {(i,): Poly.monomial(n, mon)})
         img = lie_bracket(L, U)
         for (j,), poly in img.comps.items():
-            for exps, c in poly.terms.items():
-                system.add((exps, j), col, c)
+            for exps, v in poly.num.items():
+                system.add((exps, j), col, v, poly.den)
     for (j,), poly in R.comps.items():
-        for exps, c in poly.terms.items():
-            system.rhs((exps, j), c)
+        for exps, v in poly.num.items():
+            system.rhs((exps, j), v, poly.den)
     solution = report.solve(system, d, "homological", "homological equation inconsistent")
     terms: Dict[tuple, dict] = {}
     for (mon, i), v in zip(basis, solution):

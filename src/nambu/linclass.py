@@ -43,6 +43,7 @@ from .polyalg import (
     RatMatrix,
     SolveInconsistencyError,
     _eliminate,
+    _integer_rows,
     char_poly,
     eigen_data,
     inertia,
@@ -150,7 +151,7 @@ def span_table(omega: DiffForm) -> SpanTable:
         for akey in itertools.combinations(range(n), p - 1):
             cur = _contract(wj, akey)
             if cur:
-                rows.append([Fraction(cur.get((i,), 0)) for i in range(n)])
+                rows.append([cur.get((i,), 0) for i in range(n)])
         entries.append(rowspace_basis(rows, n) if rows else None)
     return SpanTable(n, p, entries)
 
@@ -234,19 +235,30 @@ class ClassificationReport:
 class _State:
     """A linear p-form in the current coordinates, as a constant array.
 
-    The form is sum_K (sum_k coeffs[K][k] z_k) dz_K: coeffs maps each index
-    tuple K to the coefficients of its linear component, and holds no zero row.
+    The form is sum_K (sum_k num[K][k] z_k / den) dz_K, with integer rows
+    num[K] (none zero) over den > 0 in lowest terms; x_input =
+    (back / back_den) . z_current is kept the same way, and `coeffs` is the
+    Fraction view of the array, built when read.
     """
 
     def __init__(self, omega: DiffForm):
         self.n, self.p = omega.nvars, omega.grade
-        self.coeffs = _linear_array(omega)
-        self.back = RatMatrix.identity(self.n)  # x_input = back . z_current
+        self.num, self.den = _linear_array(omega)
+        self.back = {i: [int(i == j) for j in range(self.n)] for i in range(self.n)}
+        self.back_den = 1
 
     def apply(self, A: RatMatrix):
         """Switch to coordinates z_new with z_current = A . z_new."""
-        self.coeffs = _pull_back(self.coeffs, A.data)
-        self.back = RatMatrix._make([_row_times(row, A.data) for row in self.back.data])
+        a, d = _integer_rows(A.data)
+        self.num, self.den = _pull_back(self.num, self.den, a, d)
+        self.back, self.back_den = _lowest_terms(
+            {i: _row_times(row, a) for i, row in self.back.items()}, self.back_den * d)
+        self.__dict__.pop("coeffs", None)
+
+    @functools.cached_property
+    def coeffs(self) -> Dict[Tuple[int, ...], List[Fraction]]:
+        """{K: Fraction coefficients of component K}, kept until the next apply."""
+        return {K: [Fraction(v, self.den) for v in row] for K, row in self.num.items()}
 
     def row(self, K: Tuple[int, ...]) -> List[Fraction]:
         return self.coeffs.get(K) or [Fraction(0)] * self.n
@@ -259,38 +271,59 @@ class _State:
 
     def change_map(self) -> FormalMap:
         """The change z_current = back^-1 . x_input."""
-        return FormalMap.from_matrix(self.back.inverse())
+        den = self.back_den
+        back = RatMatrix._make([[Fraction(v, den) for v in row] for row in self.back.values()])
+        return FormalMap.from_matrix(back.inverse())
 
 
-def _linear_array(omega: DiffForm) -> Dict[Tuple[int, ...], List[Fraction]]:
-    """The constant array of a linear form: each component's linear coefficients."""
-    return {K: c.linear_coefficients() for K, c in omega.comps.items()}
+def _linear_array(omega: DiffForm) -> Tuple[Dict[Tuple[int, ...], List[int]], int]:
+    """The constant array of a linear form: each component's linear
+    coefficients, as integer rows over the lcm of the components'
+    denominators, which is in lowest terms since each component is."""
+    n = omega.nvars
+    den = math.lcm(*[c.den for c in omega.comps.values()])
+    num = {}
+    for K, c in omega.comps.items():
+        row = num[K] = [0] * n
+        for exps, v in c.num.items():
+            row[exps.index(1)] = v * (den // c.den)
+    return num, den
 
 
-def _pull_back(coeffs: Dict[Tuple[int, ...], List[Fraction]],
-               A: List[List[Fraction]]) -> Dict[Tuple[int, ...], List[Fraction]]:
-    """The constant array of the pullback along x = A z.
+def _lowest_terms(rows: dict, den: int):
+    """(rows, den) divided by the gcd of den and every entry of the rows."""
+    g = math.gcd(den, *itertools.chain.from_iterable(rows.values()))
+    if g == 1:
+        return rows, den
+    return {k: [v // g for v in row] for k, row in rows.items()}, den // g
 
-    dx_i becomes sum_l A_il dz_l, so component K sends det(A[K, L]) times its
-    row c_K . A to component L. Zero rows are dropped.
+
+def _pull_back(num: dict, den: int, a: List[List[int]], d: int) -> Tuple[dict, int]:
+    """The constant array num / den pulled back along x = (a / d) z, with a
+    an integer matrix, in lowest terms.
+
+    dx_i becomes (1/d) sum_l a_il dz_l, so component K (of grade p) sends
+    det(a[K, L]) times its row c_K . a to component L, all over den * d^(p+1).
+    Zero rows are dropped.
     """
-    n = len(A)
-    rows = [{(l,): v for l, v in enumerate(row) if v} for row in A]
-    minors = _prefix_minors(rows, coeffs, 1)  # wedge of the rows A_i, i in K
-    out: Dict[Tuple[int, ...], List[Fraction]] = {}
-    for K, c in coeffs.items():
-        cA = _row_times(c, A)
+    n = len(a)
+    rows = [{(l,): v for l, v in enumerate(row) if v} for row in a]
+    minors = _prefix_minors(rows, num, 1)  # wedge of the rows a_i, i in K
+    out: Dict[Tuple[int, ...], List[int]] = {}
+    for K, c in num.items():
+        cA = _row_times(c, a)
         for L, m in minors[K].items():
-            row = out.setdefault(L, [Fraction(0)] * n)
+            row = out.setdefault(L, [0] * n)
             for k, v in enumerate(cA):
                 if v:
                     row[k] += m * v
-    return {L: row for L, row in out.items() if any(row)}
+    out = {L: row for L, row in out.items() if any(row)}
+    return _lowest_terms(out, den * d ** (len(next(iter(out), ())) + 1))
 
 
-def _row_times(row: Sequence[Fraction], M: Sequence[Sequence[Fraction]]) -> List[Fraction]:
+def _row_times(row: Sequence[int], M: Sequence[Sequence[int]]) -> List[int]:
     """The row vector row . M, visiting only the nonzero entries."""
-    out = [Fraction(0)] * len(M[0])
+    out = [0] * len(M[0])
     for k, v in enumerate(row):
         if v:
             for j, x in enumerate(M[k]):
@@ -380,8 +413,8 @@ def _classify(omega: DiffForm) -> ClassificationReport:
         else:
             report = _case2(state, table, p, q)
         # the certificate, read afresh from the report and the input
-        achieved = _linear_array(report.achieved_form)
-        if _pull_back(achieved, report.change.linear_matrix().data) != _linear_array(omega):
+        if _pull_back(*_linear_array(report.achieved_form),
+                      *_integer_rows(report.change.linear_matrix().data)) != _linear_array(omega):
             raise SolveInconsistencyError(
                 "classification certificate failed: the change does not pull "
                 "the normal form back to the input")

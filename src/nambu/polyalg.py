@@ -156,17 +156,15 @@ class Poly:
         return {e: Fraction(n, den) for e, n in self.num.items()}
 
     def _degree_buckets(self) -> list:
-        """num by total degree: buckets[d] maps the exponent vectors of
-        degree d to their numerators, in the order of ``num``; kept once
-        built."""
+        """num by total degree: a pair (d, {exps: numerator}) per degree d
+        that occurs, ascending, each bucket in the order of ``num``; kept
+        once built."""
         buckets = getattr(self, "_buckets", None)
         if buckets is None:
-            buckets = []
+            by_degree = {}
             for e, n in self.num.items():
-                d = sum(e)
-                while len(buckets) <= d:
-                    buckets.append({})
-                buckets[d][e] = n
+                by_degree.setdefault(sum(e), {})[e] = n
+            buckets = sorted(by_degree.items())
             object.__setattr__(self, "_buckets", buckets)
         return buckets
 
@@ -207,11 +205,12 @@ class Poly:
             raise ValueError(
                 f"variable-count mismatch: {self.nvars} vs {other.nvars}")
 
-    def _add(self, other: "Poly", sign: int) -> "Poly":
-        """self + sign * other over the lcm of the two denominators."""
+    def _add(self, other: "Poly", t: int, s: int = 1, g: int = 1) -> "Poly":
+        """(s * self + t * other) / g for ints s, t and g > 0, over the lcm
+        of the two denominators."""
         self._check(other)
         den = math.lcm(self.den, other.den)
-        f1, f2 = den // self.den, sign * (den // other.den)
+        f1, f2 = s * (den // self.den), t * (den // other.den)
         out = dict(self.num) if f1 == 1 else {e: n * f1 for e, n in self.num.items()}
         get = out.get
         for e, n in other.num.items():
@@ -220,7 +219,7 @@ class Poly:
                 out[e] = s
             else:
                 del out[e]
-        return Poly._make(self.nvars, out, den)
+        return Poly._make(self.nvars, out, den * g)
 
     def __add__(self, other: "Poly") -> "Poly":
         return self._add(other, 1)
@@ -243,7 +242,7 @@ class Poly:
         """Exact product; terms of total degree > trunc are dropped if given."""
         self._check(other)
         buckets = _mul_buckets(self._degree_buckets(), other._degree_buckets(), trunc)
-        return Poly._make(self.nvars, {e: v for b in buckets for e, v in b.items() if v},
+        return Poly._make(self.nvars, {e: v for _, b in buckets for e, v in b.items() if v},
                           self.den * other.den)
 
     def __mul__(self, other):
@@ -317,7 +316,7 @@ class Poly:
                 raise ValueError("substitution arguments disagree on nvars")
         # powers[i][k] = (D_i^k, degree buckets of D_i^k * args[i]^k), where
         # D_i is the denominator of args[i]
-        one = (1, [{(0,) * m: 1}])
+        one = (1, [(0, {(0,) * m: 1})])
         powers = [[one] for _ in args]
 
         def power(i, k):
@@ -356,7 +355,7 @@ class Poly:
             prev = e
             De, product = path[-1]
             scale = n * (L // De)
-            for bucket in product:
+            for _, bucket in product:
                 for exps, v in bucket.items():
                     acc[exps] = get(exps, 0) + scale * v
         return Poly._make(m, {e: v for e, v in acc.items() if v}, self.den * L)
@@ -406,28 +405,21 @@ class Poly:
 def _mul_buckets(b1, b2, trunc: Optional[int]) -> list:
     """Degree buckets of the product of two numerator bucket lists, cut above
     degree trunc: one integer multiply-add per term pair, and the pairs a cut
-    drops are never visited."""
-    if not b1 or not b2:
-        return []
-    top = len(b1) + len(b2) - 2
-    if trunc is not None:
-        top = min(top, trunc)
-    out = [{} for _ in range(top + 1)]
-    for d1 in range(min(len(b1) - 1, top) + 1):
-        t1 = b1[d1]
-        if not t1:
-            continue
-        for d2 in range(min(len(b2) - 1, top - d1) + 1):
-            t2 = b2[d2]
-            if not t2:
-                continue
-            acc = out[d1 + d2]
+    drops are never visited. Only the degrees that occur get a bucket, so
+    the work does not grow with the size of an exponent."""
+    out = {}
+    for d1, t1 in b1:
+        for d2, t2 in b2:
+            d = d1 + d2
+            if trunc is not None and d > trunc:
+                break
+            acc = out.setdefault(d, {})
             get = acc.get
             for e1, n1 in t1.items():
                 for e2, n2 in t2.items():
                     e = tuple(map(add, e1, e2))
                     acc[e] = get(e, 0) + n1 * n2
-    return out
+    return sorted(out.items())
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +561,13 @@ def _parse_term(tokens, pos, nvars, varname, text):
 # exact rational matrices
 # ---------------------------------------------------------------------------
 
+def _integer_rows(data) -> Tuple[List[List[int]], int]:
+    """(A, d) with data = A / d: d the lcm of the denominators of the rational
+    (or int) entries, A their integer numerators over it."""
+    d = math.lcm(*(v.denominator for row in data for v in row))
+    return [[v.numerator * (d // v.denominator) for v in row] for row in data], d
+
+
 class RatMatrix:
     """Dense matrix with Fraction entries and exact linear algebra."""
 
@@ -623,12 +622,13 @@ class RatMatrix:
                                 for j in range(self.cols)])
 
     def matmul(self, other: "RatMatrix") -> "RatMatrix":
+        """The product, on the integer numerators of both factors."""
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        out = [[sum((self.data[i][k] * other.data[k][j] for k in range(self.cols)),
-                    Fraction(0)) for j in range(other.cols)]
-               for i in range(self.rows)]
-        return RatMatrix._make(out)
+        (A, da), (B, db) = _integer_rows(self.data), _integer_rows(other.data)
+        cols = list(zip(*B))
+        return RatMatrix._make([[Fraction(sum(map(mul, row, col)), da * db) for col in cols]
+                                for row in A])
 
     def matvec(self, vec: Sequence) -> List[Fraction]:
         v = [_as_fraction(x) for x in vec]
@@ -666,29 +666,26 @@ class RatMatrix:
         return _eliminate(self.data, self.cols).kernel
 
     def det(self) -> Fraction:
+        """det(A) / d^n for the integer numerators A over the lcm d of the
+        denominators, det(A) by Bareiss: each division by a pivot is exact."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        m = self.copy_data()
+        m, d = _integer_rows(self.data)
         n = self.rows
-        det = Fraction(1)
+        sign, prev = 1, 1
         for c in range(n):
-            pivot = None
-            for i in range(c, n):
-                if m[i][c] != 0:
-                    pivot = i
-                    break
+            pivot = next((i for i in range(c, n) if m[i][c]), None)
             if pivot is None:
                 return Fraction(0)
             if pivot != c:
                 m[c], m[pivot] = m[pivot], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = Fraction(1) / m[c][c]
+                sign = -sign
+            a, top = m[c][c], m[c]
             for i in range(c + 1, n):
-                if m[i][c] != 0:
-                    f = m[i][c] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        return det
+                f, row = m[i][c], m[i]
+                m[i] = [(a * x - f * y) // prev for x, y in zip(row, top)]
+            prev = a
+        return Fraction(sign * prev, d ** n)
 
     def inverse(self) -> "RatMatrix":
         if self.rows != self.cols:
@@ -710,8 +707,10 @@ class LinearSolveResult:
     """Outcome of an exact linear solve M x = b.
 
     `pivots` are the pivot columns of the RREF of M. `echelon` holds one row
-    per pivot, as (pivot column, row scaled to 1 there, its right-hand side),
-    with every entry at or right of the pivot; the kernel basis is read off
+    per pivot, as (pivot column, row, its right-hand side): the row is a
+    primitive integer row {column: int} (its pivot entry need not be 1), the
+    right-hand side is b's row scaled alike, and every entry of the row lies
+    at or right of the pivot. The kernel basis is read off
     these rows, the reduced rows off the kernel, and the inconsistency witness
     off the system, each when first asked for; the solution has b's type.
     """
@@ -772,8 +771,17 @@ class LinearSolveResult:
         return solve_sparse(rows, len(self.rows), [0] * len(transposed) + [1]).solution
 
 
+def _lincomb(s: int, x, t: int, y, g: int = 1):
+    """(s * x - t * y) / g for ints s, t, g > 0 and two Fractions or Polys."""
+    if isinstance(x, Poly):
+        return x._add(y, -t, s, g)
+    xd, yd = x.denominator, y.denominator
+    return Fraction(s * x.numerator * yd - t * y.numerator * xd, xd * yd * g)
+
+
 def _back_substitute(echelon, ncols: int, zero, free: Optional[int] = None) -> list:
-    """Solve the echelon rows from the last pivot up, free variables `zero`.
+    """Solve the echelon rows from the last pivot up, free variables `zero`;
+    the division by each pivot entry is where rationals first appear.
 
     With `free` given, solves the homogeneous system with x_free = 1.
     """
@@ -784,8 +792,9 @@ def _back_substitute(echelon, ncols: int, zero, free: Optional[int] = None) -> l
         acc = zero if free is not None else rhs
         for k, v in row.items():
             if k != c and x[k]:
-                acc -= v * x[k]
-        x[c] = acc
+                acc = _lincomb(1, acc, v, x[k])
+        a = row[c]
+        x[c] = acc if a == 1 else acc * Fraction(1, a)
     return x
 
 
@@ -802,15 +811,29 @@ def solve_sparse(rows: Sequence[dict], ncols: int, rhs: Sequence) -> LinearSolve
     elimination serves every monomial of b: the solution's coefficient at a
     monomial solves the scalar system of b's coefficients there, and the
     system is inconsistent exactly when one of those is.
+
+    The elimination is fraction-free (Bareiss 1968): rows are primitive
+    integer rows, and a step with pivot entry a, f = row_i[c], g = gcd(a, f)
+    takes row_i to (a/g) row_i - (f/g) prow over its content, the nonzero
+    pattern of the rational step; b_i follows by the same numbers.
     """
     polys = [v for v in rhs if isinstance(v, Poly)]
     zero = Poly.zero(polys[0].nvars) if polys else Fraction(0)
-    given = [v if isinstance(v, Poly) else Poly.const(zero.nvars, v) if polys
-             else _as_fraction(v) for v in rhs]
+    given = [v if isinstance(v, Poly) else zero if not v
+             else Poly.const(zero.nvars, v) if polys else _as_fraction(v) for v in rhs]
     if len(given) != len(rows):
         raise ValueError("right-hand side has wrong length")
     b = list(given)
-    work = [{c: v for c, v in row.items() if v} for row in rows]
+    work = []
+    for i, row in enumerate(rows):
+        d = math.lcm(*[v.denominator for v in row.values()])
+        ints = {c: v.numerator * (d // v.denominator) for c, v in row.items() if v}
+        g = math.gcd(*ints.values()) or 1
+        if g != 1:
+            ints = {c: v // g for c, v in ints.items()}
+        if d != g and b[i]:
+            b[i] *= Fraction(d, g)
+        work.append(ints)
     unpivoted = set(range(len(work)))
     echelon = []
     for c in range(ncols):
@@ -819,25 +842,27 @@ def solve_sparse(rows: Sequence[dict], ncols: int, rhs: Sequence) -> LinearSolve
             continue
         p = min(holders, key=lambda i: (len(work[i]), i))
         unpivoted.discard(p)
-        prow = work[p]
-        inv = Fraction(1) / prow[c]
-        if inv != 1:
-            prow = {k: v * inv for k, v in prow.items()}
-            b[p] *= inv
+        prow, bp = work[p], b[p]
+        a = prow[c]
         for i in holders:
             if i == p:
                 continue
             row = work[i]
-            f = row[c]
+            g = math.gcd(a, row[c])
+            s, t = a // g, row[c] // g
+            if s != 1:
+                row = {k: v * s for k, v in row.items()}
             for k, v in prow.items():
-                s = row.get(k, 0) - f * v
-                if s:
-                    row[k] = s
+                x = row.get(k, 0) - t * v
+                if x:
+                    row[k] = x
                 else:
                     del row[k]
-            if b[p]:
-                b[i] -= f * b[p]
-        echelon.append((c, prow, b[p]))
+            h = math.gcd(*row.values()) or 1
+            work[i] = row if h == 1 else {k: v // h for k, v in row.items()}
+            if bp or b[i]:
+                b[i] = _lincomb(s, b[i], t, bp, h)
+        echelon.append((c, prow, bp))
     pivots = [c for c, _, _ in echelon]
     solution = None
     if not any(b[i] for i in unpivoted):
@@ -878,13 +903,14 @@ class GradedSystem:
         self.rows = {}  # label -> {column: value}
         self.b = {}     # label -> right-hand side
 
-    def add(self, row, col: int, v) -> None:
+    def add(self, row, col: int, v, den: int = 1) -> None:
+        """Add v / den at (row, col); int entries stay ints."""
         entries = self.rows.setdefault(row, {})
-        entries[col] = entries.get(col, 0) + v
+        entries[col] = entries.get(col, 0) + (v if den == 1 else Fraction(v, den))
 
-    def rhs(self, row, v) -> None:
+    def rhs(self, row, v, den: int = 1) -> None:
         self.rows.setdefault(row, {})
-        self.b[row] = v
+        self.b[row] = v if den == 1 else Fraction(v, den)
 
     def solve(self) -> LinearSolveResult:
         return solve_sparse(list(self.rows.values()), self.ncols,
@@ -1000,8 +1026,7 @@ def char_poly(M: RatMatrix) -> List[Fraction]:
     if M.rows != M.cols:
         raise PreconditionError("characteristic polynomial of a non-square matrix")
     n = M.rows
-    d = math.lcm(*(v.denominator for row in M.data for v in row))
-    A = [[v.numerator * (d // v.denominator) for v in row] for row in M.data]
+    A, d = _integer_rows(M.data)
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
     # after step k, W = A^k + c_1 A^(k-1) + ... + c_k I

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add
 from typing import List, Optional, Sequence, Tuple
 
 from .polyalg import Poly, PreconditionError
@@ -93,7 +94,9 @@ def _first_failure(omega: DiffForm):
 
     With omega = sum_m x^m w_m split into integer constant forms, the x^M
     coefficient of i_A omega ^ omega is the sum of i_A w_m ^ w_m' over
-    m + m' = M, and likewise against domega = sum_m x^m v_m.
+    m + m' = M, and likewise against domega = sum_m x^m v_m. As i_A w_m =
+    sum_i c_i dx_i, that is sum_i c_i (dx_i ^ w_m'): each dx_i ^ w is wedged
+    once, and a key A costs only integer multiply-adds.
     """
     n, p = omega.nvars, omega.grade
     parts = _integer_parts(omega)
@@ -103,19 +106,29 @@ def _first_failure(omega: DiffForm):
             if e:
                 lower = m[:j] + (e - 1,) + m[j + 1:]
                 _wedge_into(dparts.setdefault(lower, {}), {(j,): e}, w)
+    # per equation and part m: (m + m', [dx_i ^ w_m' for each i]) for each m'
+    pairs = []
+    for rhs in (parts, dparts):
+        lifted = {m2: [_wedge_into({}, {(i,): 1}, w) for i in range(n)]
+                  for m2, w in rhs.items()}
+        pairs.append({m: [(tuple(map(add, m, m2)), lift) for m2, lift in lifted.items()]
+                      for m in parts})
     for key in itertools.combinations(range(n), p - 1):
-        contracted = {}
+        contracted = []
         for m, w in parts.items():
             c = _contract(w, key)
             if c:
-                contracted[m] = c
-        for eq, rhs in ((3, parts), (4, dparts)):
+                contracted.append((m, [(i, ci) for (i,), ci in c.items()]))
+        for eq, pairs_of in zip((3, 4), pairs):
             coeffs: dict = {}
-            for m, c in contracted.items():
-                for m2, w in rhs.items():
-                    M = tuple(a + b for a, b in zip(m, m2))
-                    _wedge_into(coeffs.setdefault(M, {}), c, w)
-            if any(coeffs.values()):
+            for m, c in contracted:
+                for M, lift in pairs_of[m]:
+                    acc = coeffs.setdefault(M, {})
+                    get = acc.get
+                    for i, ci in c:
+                        for K, v in lift[i].items():
+                            acc[K] = get(K, 0) + ci * v
+            if any(v for acc in coeffs.values() for v in acc.values()):
                 return key, eq
     return None
 

@@ -72,6 +72,23 @@ def test_verify_q2_precondition(capsys, monkeypatch):
     assert code == 3 and "q = 2" in err.replace("q=2", "q = 2")
 
 
+# a huge exponent is one term: products keep one bucket per degree that occurs
+_HUGE_EXPONENT = json.dumps({"kind": "vector", "nvars": 4, "grade": 3,
+                             "components": {"1,2,3": "x3^1000000000"}})
+
+
+def test_verify_huge_exponent(capsys, monkeypatch):
+    code, out, _ = invoke(capsys, ["verify", "-"], _HUGE_EXPONENT, monkeypatch)
+    assert code == 0
+    assert json.loads(out) == {"passed": True, "witness": None}
+
+
+def test_classify_huge_exponent_exit3(capsys, monkeypatch):
+    code, out, err = invoke(capsys, ["classify", "-"], _HUGE_EXPONENT, monkeypatch)
+    assert code == 3 and out == ""
+    assert "needs a homogeneous linear form" in err
+
+
 def test_classify_zero_form(capsys, monkeypatch):
     payload = json.dumps({"nvars": 5, "grade": 2, "components": {}})
     code, out, _ = invoke(capsys, ["classify", "-", "--form"], payload, monkeypatch)

@@ -4,6 +4,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -19,6 +20,7 @@ from nambu.polyalg import (
     PreconditionError,
     RatMatrix,
     SolveInconsistencyError,
+    _integer_rows,
 )
 from nambu.exterior import (
     DiffForm,
@@ -32,6 +34,8 @@ from nambu.exterior import (
     wedge,
 )
 from nambu.linclass import (
+    _State,
+    _pull_back,
     _rank_normalize,
     classify_linear,
     classify_linear_tensor,
@@ -529,3 +533,68 @@ def test_classification_invariants_under_linear_moves(data):
     trep = classify_linear_tensor(P)
     assert pushforward_tensor(P, trep.change) == trep.achieved_tensor
     assert invariants(trep) == invariants(base)
+
+
+# -- the integer constant array against a Fraction reference ----------------------------
+
+def _fraction_pull_back(coeffs, A):
+    """The Fraction pullback of a constant array along x = A z: component K
+    sends det(A[K, L]) times its row c_K . A to component L; zero rows dropped."""
+    n = len(A)
+    out = {}
+    for K, c in coeffs.items():
+        cA = [sum((c[k] * A[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
+        for L in itertools.combinations(range(n), len(K)):
+            m = RatMatrix([[A[i][l] for l in L] for i in K]).det()
+            row = out.setdefault(L, [Fraction(0)] * n)
+            for k in range(n):
+                row[k] += m * cA[k]
+    return {L: row for L, row in out.items() if any(row)}
+
+
+@st.composite
+def linear_forms_and_moves(draw):
+    """A random linear p-form with rational coefficients and a few random
+    matrices with small rational entries, singular ones included."""
+    n = draw(st.integers(2, 5))
+    p = draw(st.integers(1, n))
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    comps = {}
+    for K in itertools.combinations(range(n), p):
+        if draw(st.booleans()):
+            comps[K] = Poly(n, {tuple(int(i == k) for i in range(n)): draw(coeff)
+                                for k in range(n)})
+    entry = st.one_of(st.just(Fraction(0)), coeff)
+    moves = draw(st.lists(st.builds(RatMatrix, st.lists(
+        st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)), max_size=3))
+    return DiffForm(n, p, comps), moves
+
+
+def _lowest_terms(rows, den):
+    assert den > 0
+    assert math.gcd(den, *itertools.chain.from_iterable(rows.values())) == 1
+    assert all(type(v) is int for row in rows.values() for v in row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_forms_and_moves())
+def test_integer_pull_back_matches_the_fraction_pullback(case):
+    omega, moves = case
+    reference = {K: c.linear_coefficients() for K, c in omega.comps.items()}
+    state = _State(omega)
+    _lowest_terms(state.num, state.den)
+    assert state.coeffs == reference
+    back = RatMatrix.identity(omega.nvars)
+    for A in moves:
+        num, den = _pull_back(state.num, state.den, *_integer_rows(A.data))
+        reference = _fraction_pull_back(reference, A.data)
+        assert {K: [Fraction(v, den) for v in row] for K, row in num.items()} == reference
+        state.apply(A)
+        back = back.matmul(A)
+        assert (state.num, state.den) == (num, den)
+        assert state.coeffs == reference
+        _lowest_terms(state.num, state.den)
+        assert all(any(row) for row in state.num.values())
+        _lowest_terms(state.back, state.back_den)
+        assert [[Fraction(v, state.back_den) for v in row]
+                for row in state.back.values()] == back.data

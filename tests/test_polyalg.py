@@ -384,24 +384,29 @@ def test_solve_randomized_exactness():
 # mostly zeros, small numerators and denominators: sparse, rank-deficient systems
 _entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
                    st.fractions(min_value=-5, max_value=5, max_denominator=4))
+# big numerators and denominators, for the fraction-free elimination's growth
+_big_entry = st.one_of(st.just(Fraction(0)),
+                       st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**6)))
 
 
 @st.composite
 def sparse_systems(draw):
+    entry = draw(st.sampled_from([_entry, _big_entry]))
     r = draw(st.integers(1, 7))
     c = draw(st.integers(1, 7))
-    M = [[draw(_entry) for _ in range(c)] for _ in range(r)]
+    M = [[draw(entry) for _ in range(c)] for _ in range(r)]
     if draw(st.booleans()):  # consistent: b = M x0
-        x0 = [draw(_entry) for _ in range(c)]
+        x0 = [draw(entry) for _ in range(c)]
         b = [sum((m * x for m, x in zip(row, x0)), Fraction(0)) for row in M]
     else:  # often inconsistent
-        b = [draw(_entry) for _ in range(r)]
+        b = [draw(entry) for _ in range(r)]
     return RatMatrix(M), b
 
 
-def _gauss_jordan(rows):
+def _gauss_jordan(rows, leads=None):
     """Textbook Gauss-Jordan: (nonzero RREF rows, pivot columns) of a dense
-    matrix, taking the first row with a nonzero entry as pivot."""
+    matrix, taking the first row with a nonzero entry as pivot. A given list
+    `leads` receives each pivot's value, negated when its row was swapped in."""
     m = [[Fraction(v) for v in row] for row in rows]
     ncols = len(m[0]) if m else 0
     pivots = []
@@ -412,6 +417,8 @@ def _gauss_jordan(rows):
             continue
         m[r], m[pivot] = m[pivot], m[r]
         lead = m[r][c]
+        if leads is not None:
+            leads.append(lead if pivot == r else -lead)
         m[r] = [v / lead for v in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c]:
@@ -460,10 +467,11 @@ def test_solve_sparse_matches_rref(system):
 @st.composite
 def rank_deficient_matrices(draw):
     """A product of r x k and k x c matrices: rank at most k <= min(r, c)."""
+    entry = draw(st.sampled_from([_entry, _big_entry]))
     r, c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     k = draw(st.integers(0, min(r, c)))
-    A = [[draw(_entry) for _ in range(k)] for _ in range(r)]
-    B = [[draw(_entry) for _ in range(c)] for _ in range(k)]
+    A = [[draw(entry) for _ in range(k)] for _ in range(r)]
+    B = [[draw(entry) for _ in range(c)] for _ in range(k)]
     return RatMatrix(A).matmul(RatMatrix(B)) if k else RatMatrix.zeros(r, c)
 
 
@@ -491,6 +499,44 @@ def test_rank_kernel_rref_match_gauss_jordan(M):
     assert [r + t for r, t in zip(R.data, T.data)] == _gauss_jordan(augmented)[0]
     if M.rows == M.cols == len(pivots):
         assert M.matmul(M.inverse()) == RatMatrix.identity(M.rows)
+
+
+@st.composite
+def square_matrices(draw):
+    """Square matrices of either entry kind, singular ones included."""
+    entry = draw(st.sampled_from([_entry, _big_entry]))
+    n = draw(st.integers(0, 6))
+    return RatMatrix([[draw(entry) for _ in range(n)] for _ in range(n)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_det_is_the_product_of_gauss_jordan_pivots(M):
+    leads = []
+    _, pivots = _gauss_jordan(M.data, leads)
+    assert M.det() == (math.prod(leads, start=Fraction(1)) if len(pivots) == M.rows else 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices(), square_matrices())
+def test_matmul_matches_the_fraction_product(A, B):
+    n = min(A.rows, B.rows)
+    A = RatMatrix([row[:n] for row in A.data[:n]])
+    B = RatMatrix([row[:n] for row in B.data[:n]])
+    want = [[sum((A[i, k] * B[k, j] for k in range(n)), Fraction(0)) for j in range(n)]
+            for i in range(n)]
+    assert A.matmul(B).data == want
+    assert all(type(v) is Fraction for row in A.matmul(B).data for v in row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_systems())
+def test_echelon_rows_are_primitive_integer_rows(system):
+    M, b = system
+    res = solve_linear(M, b)
+    for c, row, _ in res.echelon:
+        assert all(type(v) is int and v for v in row.values())
+        assert min(row) == c and math.gcd(*row.values()) == 1
 
 
 @st.composite

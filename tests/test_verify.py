@@ -10,6 +10,9 @@ from hypothesis import given, settings, strategies as st
 from nambu.polyalg import Poly, PreconditionError, RatMatrix
 from nambu.exterior import (
     DiffForm,
+    _contract,
+    _integer_parts,
+    _wedge_into,
     FormalMap,
     Multivector,
     basis_multivector,
@@ -17,10 +20,12 @@ from nambu.exterior import (
     dform,
     interior,
     pullback_form,
+    scalar_form,
     tensor_to_form,
     wedge,
 )
 from nambu.verify import (
+    _first_failure,
     fundamental_identity_residual,
     hamiltonian_vf,
     is_conambu,
@@ -172,6 +177,66 @@ def test_witness_matches_basis_reference(w):
     v = is_conambu(w)
     assert (None if v.passed else (v.witness.A, v.witness.equation)) \
         == _first_failure_reference(w)
+
+
+def _per_key_wedge_failure(omega):
+    """The per-key loop that _first_failure replaced: every key wedges each
+    contraction i_A w_m against every part w_m' again."""
+    n, p = omega.nvars, omega.grade
+    parts = _integer_parts(omega)
+    dparts = {}
+    for m, w in parts.items():
+        for j, e in enumerate(m):
+            if e:
+                lower = m[:j] + (e - 1,) + m[j + 1:]
+                _wedge_into(dparts.setdefault(lower, {}), {(j,): e}, w)
+    for key in itertools.combinations(range(n), p - 1):
+        contracted = {m: c for m, w in parts.items() if (c := _contract(w, key))}
+        for eq, rhs in ((3, parts), (4, dparts)):
+            coeffs = {}
+            for m, c in contracted.items():
+                for m2, w in rhs.items():
+                    M = tuple(a + b for a, b in zip(m, m2))
+                    _wedge_into(coeffs.setdefault(M, {}), c, w)
+            if any(coeffs.values()):
+                return key, eq
+    return None
+
+
+@st.composite
+def passing_forms(draw):
+    """f dg_1 ^ ... ^ dg_p for polynomials f and g_j: co-Nambu by construction."""
+    n = draw(st.integers(4, 6))
+    p = draw(st.integers(1, n - 3))
+    mono = st.lists(st.integers(0, n - 1), min_size=0, max_size=2)
+
+    def poly():
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            e = [0] * n
+            for i in draw(mono):
+                e[i] += 1
+            terms[tuple(e)] = draw(st.fractions(-3, 3, max_denominator=3))
+        return Poly(n, terms)
+
+    omega = scalar_form(poly())
+    for _ in range(p):
+        omega = wedge(omega, dform(scalar_form(poly())))
+    return omega
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(polynomial_forms(), passing_forms()))
+def test_first_failure_matches_the_per_key_wedge_loop(w):
+    assert _first_failure(w) == _per_key_wedge_failure(w)
+
+
+def test_passing_forms_pass():
+    n = 5
+    f = Poly(n, {(1, 0, 0, 0, 0): Fraction(1), (0, 2, 0, 1, 0): Fraction(-2, 3)})
+    g = Poly(n, {(0, 0, 1, 0, 0): Fraction(1), (1, 1, 0, 0, 0): Fraction(1)})
+    omega = wedge(scalar_form(f), dform(scalar_form(g)))
+    assert _first_failure(omega) is None and _per_key_wedge_failure(omega) is None
 
 
 def test_q2_rejected():
