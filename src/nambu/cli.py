@@ -254,10 +254,11 @@ def _linearize_type2(obj, N, args) -> int:
             _emit({"resonant": True, "detail": str(exc)}, args)
             return EXIT_FAIL
         raise
-    full = extend_map(pres.change, yidx, n)
-    total = full.compose(pre.change, N).compose(report.change, N)
+    T = extend_map(pres.change, yidx, n).compose(pre.change, N)
+    total = T.compose(report.change, N)
     # P_n is the normalized tensor divided by det, so Phi_* P = det * f * Lambda
-    multiplier = pre.multiplier.substitute(full.inverse(N).comps, N).scale(det)
+    # with f = F o T^-1, F read in P_n's coordinates: the one nonlinear inverse
+    multiplier = pre.multiplier.substitute(T.inverse(N).comps, N).scale(det)
     payload = {
         "map": formal_map_to_json(total),
         "multiplier": multiplier.to_str(),

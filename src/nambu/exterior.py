@@ -557,7 +557,7 @@ class FormalMap:
     to be taken at some finite order).
     """
 
-    __slots__ = ("nvars", "comps", "trunc", "_inv_cache")
+    __slots__ = ("nvars", "comps", "trunc")
 
     def __init__(self, comps: Sequence[Poly], trunc: Optional[int] = None):
         comps = tuple(comps)
@@ -574,7 +574,6 @@ class FormalMap:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "comps", comps)
         object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "_inv_cache", {})
         if self.linear_matrix().det() == 0:
             raise PreconditionError("linear part of the coordinate change is singular")
 
@@ -624,39 +623,23 @@ class FormalMap:
     def inverse(self, trunc: Optional[int] = None) -> "FormalMap":
         """Formal inverse through the given degree (exact for linear maps).
 
-        Results are cached per truncation degree (maps are immutable).
+        A graded fixed point from psi = L^-1 x, L the linear part: with psi
+        right below degree k, the degree-k part of self o psi is that of
+        self o psi_{<k} plus L psi_k, so step k substitutes cut at k and
+        corrects only psi's degree-k part, by L^-1 times that residual.
         """
-        cached = self._inv_cache.get(trunc)
-        if cached is None:
-            cached = self._inv_cache[trunc] = self._inverse_impl(trunc)
-        return cached
-
-    def _inverse_impl(self, trunc: Optional[int] = None) -> "FormalMap":
-        L = self.linear_matrix()
-        Linv = L.inverse()
+        Linv = self.linear_matrix().inverse()
         if self.is_linear():
             return FormalMap.from_matrix(Linv)
         if trunc is None:
             trunc = self.trunc
         if trunc is None:
             raise PreconditionError("nonlinear inverse needs a truncation degree")
-        n = self.nvars
-        psi = FormalMap.from_matrix(Linv)
-        ident = [Poly.variable(n, i) for i in range(n)]
-        for _ in range(2, trunc + 1):
-            err = [self.comps[i].substitute(psi.comps, trunc) - ident[i]
-                   for i in range(n)]
-            if all(e.is_zero() for e in err):
-                break
-            corr = []
-            for i in range(n):
-                acc = Poly.zero(n)
-                for j in range(n):
-                    if Linv[i, j] != 0:
-                        acc = acc + err[j].scale(Linv[i, j])
-                corr.append(psi.comps[i] - acc)
-            psi = FormalMap(corr, trunc)
-        return FormalMap(psi.comps, trunc)
+        lin = psi = FormalMap.from_matrix(Linv).comps
+        for k in range(2, trunc + 1):
+            err = [c.substitute(psi, k).homogeneous_component(k) for c in self.comps]
+            psi = [p - l.substitute(err) for p, l in zip(psi, lin)]
+        return FormalMap(psi, trunc)
 
 
 def _combine_trunc(a, b):
@@ -705,30 +688,33 @@ def pullback_form(omega: DiffForm, phi: FormalMap, N: Optional[int] = None) -> D
 
 
 def pushforward_tensor(P: Multivector, phi: FormalMap, N: Optional[int] = None) -> Multivector:
-    """Transport P contravariantly along phi: phi_* P = (Lambda Dphi . P) o phi^{-1}.
-
-    Each d_i becomes the Jacobian column sum_k (d_i phi_k) d_k. Coefficients
-    and columns are read at phi.inverse(N), which phi caches for other
-    callers; the wedges of columns (shared along common index prefixes) are
-    cut at N, so the result is exact through N. N=None is allowed for linear
-    maps only, and is then exact.
-    """
+    """Transport P contravariantly along phi: phi_* P = (Lambda Dphi . P) o phi^{-1},
+    `_jacobian_push` read at phi.inverse(N), exact through N. N=None is
+    allowed for linear maps only, and is then exact."""
     if P.nvars != phi.nvars:
         raise ValueError("nvars mismatch")
     if N is None and not phi.is_linear():
         raise PreconditionError("untruncated pushforward is only allowed for linear maps")
+    return _jacobian_push(P, phi, N, phi.inverse(N).comps)
+
+
+def _jacobian_push(P: Multivector, phi: FormalMap, N: Optional[int],
+                   at: Optional[Sequence[Poly]] = None) -> Multivector:
+    """Lambda(Dphi) . P, coefficients and columns read at `at` (at x when
+    None): each d_i becomes the Jacobian column sum_k (d_i phi_k) d_k, and
+    wedges of columns (shared along index prefixes) and products are cut at N.
+    """
     n = P.nvars
-    inv = phi.inverse(N).comps
 
-    def at_inv(p: Poly) -> Poly:
-        return p.substitute(inv, N) if p.degree > 0 else p
+    def read(p: Poly) -> Poly:
+        return p.substitute(at, N) if at is not None and p.degree > 0 else p
 
-    columns = [{(k,): at_inv(d) for k, c in enumerate(phi.comps) if (d := c.partial(i))}
+    columns = [{(k,): read(d) for k, c in enumerate(phi.comps) if (d := c.partial(i))}
                for i in range(n)]
     minors = _prefix_minors(columns, P.comps, Poly.one(n), N)
     out: Dict[IndexTuple, Poly] = {}
     for I, c in P.comps.items():
-        coeff = at_inv(c)
+        coeff = read(c)
         for K, v in minors[I].items():
             _accumulate(out, K, coeff.mul(v, N))
     return Multivector._make(n, P.grade, out)

@@ -11,13 +11,14 @@ variables off the active block as parameters (Saito's de Rham lemma with
 parameters), so each degree is one solve per active degree, with columns over
 active monomials and a Poly in the inert variables per row.
 
-Transport: the passes move objects by derivations and invert no map; the
-Jacobian transport at the map's inverse (exterior.pushforward_tensor) checks
-their contracts. Type 2 prelinearization moves fields that commute with V_i
-by slice transport, Poincare solves the conjugacy equation X(Phi) = L o Phi,
-and the Type 1 multiplier step never moves a tensor: L_X Pi_1 = f_r Pi_1
-keeps every pushed tensor a multiple g * Pi_1, so each time-1 flow acts on g
-alone by the Lie series exp(-(X + f_r)) (Deprit 1969).
+Transport: the passes move objects by derivations and invert no map, and
+their contracts are checked along the map: Phi fixes 0 with an invertible
+linear part, so Phi_* P = Q through N exactly when Lambda(DPhi) . P = Q o Phi
+through N (_check_push). Type 2 prelinearization moves fields that commute
+with V_i by slice transport, Poincare solves the conjugacy equation
+X(Phi) = L o Phi, and the Type 1 multiplier step never moves a tensor:
+L_X Pi_1 = f_r Pi_1 keeps every pushed tensor a multiple g * Pi_1, so each
+time-1 flow acts on g alone by the Lie series exp(-(X + f_r)) (Deprit 1969).
 
 Degree bookkeeping: a coefficient-degree-d vector field moves degree-d
 structure. Each object carries the degree through which it is trusted, and
@@ -61,6 +62,7 @@ from .exterior import (
     Multivector,
     _accumulate,
     _contract_single,
+    _jacobian_push,
     apply_vector,
     coordinate_field,
     coordinate_form,
@@ -71,7 +73,6 @@ from .exterior import (
     merge_sign,
     prefix_blocks,
     pullback_form,
-    pushforward_tensor,
     scalar_form,
     wedge,
     wedge_all,
@@ -147,6 +148,15 @@ def _check_gap(gap, message: str) -> None:
         bad = int(gap.min_coeff_degree())
         raise SolveInconsistencyError(message, degree=bad,
                                       residual=gap.homogeneous_component(bad))
+
+
+def _check_push(P: Multivector, phi: FormalMap, Q: Multivector, F: Poly, N: int,
+                message: str) -> None:
+    """Check phi_* P = (F o phi^-1) Q through N as Lambda(Dphi) . P =
+    F (Q o phi) (module docstring, "Transport"). P vanishes at 0, so Dphi is
+    needed through N - 1, which phi cut at N gives."""
+    Q_phi = Q.map_coeffs(lambda c: c.substitute(phi.comps, N))
+    _check_gap((_jacobian_push(P, phi, N) - Q_phi.poly_scale(F, N)).truncate(N), message)
 
 
 # ---------------------------------------------------------------------------
@@ -698,8 +708,8 @@ def remove_multiplier(f: Poly, signs: Sequence[int], N: int,
                 "multiplier degree did not advance", degree=r)
 
     change = FormalMap([p.truncate(N) for p in phi_total.comps], trunc=N)
-    _check_gap((pushforward_tensor(P1.poly_scale(f, N), change, N) - P1.scale(c)).truncate(N),
-               "multiplier removal contract failed")
+    _check_push(P1.poly_scale(f, N), change, P1, Poly.const(n, c), N,
+                "multiplier removal contract failed")
     result.change = change
     return result
 
@@ -765,6 +775,8 @@ def _solve_lie_multiplier(P1: Multivector, diag: Sequence[int], f_r: Poly,
 
 @dataclass
 class Type2PrelinResult:
+    """change_* P = f * frame ^ field through N; `multiplier` is F = f o
+    change, the multiplier read in the input's coordinates."""
     multiplier: Poly
     frame: List[Multivector]
     field: Multivector
@@ -807,11 +819,13 @@ def prelinearize_type2(P: Multivector, N: int) -> Type2PrelinResult:
     with everything by transport solves along V_i, and straighten each V_i
     by flow-box coordinates u_k = x_k + w_k, with V_i(w_k) = -(V_i - d_i)_k
     and w_k = 0 on x_i = 0: one more transport solve per coordinate. X and
-    the later frame fields commute with V_i and move by slice transport; the
-    multiplier is kept as F = f o change, and f takes the one inverse of
-    change that the contract check reads too. In the returned coordinates X
-    has no frame components and no frame-variable dependence through N, and
-        pushforward_tensor(P, change, N) == f * frame ^ X   (truncated at N).
+    the later frame fields commute with V_i and move by slice transport. In
+    the returned coordinates X has no frame components and no frame-variable
+    dependence through N, and, F the returned multiplier, read in the
+    input's coordinates, and f = F o change^-1, the contract
+        pushforward_tensor(P, change, N) == f * frame ^ X   (truncated at N)
+    is checked along change, inverting nothing, as Lambda(Dchange) . P ==
+    F * frame ^ (X o change).
 
     One pass on one precision schedule (module docstring, "Degree
     bookkeeping"): the frame decomposition runs at N + q - 1, and slot i
@@ -890,13 +904,10 @@ def _prelinearize_attempt(P: Multivector, N: int) -> Type2PrelinResult:
                 raise SolveInconsistencyError(
                     "field keeps frame-variable dependence", degree=sum(exps))
     change = FormalMap([c.truncate(N) for c in phi_total.comps], trunc=N)
-    # f = F o change^-1; the contract's pushforward reads the same cached inverse
-    f_out = F.substitute(change.inverse(N).comps, N)
-    # the contract, verified at the user's order
-    lhs = pushforward_tensor(P, change, N)
-    rhs = wedge_all(frame + [X_out], N).poly_scale(f_out, N)
-    _check_gap((lhs - rhs).truncate(N), "prelinearization contract failed")
-    return Type2PrelinResult(f_out, frame, X_out, change, report, B)
+    F = F.truncate(N)
+    _check_push(P, change, wedge_all(frame + [X_out], N), F, N,
+                "prelinearization contract failed")
+    return Type2PrelinResult(F, frame, X_out, change, report, B)
 
 
 def _bracket_quotient(X, bracket, y, D, report, label) -> Poly:

@@ -318,7 +318,9 @@ def test_criterion_7_type2_pipeline():
         full = extend_map(pres.change, yidx, n)
         total = full.compose(pre.change, N)
         final = pushforward_tensor(P, total, N)
-        multiplier = pre.multiplier.substitute(full.inverse(N).comps, N)
+        # the multiplier is read in P's coordinates: f = multiplier o change^-1
+        f = pre.multiplier.substitute(pre.change.inverse(N).comps, N)
+        multiplier = f.substitute(full.inverse(N).comps, N)
         lin_field = embed(Xy.homogeneous_component(1), yidx, n)
         target = wedge_all(pre.frame + [lin_field], N).poly_scale(multiplier, N)
         assert (final - target).truncate(N).is_zero()

@@ -561,6 +561,71 @@ def test_remove_multiplier_contract_catches_a_wrong_flow(monkeypatch):
         remove_multiplier(parse_poly("1 + x1", 4), [1, 1, 1, 1], 3)
 
 
+def bump(p: Poly, exps) -> Poly:
+    """p with its coefficient at exps raised by 1."""
+    return p + Poly.monomial(p.nvars, exps, 1)
+
+
+def power(n, j, d):
+    """The exponents of x_j^d."""
+    return tuple(d if t == j else 0 for t in range(n))
+
+
+def contract_verdicts(P, phi, Q, F, N):
+    """(the degree at which the inverse-free check phi_* P == (F o phi^-1) Q
+    raises, or None; whether the pushforward reference form holds)."""
+    try:
+        formal._check_push(P, phi, Q, F, N, "contract failed")
+        new = None
+    except SolveInconsistencyError as exc:
+        new = exc.degree
+    f = F.substitute(phi.inverse(N).comps, N)
+    return new, (pushforward_tensor(P, phi, N) - Q.poly_scale(f, N)).truncate(N).is_zero()
+
+
+def test_remove_multiplier_contract_mutations():
+    # the inverse-free check and the pushforward reference reject every
+    # single-coefficient change of the map at degree N and of the removed
+    # multiplier at degree N - 1 (Pi_1 vanishes at 0, so the contract reads
+    # f through N - 1)
+    n, N, signs = 4, 3, [1, 1, 1, 1]
+    P1, _ = normal_form_generator("type1", n, 3, r=3, s=0, signs=signs)
+    f = parse_poly("1 + x1 + x2*x3", n)
+    res = remove_multiplier(f, signs, N)
+
+    def verdicts(phi, g):
+        return contract_verdicts(P1.poly_scale(g, N), phi, P1, Poly.one(n), N)
+
+    assert verdicts(res.change, f) == (None, True)
+    for k in range(n):
+        for j in range(n):
+            comps = list(res.change.comps)
+            comps[k] = bump(comps[k], power(n, j, N))
+            assert verdicts(FormalMap(comps, N), f) == (N, False)
+        assert verdicts(res.change, bump(f, power(n, k, N - 1))) == (N, False)
+
+
+def inverse_calls(monkeypatch):
+    """Record, for each FormalMap.inverse call, whether its map is linear."""
+    calls = []
+    real = FormalMap.inverse
+
+    def counted(self, trunc=None):
+        calls.append(self.is_linear())
+        return real(self, trunc)
+
+    monkeypatch.setattr(FormalMap, "inverse", counted)
+    return calls
+
+
+def test_remove_multiplier_and_prelinearization_invert_no_map(monkeypatch):
+    calls = inverse_calls(monkeypatch)
+    remove_multiplier(parse_poly("-4 + x1 + x2*x3", 4), [1, 1, 1, 1], 4)
+    P, N = moving_multiplier_input()
+    prelinearize_type2(P, N)
+    assert calls == []
+
+
 def test_remove_multiplier_zero_constant_rejected():
     with pytest.raises(PreconditionError):
         remove_multiplier(Poly.variable(4, 0), [1, 1, 1, 1], 3)
@@ -578,6 +643,21 @@ def test_prelinearize_fixed_point():
         5, 1, {(3,): x(5, 3), (4,): x(5, 4).scale(2)})
 
 
+def multiplier_at_target(res, N):
+    """f = multiplier o change^-1: the prelinearization multiplier read in
+    the coordinates of the result."""
+    return res.multiplier.substitute(res.change.inverse(N).comps, N)
+
+
+def prelinearization_gap(P, res, N, f=None):
+    """The reference form of the contract, change_* P - f * frame ^ field
+    through N, with f = multiplier_at_target(res, N) unless given."""
+    if f is None:
+        f = multiplier_at_target(res, N)
+    lhs = pushforward_tensor(P, res.change, N)
+    return (lhs - wedge_all(res.frame + [res.field], N).poly_scale(f, N)).truncate(N)
+
+
 def test_prelinearize_round_trips():
     rng = random.Random(17)
     n, q, N = 5, 4, 3
@@ -587,9 +667,7 @@ def test_prelinearize_round_trips():
         psi = quad_perturbation(rng, n, denom=False)
         P = form_to_tensor(pullback_form(w0, psi))
         res = prelinearize_type2(P, N)
-        lhs = pushforward_tensor(P, res.change, N)
-        rhs = wedge_all(res.frame + [res.field], N).poly_scale(res.multiplier, N)
-        assert (lhs - rhs).truncate(N).is_zero()
+        assert prelinearization_gap(P, res, N).is_zero()
         for key, c in res.field.comps.items():
             assert key[0] >= q - 1
             for exps in c.terms:
@@ -605,9 +683,54 @@ def test_prelinearize_q_lt_nminus1():
     psi = quad_perturbation(rng, n, denom=False)
     P = form_to_tensor(pullback_form(w0, psi))
     res = prelinearize_type2(P, N)
-    lhs = pushforward_tensor(P, res.change, N)
-    rhs = wedge_all(res.frame + [res.field], N).poly_scale(res.multiplier, N)
-    assert (lhs - rhs).truncate(N).is_zero()
+    assert prelinearization_gap(P, res, N).is_zero()
+
+
+def moving_multiplier_input():
+    """(P, N) at (4,3,4), diag(2,3), whose multiplier changes with the
+    coordinates inside the window the contract reads: F = f o change and f
+    differ at degree N - 1. (The draws at N = 3 differ at degree N at most,
+    where frame ^ field, vanishing at 0, hides the multiplier.)"""
+    _, w0 = normal_form_generator("type2", 4, 3, matrix=diagonal([2, 3]))
+    psi = quad_perturbation(random.Random(0), 4, terms=3, denom=False)
+    return form_to_tensor(pullback_form(w0, psi)), 4
+
+
+def test_prelinearize_multiplier_is_read_in_the_input_coordinates():
+    P, N = moving_multiplier_input()
+    res = prelinearize_type2(P, N)
+    f = multiplier_at_target(res, N)
+    # the input keeps its power only while F and f differ below N
+    assert (f - res.multiplier).truncate(N - 1)
+    assert prelinearization_gap(P, res, N, f).is_zero()
+    assert not prelinearization_gap(P, res, N, res.multiplier).is_zero()
+
+
+def test_prelinearize_contract_mutations():
+    # the inverse-free check and the pushforward reference reject the same
+    # single-coefficient changes: the map's components at degree N, and the
+    # multiplier at degree N - 1, the last degree the contract reads (the
+    # frame ^ field factor vanishes at 0)
+    P, N = moving_multiplier_input()
+    res = prelinearize_type2(P, N)
+    n, S = P.nvars, P.grade - 1
+    Q = wedge_all(res.frame + [res.field], N)
+
+    def verdicts(phi, F):
+        return contract_verdicts(P, phi, Q, F, N)
+
+    assert verdicts(res.change, res.multiplier) == (None, True)
+    for k in range(n):
+        for j in range(n):
+            comps = list(res.change.comps)
+            comps[k] = bump(comps[k], power(n, j, N))
+            new, held = verdicts(FormalMap(comps, N), res.multiplier)
+            assert (new is None) == held
+            # moving a field coordinate always shows; a frame coordinate
+            # x_k -> x_k + x_j^N with j != k is a symmetry of the frame
+            if k >= S or j == k:
+                assert new == N
+        assert verdicts(res.change, bump(res.multiplier, power(n, k, N - 1))) == (N, False)
 
 
 def test_prelinearize_zero_trace_rejected():
@@ -682,9 +805,7 @@ def assert_type2_contracts(P, N, capsys, monkeypatch):
     """The library's prelinearization contract and the CLI's
     Phi_* P == multiplier * Lambda(field_matrix), both through N."""
     res = prelinearize_type2(P, N)
-    lhs = pushforward_tensor(P, res.change, N)
-    rhs = wedge_all(res.frame + [res.field], N).poly_scale(res.multiplier, N)
-    assert (lhs - rhs).truncate(N).is_zero()
+    assert prelinearization_gap(P, res, N).is_zero()
     assert linearize_type2_cli(P, N, capsys, monkeypatch) == 0
 
 
@@ -838,6 +959,18 @@ def test_linearize_type2_golden_output(shape, capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(P.to_json_obj())))
     assert run(["linearize", "-", "--type2", "--order", str(N)]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN_TYPE2[shape]
+
+
+def test_linearize_type2_makes_one_nonlinear_inverse(capsys, monkeypatch):
+    # the golden (4,3) input: only the printed multiplier, F o T^-1, takes
+    # a nonlinear inverse
+    _, w0 = normal_form_generator("type2", 4, 3, matrix=sweep_matrix("companion", 2))
+    P = form_to_tensor(pullback_form(w0, shifted_support_map(4, 1, -1)))
+    calls = inverse_calls(monkeypatch)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(P.to_json_obj())))
+    assert run(["linearize", "-", "--type2", "--order", "8"]) == 0
+    capsys.readouterr()
+    assert calls.count(False) == 1
 
 
 @st.composite
