@@ -19,6 +19,7 @@ from .polyalg import (
     PreconditionError,
     RatMatrix,
     parse_poly,
+    substitute_many,
 )
 
 IndexTuple = Tuple[int, ...]
@@ -617,8 +618,7 @@ class FormalMap:
             raise ValueError("nvars mismatch")
         if trunc is None and not (self.is_linear() and inner.is_linear()):
             trunc = _combine_trunc(self.trunc, inner.trunc)
-        comps = [c.substitute(inner.comps, trunc) for c in self.comps]
-        return FormalMap(comps, trunc)
+        return FormalMap(substitute_many(self.comps, inner.comps, trunc), trunc)
 
     def inverse(self, trunc: Optional[int] = None) -> "FormalMap":
         """Formal inverse through the given degree (exact for linear maps).
@@ -626,7 +626,8 @@ class FormalMap:
         A graded fixed point from psi = L^-1 x, L the linear part: with psi
         right below degree k, the degree-k part of self o psi is that of
         self o psi_{<k} plus L psi_k, so step k substitutes cut at k and
-        corrects only psi's degree-k part, by L^-1 times that residual.
+        corrects only psi's degree-k part, by L^-1 times that residual. Each
+        substitution of a step shares one power table (`substitute_many`).
         """
         Linv = self.linear_matrix().inverse()
         if self.is_linear():
@@ -637,8 +638,8 @@ class FormalMap:
             raise PreconditionError("nonlinear inverse needs a truncation degree")
         lin = psi = FormalMap.from_matrix(Linv).comps
         for k in range(2, trunc + 1):
-            err = [c.substitute(psi, k).homogeneous_component(k) for c in self.comps]
-            psi = [p - l.substitute(err) for p, l in zip(psi, lin)]
+            err = [c.homogeneous_component(k) for c in substitute_many(self.comps, psi, k)]
+            psi = [p - v for p, v in zip(psi, substitute_many(lin, err))]
         return FormalMap(psi, trunc)
 
 
@@ -673,12 +674,14 @@ def pullback_form(omega: DiffForm, phi: FormalMap, N: Optional[int] = None) -> D
 
     With N the coefficients are truncated at that degree; N=None computes the
     exact polynomial pullback (always finite, since polynomials compose).
+    All coefficients are substituted along phi with one power table.
     """
     if omega.nvars != phi.nvars:
         raise ValueError("nvars mismatch")
     n = omega.nvars
     dphi = [{(j,): d for j in range(n) if (d := c.partial(j))} for c in phi.comps]
-    coeffs = {K: v for K, c in omega.comps.items() if (v := c.substitute(phi.comps, N))}
+    coeffs = {K: v for K, v in zip(omega.comps, substitute_many(omega.comps.values(), phi.comps, N))
+              if v}
     minors = _prefix_minors(dphi, coeffs, Poly.one(n), N)
     out: Dict[IndexTuple, Poly] = {}
     for K, coeff in coeffs.items():
@@ -703,18 +706,19 @@ def _jacobian_push(P: Multivector, phi: FormalMap, N: Optional[int],
     """Lambda(Dphi) . P, coefficients and columns read at `at` (at x when
     None): each d_i becomes the Jacobian column sum_k (d_i phi_k) d_k, and
     wedges of columns (shared along index prefixes) and products are cut at N.
+    Columns and coefficients are read at `at` with one power table.
     """
     n = P.nvars
-
-    def read(p: Poly) -> Poly:
-        return p.substitute(at, N) if at is not None and p.degree > 0 else p
-
-    columns = [{(k,): read(d) for k, c in enumerate(phi.comps) if (d := c.partial(i))}
-               for i in range(n)]
+    partials = [[(k, d) for k, c in enumerate(phi.comps) if (d := c.partial(i))]
+                for i in range(n)]
+    polys = [d for column in partials for _, d in column] + list(P.comps.values())
+    if at is not None:
+        polys = substitute_many(polys, at, N)
+    read = iter(polys)
+    columns = [{(k,): next(read) for k, _ in column} for column in partials]
     minors = _prefix_minors(columns, P.comps, Poly.one(n), N)
     out: Dict[IndexTuple, Poly] = {}
-    for I, c in P.comps.items():
-        coeff = read(c)
+    for I, coeff in zip(P.comps, read):
         for K, v in minors[I].items():
             _accumulate(out, K, coeff.mul(v, N))
     return Multivector._make(n, P.grade, out)

@@ -55,6 +55,7 @@ from .polyalg import (
     RatMatrix,
     SolveInconsistencyError,
     eigen_data,
+    substitute_many,
 )
 from .exterior import (
     DiffForm,
@@ -155,7 +156,8 @@ def _check_push(P: Multivector, phi: FormalMap, Q: Multivector, F: Poly, N: int,
     """Check phi_* P = (F o phi^-1) Q through N as Lambda(Dphi) . P =
     F (Q o phi) (module docstring, "Transport"). P vanishes at 0, so Dphi is
     needed through N - 1, which phi cut at N gives."""
-    Q_phi = Q.map_coeffs(lambda c: c.substitute(phi.comps, N))
+    Q_phi = Multivector._make(Q.nvars, Q.grade, {
+        K: v for K, v in zip(Q.comps, substitute_many(Q.comps.values(), phi.comps, N)) if v})
     _check_gap((_jacobian_push(P, phi, N) - Q_phi.poly_scale(F, N)).truncate(N), message)
 
 
@@ -262,6 +264,15 @@ def graded_divide(divisor, target, active: Sequence[int], N: int,
     return result
 
 
+def _shifted_sum(n: int, pieces) -> Poly:
+    """sum of x^mon * v over the pairs (mon, v), whose terms must be
+    disjoint, built from the numerators over the lcm of the denominators,
+    in the order of the pairs and of each v's terms."""
+    D = math.lcm(*[v.den for _, v in pieces])
+    return Poly._make(n, {tuple(map(add, mon, e)): c * (D // v.den)
+                          for mon, v in pieces for e, c in v.num.items()}, D)
+
+
 def _solve_wedge_degree(lin_divisor, rhs, active, d, res_tuples,
                         n, kind, report, label):
     """One homogeneous degree of the wedge-multiplication solve: one system
@@ -273,7 +284,7 @@ def _solve_wedge_degree(lin_divisor, rhs, active, d, res_tuples,
                            poly.den)
                   for key, poly in lin_divisor.comps.items()}
 
-    out_terms: Dict[tuple, dict] = {}
+    pieces: Dict[tuple, list] = {}
     for a, rows in sorted(_rhs_by_active_degree(rhs, active).items()):
         if a == 0:
             continue
@@ -296,10 +307,9 @@ def _solve_wedge_degree(lin_divisor, rhs, active, d, res_tuples,
                                 f"inconsistent wedge division at degree {d}"
                                 f"{': ' + label if label else ''}", rhs)
         for (mon, J), v in zip(cols, solution):
-            for inert, c in v.terms.items():
-                out_terms.setdefault(J, {})[tuple(map(add, mon, inert))] = c
+            pieces.setdefault(J, []).append((mon, v))
     return kind(n, len(res_tuples[0]) if res_tuples else 0,
-                {J: Poly(n, terms) for J, terms in out_terms.items()})
+                {J: _shifted_sum(n, parts) for J, parts in pieces.items()})
 
 
 def derham_divide(alpha: DiffForm, beta: DiffForm, active: Sequence[int], N: int,
@@ -536,7 +546,7 @@ def _split_multiplier(alpha1, rho, y, r, n, report):
     """
     diag = {key[0]: poly.linear_coefficients()[key[0]]
             for key, poly in alpha1.comps.items()}
-    terms = {"f": {}, "h": {}}
+    pieces = {"f": [], "h": []}
     for a, rows in sorted(_rhs_by_active_degree(rho, y).items()):
         cols = ([("f", mon) for mon in (_monomials_of_degree(n, a - 1, y) if a else [])]
                 + [("h", mon) for mon in _monomials_of_degree(n, a + 1, y)])
@@ -559,9 +569,8 @@ def _split_multiplier(alpha1, rho, y, r, n, report):
         solution = report.solve(system, r, "multiplier split",
                                 "multiplier split inconsistent", rho)
         for (kind_, mon), v in zip(cols, solution):
-            for inert, c in v.terms.items():
-                terms[kind_][tuple(map(add, mon, inert))] = c
-    return Poly(n, terms["f"]), Poly(n, terms["h"])
+            pieces[kind_].append((mon, v))
+    return _shifted_sum(n, pieces["f"]), _shifted_sum(n, pieces["h"])
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +635,7 @@ def _flow_map(W: Multivector, N: int) -> FormalMap:
     iterated derivations terminate above degree N.
     """
     n = W.nvars
-    return FormalMap([_exp_series(lambda p: apply_vector(W, p), Poly.variable(n, i), N)
+    return FormalMap([_exp_series(lambda p: apply_vector(W, p, N), Poly.variable(n, i), N)
                       for i in range(n)], trunc=N)
 
 
@@ -700,7 +709,7 @@ def remove_multiplier(f: Poly, signs: Sequence[int], N: int,
                 "Lie-derivative identity failed", degree=r)
         # the flow pushes g Pi_1 forward by exp(-L_X), and
         # L_X(g Pi_1) = (X(g) + f_r g) Pi_1
-        g = _exp_series(lambda p: -(apply_vector(X, p) + f_r.mul(p, N)), g, N)
+        g = _exp_series(lambda p: -(apply_vector(X, p, N) + f_r.mul(p, N)), g, N)
         phi_total = _flow_map(X, N).compose(phi_total, N)
         result.per_degree.append((r, X, f_r))
         if any(g.homogeneous_component(e) for e in range(1, r + 1)):
@@ -717,24 +726,40 @@ def remove_multiplier(f: Poly, signs: Sequence[int], N: int,
 def _solve_lie_multiplier(P1: Multivector, diag: Sequence[int], f_r: Poly,
                           active: Sequence[int], n: int,
                           report: GradedSolveReport) -> Multivector:
-    """One exact solve for L_X Pi_1 = f_r Pi_1 on the structured basis.
-
-    diag holds the quadratic signs eps_i of Pi_1. Basis: the Q-preserving
-    rotations Y_ij = eps_i x_j d_i - eps_j x_i d_j against all degree-r
-    monomials, plus Euler multiples h * E with h drawn from powers of Q times
-    inert-parameter monomials.
-    """
+    """One exact solve for L_X Pi_1 = f_r Pi_1 on the structured basis of
+    `_lie_multiplier_basis`, its columns L_{hY} Pi_1 in closed form from
+    `_lie_columns`: L_{Y_ij} Pi_1 = 0, so a rotation column is a sum of
+    exponent shifts of the parts Y_ij ^ i_{dx_k} Pi_1."""
     r = int(f_r.degree)
-    E = Multivector(n, 1, {(i,): Poly.variable(n, i) for i in active})  # Euler field
+    bases, fields = _lie_multiplier_basis(diag, r, active, n)
+    system = GradedSystem(len(fields))
+    for col, (entries, den) in enumerate(_lie_columns(P1, bases, fields)):
+        for label, v in entries.items():
+            system.add(label, col, v, den)
+    for key, poly in P1.poly_scale(f_r).comps.items():
+        for exps, v in poly.num.items():
+            system.rhs((key, exps), v, poly.den)
+    solution = report.solve(system, r, "Lie multiplier",
+                            "multiplier Lie solve inconsistent")
+    X = Multivector(n, 1, {})
+    for (b, h), v in zip(fields, solution):
+        if v:
+            X = X + bases[b].poly_scale(h).scale(v)
+    return X
 
-    fields: List[Multivector] = []
-    mons = _monomials_of_degree(n, r)
-    for i, j in itertools.combinations(active, 2):
-        Yij = Multivector(n, 1, {
-            (i,): Poly.variable(n, j).scale(diag[i]),
-            (j,): Poly.variable(n, i).scale(-diag[j])})
-        for mon in mons:
-            fields.append(Yij.poly_scale(Poly.monomial(n, mon)))
+
+def _lie_multiplier_basis(diag: Sequence[int], r: int, active: Sequence[int], n: int):
+    """(bases, fields) of the degree-r Lie solve, a field (b, h) being
+    h * bases[b]. diag holds the quadratic signs eps_i of Pi_1. The fields:
+    the Q-preserving rotations Y_ij = eps_i x_j d_i - eps_j x_i d_j against
+    all degree-r monomials, plus Euler multiples h * E with h drawn from
+    powers of Q times inert-parameter monomials."""
+    bases = [Multivector(n, 1, {(i,): Poly.variable(n, j).scale(diag[i]),
+                                (j,): Poly.variable(n, i).scale(-diag[j])})
+             for i, j in itertools.combinations(active, 2)]
+    mons = [Poly.monomial(n, mon) for mon in _monomials_of_degree(n, r)]
+    fields = [(b, h) for b in range(len(bases)) for h in mons]  # the field h * bases[b]
+    bases.append(Multivector(n, 1, {(i,): Poly.variable(n, i) for i in active}))  # Euler field
     # Euler parts: h * E with h = (param monomial) * Q^s, 2s + |param| = r
     Q = Poly.zero(n)
     for jj in active:
@@ -750,23 +775,46 @@ def _solve_lie_multiplier(P1: Multivector, diag: Sequence[int], f_r: Poly,
             h = Q.pow(s).mul(Poly.monomial(n, pmon))
             if h.is_zero():
                 continue
-            fields.append(E.poly_scale(h))
+            fields.append((len(bases) - 1, h))
+    return bases, fields
 
-    system = GradedSystem(len(fields))
-    for col, vf in enumerate(fields):
-        for key, poly in lie_derivative(vf, P1).comps.items():
-            for exps, v in poly.num.items():
-                system.add((key, exps), col, v, poly.den)
-    for key, poly in P1.poly_scale(f_r).comps.items():
-        for exps, v in poly.num.items():
-            system.rhs((key, exps), v, poly.den)
-    solution = report.solve(system, r, "Lie multiplier",
-                            "multiplier Lie solve inconsistent")
-    X = Multivector(n, 1, {})
-    for vf, v in zip(fields, solution):
-        if v:
-            X = X + vf.scale(v)
-    return X
+
+def _lie_columns(T: Multivector, bases: Sequence[Multivector], fields) -> list:
+    """The columns L_{h Y} T of the fields (b, h), Y = bases[b], as pairs
+    ({(key, exps): numerator}, denominator) of L_{hY} T's nonzero terms.
+
+    By L_{hY} T = h L_Y T - sum_k (d_k h) (Y ^ i_{dx_k} T), with i the
+    leading-slot contraction (`_contract_single`), a column is a sum of
+    exponent shifts of L_Y T and of the Y ^ i_{dx_k} T, each built once per
+    base field Y, so no field takes a Lie derivative of its own.
+    """
+    n = T.nvars
+    contracted = {k: Multivector._make(n, T.grade - 1, c)
+                  for k in range(n) if (c := _contract_single(T.comps, k))}
+    tables = []
+    for Y in bases:
+        parts = [(None, lie_derivative(Y, T))] + [(k, wedge(Y, c)) for k, c in contracted.items()]
+        D = math.lcm(*[p.den for _, part in parts for p in part.comps.values()])
+        tables.append((D, [(k, [(key, exps, v * (D // p.den)) for key, p in part.comps.items()
+                                 for exps, v in p.num.items()]) for k, part in parts]))
+    columns = []
+    for b, h in fields:
+        D, parts = tables[b]
+        acc = {}
+        get = acc.get
+        for m, c in h.num.items():
+            for k, entries in parts:
+                if k is None:  # h L_Y T
+                    f, shift = c, m
+                elif m[k]:     # -(d_k h) (Y ^ i_{dx_k} T)
+                    f, shift = -c * m[k], m[:k] + (m[k] - 1,) + m[k + 1:]
+                else:
+                    continue
+                for key, exps, v in entries:
+                    label = (key, tuple(map(add, exps, shift)))
+                    acc[label] = get(label, 0) + f * v
+        columns.append(({label: v for label, v in acc.items() if v}, D * h.den))
+    return columns
 
 
 # ---------------------------------------------------------------------------
@@ -1009,7 +1057,8 @@ def poincare_linearize(X: Multivector, N: int, tol: float = 1e-9) -> PoincareRes
             continue
         U = _homological_solve(lin, R, d, report)
         comps = [c - U.component((j,)) for j, c in enumerate(comps)]
-    gap = {(j,): apply_vector(X, c, N) - lin.component((j,)).substitute(comps)
+    L_phi = substitute_many([lin.component((j,)) for j in range(n)], comps)
+    gap = {(j,): apply_vector(X, c, N) - L_phi[j]
            for j, c in enumerate(comps)}  # X(Phi_j) - L_j o Phi
     _check_gap(Multivector(n, 1, gap), "linearization incomplete")
     return PoincareResult(FormalMap(comps, trunc=N), report, reson)
@@ -1017,20 +1066,22 @@ def poincare_linearize(X: Multivector, N: int, tol: float = 1e-9) -> PoincareRes
 
 def _homological_solve(L: Multivector, R: Multivector, d: int,
                        report: GradedSolveReport) -> Multivector:
-    """Solve [L, U] = R on the degree-d monomial-vector basis, exactly."""
+    """Solve [L, U] = R on the degree-d monomial-vector basis, exactly, as
+    L_U L = -R: the column of x^m d_i is L_{x^m d_i} L = -[L, x^m d_i] =
+    x^m sum_j d_i(L_j) d_j - L(x^m) d_i, from `_lie_columns` on the
+    coordinate fields."""
     n = L.nvars
     mons = _monomials_of_degree(n, d)
     basis = [(mon, i) for mon in mons for i in range(n)]
     system = GradedSystem(len(basis))
-    for col, (mon, i) in enumerate(basis):
-        U = Multivector(n, 1, {(i,): Poly.monomial(n, mon)})
-        img = lie_bracket(L, U)
-        for (j,), poly in img.comps.items():
-            for exps, v in poly.num.items():
-                system.add((exps, j), col, v, poly.den)
-    for (j,), poly in R.comps.items():
+    units = [coordinate_field(n, i) for i in range(n)]
+    fields = [(i, Poly.monomial(n, mon)) for mon, i in basis]
+    for col, (entries, den) in enumerate(_lie_columns(L, units, fields)):
+        for label, v in entries.items():
+            system.add(label, col, v, den)
+    for key, poly in R.comps.items():
         for exps, v in poly.num.items():
-            system.rhs((exps, j), v, poly.den)
+            system.rhs((key, exps), -v, poly.den)
     solution = report.solve(system, d, "homological", "homological equation inconsistent")
     terms: Dict[tuple, dict] = {}
     for (mon, i), v in zip(basis, solution):

@@ -299,66 +299,9 @@ class Poly:
         return min(sum(e) for e in self.num)
 
     def substitute(self, args: Sequence["Poly"], trunc: Optional[int] = None) -> "Poly":
-        """Substitute args[i] for variable i; all args share one variable count.
-
-        With ``trunc`` every product is cut at that degree, so the result is
-        the truncation of the exact substitution (the constant term of self
-        is kept even for a negative ``trunc``).
-        """
-        if len(args) != self.nvars:
-            raise ValueError("substitution needs one polynomial per variable")
-        if not args:
-            # constant polynomial in zero variables
-            return self
-        m = args[0].nvars
-        for a in args:
-            if a.nvars != m:
-                raise ValueError("substitution arguments disagree on nvars")
-        # powers[i][k] = (D_i^k, degree buckets of D_i^k * args[i]^k), where
-        # D_i is the denominator of args[i]
-        one = (1, [(0, {(0,) * m: 1})])
-        powers = [[one] for _ in args]
-
-        def power(i, k):
-            cache = powers[i]
-            while len(cache) <= k:
-                D, b = cache[-1]
-                cache.append((D * args[i].den, _mul_buckets(b, args[i]._degree_buckets(), trunc)))
-            return cache[k]
-
-        # self = (1/den) sum n_e x^e. The terms are visited in lexicographic
-        # order, so terms with a common exponent prefix are adjacent and
-        # path[j] holds the product of the powers named by the first j
-        # exponents of the current term. The term of e adds n_e * (L / D_e)
-        # times its product over the common denominator den * L.
-        terms = sorted(self.num.items())
-        L = math.lcm(*[math.prod(args[i].den ** k for i, k in enumerate(e) if k)
-                       for e, _ in terms])
-        path = [one] * (self.nvars + 1)
-        prev = None
-        acc = {}
-        get = acc.get
-        for e, n in terms:
-            j = 0
-            if prev is not None:
-                while e[j] == prev[j]:
-                    j += 1
-            for i in range(j, self.nvars):
-                if not e[i]:
-                    path[i + 1] = path[i]
-                elif path[i] is one:
-                    path[i + 1] = power(i, e[i])
-                else:
-                    D, b = path[i]
-                    Dk, bk = power(i, e[i])
-                    path[i + 1] = (D * Dk, _mul_buckets(b, bk, trunc))
-            prev = e
-            De, product = path[-1]
-            scale = n * (L // De)
-            for _, bucket in product:
-                for exps, v in bucket.items():
-                    acc[exps] = get(exps, 0) + scale * v
-        return Poly._make(m, {e: v for e, v in acc.items() if v}, self.den * L)
+        """Substitute args[i] for variable i: the one-polynomial case of
+        `substitute_many`."""
+        return substitute_many([self], args, trunc)[0]
 
     def linear_coefficients(self) -> List[Fraction]:
         """Coefficient vector of the degree-1 part."""
@@ -420,6 +363,80 @@ def _mul_buckets(b1, b2, trunc: Optional[int]) -> list:
                     e = tuple(map(add, e1, e2))
                     acc[e] = get(e, 0) + n1 * n2
     return sorted(out.items())
+
+
+def substitute_many(polys: Sequence[Poly], args: Sequence[Poly],
+                    trunc: Optional[int] = None) -> List[Poly]:
+    """Substitute args[i] for variable i in each of polys; all args share
+    one variable count.
+
+    One table of the powers args[i]^k, cut at ``trunc``, serves every
+    polynomial substituted along the map, so each power is built once, and
+    so is each product of powers that several of the polynomials need. With
+    ``trunc`` every product is cut at that degree, so each result is the
+    truncation of the exact substitution (a constant term is kept even for a
+    negative ``trunc``).
+    """
+    nvars = len(args)
+    for p in polys:
+        if p.nvars != nvars:
+            raise ValueError("substitution needs one polynomial per variable")
+    if not args:
+        # constant polynomials in zero variables
+        return list(polys)
+    m = args[0].nvars
+    for a in args:
+        if a.nvars != m:
+            raise ValueError("substitution arguments disagree on nvars")
+    # powers[i][k] = (D_i^k, degree buckets of D_i^k * args[i]^k), where
+    # D_i is the denominator of args[i]
+    one = (1, [(0, {(0,) * m: 1})])
+    powers = [[one] for _ in args]
+
+    def power(i, k):
+        cache = powers[i]
+        while len(cache) <= k:
+            D, b = cache[-1]
+            cache.append((D * args[i].den, _mul_buckets(b, args[i]._degree_buckets(), trunc)))
+        return cache[k]
+
+    # Polynomial t is (1/den_t) sum n_e x^e. The terms of all the polynomials
+    # are visited together in lexicographic order of their exponents, so
+    # terms with a common exponent prefix are adjacent, within a polynomial
+    # and across them, and path[j] holds the product of the powers named by
+    # the first j exponents of the current term: a product that several
+    # polynomials need is built once. The term of e adds n_e * (L_t / D_e)
+    # times its product to polynomial t over the common denominator den_t * L_t.
+    Ls = [math.lcm(*[math.prod(args[i].den ** k for i, k in enumerate(e) if k) for e in p.num])
+          for p in polys]
+    accs = [{} for _ in Ls]
+    path = [one] * (nvars + 1)
+    prev = None
+    for e, t, n in sorted((e, t, n) for t, p in enumerate(polys) for e, n in p.num.items()):
+        if e != prev:
+            j = 0
+            if prev is not None:
+                while e[j] == prev[j]:
+                    j += 1
+            for i in range(j, nvars):
+                if not e[i]:
+                    path[i + 1] = path[i]
+                elif path[i] is one:
+                    path[i + 1] = power(i, e[i])
+                else:
+                    D, b = path[i]
+                    Dk, bk = power(i, e[i])
+                    path[i + 1] = (D * Dk, _mul_buckets(b, bk, trunc))
+            prev = e
+        De, product = path[-1]
+        scale = n * (Ls[t] // De)
+        acc = accs[t]
+        get = acc.get
+        for _, bucket in product:
+            for exps, v in bucket.items():
+                acc[exps] = get(exps, 0) + scale * v
+    return [Poly._make(m, {e: v for e, v in acc.items() if v}, p.den * L)
+            for p, acc, L in zip(polys, accs, Ls)]
 
 
 # ---------------------------------------------------------------------------
@@ -803,7 +820,11 @@ def solve_sparse(rows: Sequence[dict], ncols: int, rhs: Sequence) -> LinearSolve
 
     Columns are eliminated left to right. At each column the pivot is the
     remaining row with the fewest nonzeros, which keeps fill-in low
-    (Markowitz 1957); no transform matrix is built. Column c is a pivot
+    (Markowitz 1957); no transform matrix is built. When column c comes up,
+    every unpivoted row is clear of the columns left of c, so the rows that
+    hold c are those whose leftmost column is c: an index from leading
+    column to rows, updated as rows change, finds them without a scan of
+    the unpivoted rows. Column c is a pivot
     exactly when it is not in the span of columns 0..c-1, whichever row is
     chosen, so the pivots are the RREF's leftmost pivots and the particular
     solution (free variables zero) is the RREF's, byte for byte. An entry of
@@ -835,10 +856,15 @@ def solve_sparse(rows: Sequence[dict], ncols: int, rhs: Sequence) -> LinearSolve
             b[i] *= Fraction(d, g)
         work.append(ints)
     unpivoted = set(range(len(work)))
+    # leading column -> the unpivoted rows that start there
+    leading = {}
+    for i, row in enumerate(work):
+        if row:
+            leading.setdefault(min(row), []).append(i)
     echelon = []
     for c in range(ncols):
-        holders = [i for i in unpivoted if c in work[i]]
-        if not holders:
+        holders = leading.pop(c, None)
+        if holders is None:
             continue
         p = min(holders, key=lambda i: (len(work[i]), i))
         unpivoted.discard(p)
@@ -860,6 +886,8 @@ def solve_sparse(rows: Sequence[dict], ncols: int, rhs: Sequence) -> LinearSolve
                     del row[k]
             h = math.gcd(*row.values()) or 1
             work[i] = row if h == 1 else {k: v // h for k, v in row.items()}
+            if row:
+                leading.setdefault(min(row), []).append(i)
             if bp or b[i]:
                 b[i] = _lincomb(s, b[i], t, bp, h)
         echelon.append((c, prow, bp))

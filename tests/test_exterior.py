@@ -286,6 +286,56 @@ def test_formal_inverse_two_sided_randomized():
             assert bwd.comps[i].truncate(N) == ident.comps[i]
 
 
+def _inverse_one_at_a_time(phi, N):
+    """FormalMap.inverse's graded fixed point, each polynomial substituted
+    on its own."""
+    lin = psi = FormalMap.from_matrix(phi.linear_matrix().inverse()).comps
+    for k in range(2, N + 1):
+        err = [c.substitute(psi, k).homogeneous_component(k) for c in phi.comps]
+        psi = [p - l.substitute(err) for p, l in zip(psi, lin)]
+    return tuple(psi)
+
+
+def _pullback_one_at_a_time(w, phi):
+    """The exact pullback: each coefficient substituted on its own, times
+    the wedge of the d(phi_k)."""
+    n = w.nvars
+    out = DiffForm(n, w.grade, {})
+    for K, c in w.comps.items():
+        term = DiffForm(n, 0, {(): c.substitute(phi.comps)})
+        for k in K:
+            term = wedge(term, dform(DiffForm(n, 0, {(): phi.comps[k]})))
+        out = out + term
+    return out
+
+
+@st.composite
+def maps_and_forms(draw):
+    """(phi, psi, w, N): two maps x + (terms of degree 2 and 3 with rational
+    coefficients) on 2..4 variables, a form of any grade, and N in 2..4."""
+    n = draw(st.integers(2, 4))
+    tails = [draw(small_polys(n, 3)) for _ in range(2 * n)]
+    phi = FormalMap([x(n, i) + p - p.truncate(1) for i, p in enumerate(tails[:n])])
+    psi = FormalMap([x(n, i) + p - p.truncate(1) for i, p in enumerate(tails[n:])])
+    grade = draw(st.integers(0, n))
+    keys = draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), grade))),
+                         min_size=1, max_size=3, unique=True))
+    w = DiffForm(n, grade, {key: draw(small_polys(n, 2)) for key in keys})
+    return phi, psi, w, draw(st.integers(2, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(maps_and_forms())
+def test_shared_substitution_matches_one_polynomial_at_a_time(case):
+    # compose, inverse and pullback substitute all their polynomials along
+    # one map with one power table; each polynomial on its own gives the same
+    phi, psi, w, N = case
+    assert phi.compose(psi, N).comps == tuple(c.substitute(psi.comps, N) for c in phi.comps)
+    assert phi.inverse(N).comps == _inverse_one_at_a_time(phi, N)
+    assert pullback_form(w, phi, N) == _pullback_one_at_a_time(w, phi).truncate(N)
+    assert pullback_form(w, psi) == _pullback_one_at_a_time(w, psi)
+
+
 def test_singular_linear_part_rejected():
     with pytest.raises(PreconditionError):
         FormalMap([Poly.variable(2, 0), Poly.variable(2, 0)])

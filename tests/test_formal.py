@@ -35,6 +35,7 @@ from nambu.exterior import (
     dform,
     form_to_tensor,
     formal_map_from_json,
+    lie_bracket,
     lie_derivative,
     merge_sign,
     pullback_form,
@@ -626,6 +627,45 @@ def test_remove_multiplier_and_prelinearization_invert_no_map(monkeypatch):
     assert calls == []
 
 
+def column_terms(entries, den):
+    """A `_lie_columns` column as {(key, exps): Fraction}."""
+    return {label: Fraction(v, den) for label, v in entries.items()}
+
+
+def lie_terms(T: Multivector):
+    """T's nonzero terms, labelled as the graded systems label them."""
+    return {(key, exps): c for key, p in T.comps.items() for exps, c in p.terms.items()}
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_lie_multiplier_columns_are_the_lie_derivatives(r):
+    # every closed-form column equals the generic L_{hY} Pi_1
+    rng = random.Random(100 + r)
+    for n in (4, 5, 6):
+        q = rng.randint(3, n - 1)
+        signs = [rng.choice([1, -1]) for _ in range(q + 1)]
+        P1, _ = normal_form_generator("type1", n, q, r=q, s=0, signs=signs)
+        bases, fields = formal._lie_multiplier_basis(signs, r, range(q + 1), n)
+        for (b, h), column in zip(fields, formal._lie_columns(P1, bases, fields)):
+            assert column_terms(*column) == lie_terms(lie_derivative(bases[b].poly_scale(h), P1))
+
+
+def test_remove_multiplier_takes_one_lie_derivative_per_base_field(monkeypatch):
+    calls = []
+    real = formal.lie_derivative
+
+    def counted(X, T):
+        calls.append(X)
+        return real(X, T)
+
+    monkeypatch.setattr(formal, "lie_derivative", counted)
+    signs, N = [1, 1, -1, 1], 4
+    res = remove_multiplier(parse_poly("1 + x1 + x2*x3 + x4^2", 4), signs, N)
+    # per solved degree: one per rotation Y_ij, one for the Euler field and
+    # the check of the solved X
+    assert len(calls) == len(res.per_degree) * (math.comb(4, 2) + 2)
+
+
 def test_remove_multiplier_zero_constant_rejected():
     with pytest.raises(PreconditionError):
         remove_multiplier(Poly.variable(4, 0), [1, 1, 1, 1], 3)
@@ -1121,6 +1161,23 @@ def test_poincare_solves_what_the_pushforward_loop_solves(case):
     # unique through N, so the conjugacy equation finds the loop's map
     X, N = case
     assert poincare_linearize(X, N).change.comps == poincare_by_pushforward(X, N).comps
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.integers(2, 3), st.data())
+def test_homological_columns_are_the_brackets(n, d, data):
+    # the column of x^m d_i is L_{x^m d_i} L = -[L, x^m d_i], for rational
+    # linear parts, diagonal or not
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    B = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+    L = Multivector(n, 1, {(j,): sum((x(n, i).scale(B[i][j]) for i in range(n)), Poly.zero(n))
+                           for j in range(n)})
+    units = [coordinate_field(n, i) for i in range(n)]
+    fields = [(i, Poly.monomial(n, mon))
+              for mon in formal._monomials_of_degree(n, d) for i in range(n)]
+    for (i, h), column in zip(fields, formal._lie_columns(L, units, fields)):
+        bracket = lie_bracket(L, units[i].poly_scale(h))
+        assert column_terms(*column) == lie_terms(-bracket)
 
 
 def test_poincare_zero_linear_part_rejected():

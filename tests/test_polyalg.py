@@ -20,6 +20,7 @@ from nambu.polyalg import (
     rational_roots,
     solve_linear,
     solve_sparse,
+    substitute_many,
 )
 
 
@@ -259,6 +260,38 @@ def test_substitute_matches_schoolbook(data):
     _assert_stored_clean(cut)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_substitute_many_is_each_polynomial_substituted(data):
+    # one power table serves every polynomial, in any order: each result is
+    # the polynomial's own substitution, and the schoolbook one
+    n = data.draw(st.integers(1, 3))
+    m = data.draw(st.integers(1, 3))
+    polys = data.draw(st.lists(kernel_polys(n, 4), min_size=1, max_size=4))
+    polys += [Poly.const(n, data.draw(_coeff)), Poly.zero(n)]
+    polys = data.draw(st.permutations(polys))
+    args = [data.draw(kernel_polys(m, 3)) for _ in range(n)]
+    trunc = data.draw(st.sampled_from([None, 0, -1, -3, data.draw(st.integers(1, 6))]))
+    shared = substitute_many(polys, args, trunc)
+    assert shared == [p.substitute(args, trunc) for p in polys]
+    for p, v in zip(polys, shared):
+        _assert_stored_clean(v)
+        if trunc is not None and trunc < 0:
+            # a negative cut keeps the constant term
+            assert v == Poly.const(m, p.constant_term())
+        else:
+            assert v.terms == _schoolbook_substitute(p, args, trunc)
+
+
+def test_substitute_many_checks_variable_counts():
+    with pytest.raises(ValueError):
+        substitute_many([Poly.one(2), Poly.one(3)], [Poly.variable(1, 0)] * 2)
+    with pytest.raises(ValueError):
+        substitute_many([Poly.one(2)], [Poly.variable(1, 0), Poly.variable(2, 0)])
+    assert substitute_many([Poly.const(0, 5)], []) == [Poly.const(0, 5)]
+    assert substitute_many([], [Poly.variable(1, 0)]) == []
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_unary_operations_match_the_fraction_terms(data):
@@ -462,6 +495,61 @@ def test_solve_sparse_matches_rref(system):
             if res.kernel:
                 assert RatMatrix(res.kernel).rank() == len(res.kernel)
             assert res.kernel == M.nullspace()
+
+
+def large_sparse_system(rng):
+    """(M, b) of about 40 x 60: sparse rows with small rational entries, plus
+    empty rows, duplicate rows and combinations of earlier rows, which
+    cancel to zero partway through the elimination; b is M x0 or random."""
+    r, c = rng.randint(34, 42), rng.randint(52, 62)
+    rows = []
+    while len(rows) < r:
+        kind = rng.random()
+        if kind < 0.1 or not rows:
+            rows.append([Fraction(0)] * c)
+        elif kind < 0.2:
+            rows.append(list(rng.choice(rows)))
+        elif kind < 0.4:
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = Fraction(rng.randint(-3, 3), rng.randint(1, 2)), Fraction(rng.randint(-3, 3))
+            rows.append([s * u + t * v for u, v in zip(a, b)])
+        else:
+            row = [Fraction(0)] * c
+            for j in rng.sample(range(c), rng.randint(1, 6)):
+                row[j] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3, 5]), rng.choice([1, 1, 2, 3]))
+            rows.append(row)
+    rng.shuffle(rows)
+    if rng.random() < 0.5:
+        x0 = [Fraction(rng.randint(-2, 2)) if rng.random() < 0.3 else Fraction(0) for _ in range(c)]
+        b = [sum((m * v for m, v in zip(row, x0)), Fraction(0)) for row in rows]
+    else:
+        b = [Fraction(rng.randint(-2, 2)) if rng.random() < 0.2 else Fraction(0) for _ in rows]
+    return RatMatrix(rows), b
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_solve_sparse_matches_gauss_jordan_on_large_sparse_systems(seed):
+    M, b = large_sparse_system(random.Random(seed))
+    pivots, x = _rref_reference(M, b)
+    res = solve_sparse([{j: v for j, v in enumerate(row) if v} for row in M.data], M.cols, b)
+    assert res.pivots == pivots
+    assert res.solution == x
+    if x is None:
+        # the witness is the particular solution of [M^T; b^T] y = [0; 1]
+        assert res.witness == _rref_reference(RatMatrix(M.transpose().data + [b]),
+                                              [0] * M.cols + [1])[1]
+        return
+    R, _ = _gauss_jordan(M.data)
+    kernel = []
+    for f in range(M.cols):
+        if f not in pivots:
+            vec = [Fraction(0)] * M.cols
+            vec[f] = Fraction(1)
+            for row, c in zip(R, pivots):
+                vec[c] = -row[f]
+            kernel.append(vec)
+    assert res.kernel == kernel
+    assert res.witness is None
 
 
 @st.composite
