@@ -10,7 +10,6 @@ the library derive from this single choice.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 from .polyalg import (
@@ -540,12 +539,15 @@ def field_matrix(X: Multivector, idx: Sequence[int]) -> RatMatrix:
     terms in other variables are not read, and callers check them.
     """
     pos = {v: k for k, v in enumerate(idx)}
-    B = [[Fraction(0)] * len(pos) for _ in pos]
+    at = {i: a for a, i in enumerate(idx)}
+    den = math.lcm(*[c.den for c in X.comps.values()])
+    B = [[0] * len(pos) for _ in pos]
     for (j,), c in X.comps.items():
-        lin = c.linear_coefficients()
-        for a, i in enumerate(idx):
-            B[a][pos[j]] = lin[i]
-    return RatMatrix(B)
+        col, f = pos[j], den // c.den
+        for exps, v in c.num.items():
+            if sum(exps) == 1 and exps.index(1) in at:
+                B[at[exps.index(1)]][col] = v * f
+    return RatMatrix._make(B, den)
 
 
 # -- formal coordinate changes ----------------------------------------------------
@@ -590,21 +592,21 @@ class FormalMap:
         n = M.rows
         if M.cols != n:
             raise ValueError("matrix must be square")
-        comps = []
-        for i in range(n):
-            terms = {}
-            for j in range(n):
-                if M[i, j] != 0:
-                    exps = tuple(1 if t == j else 0 for t in range(n))
-                    terms[exps] = M[i, j]
-            comps.append(Poly(n, terms))
-        return FormalMap(comps)
+        units = [tuple(int(t == j) for t in range(n)) for j in range(n)]
+        return FormalMap([Poly._make(n, {units[j]: v for j, v in enumerate(row) if v}, M.den)
+                          for row in M.num])
 
     def linear_matrix(self) -> RatMatrix:
-        rows = []
-        for c in self.comps:
-            rows.append(c.linear_coefficients())
-        return RatMatrix(rows)
+        """The matrix of the linear part, read off the numerators."""
+        n = self.nvars
+        den = math.lcm(*[c.den for c in self.comps])
+        rows = [[0] * n for _ in self.comps]
+        for row, c in zip(rows, self.comps):
+            f = den // c.den
+            for exps, v in c.num.items():
+                if sum(exps) == 1:
+                    row[exps.index(1)] = v * f
+        return RatMatrix._make(rows, den)
 
     def is_linear(self) -> bool:
         return all(c.degree <= 1 for c in self.comps)
@@ -757,24 +759,23 @@ def restrict(obj, indices: Sequence[int]):
 
 
 def _project_poly(p: Poly, indices: Sequence[int]) -> Poly:
-    m = len(indices)
     terms = {}
-    for exps, c in p.terms.items():
+    for exps, c in p.num.items():
         for j, e in enumerate(exps):
             if e and j not in indices:
                 raise ValueError("coefficient depends on a variable outside the subspace")
         terms[tuple(exps[i] for i in indices)] = c
-    return Poly(m, terms)
+    return Poly._make(len(indices), terms, p.den)
 
 
 def embed_poly(p: Poly, indices: Sequence[int], nvars: int) -> Poly:
     terms = {}
-    for exps, c in p.terms.items():
+    for exps, c in p.num.items():
         full = [0] * nvars
         for k, e in zip(indices, exps):
             full[k] = e
         terms[tuple(full)] = c
-    return Poly(nvars, terms)
+    return Poly._make(nvars, terms, p.den)
 
 
 def embed(obj, indices: Sequence[int], nvars: int):

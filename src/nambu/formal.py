@@ -339,11 +339,11 @@ def homotopy_antiderivative(eta, active: Sequence[int]):
     out: Dict[tuple, Poly] = {}
     for j in active:
         for sub, poly in _contract_single(eta.comps, j).items():
-            for exps, c in poly.terms.items():
+            for exps, c in poly.num.items():
                 weight = sum(exps[i] for i in active) + k
                 new = list(exps)
                 new[j] += 1
-                _accumulate(out, sub, Poly.monomial(n, new, c / weight))
+                _accumulate(out, sub, Poly._make(n, {tuple(new): c}, poly.den * weight))
     return type(eta)._make(n, k - 1, out)
 
 
@@ -519,11 +519,12 @@ def formal_linearize_type1(omega: DiffForm, N: int) -> Type1LinearizationResult:
         f_total = f_total + f_r
         if not h_pot.is_zero():
             comps = [Poly.variable(n, i) for i in range(n)]
-            for exps, c in h_pot.terms.items():
+            for exps, c in h_pot.num.items():
                 j = next(i for i in y if exps[i])
                 new = list(exps)
                 new[j] -= 1
-                comps[j] = comps[j] - Poly.monomial(n, new, c / diag[j])
+                comps[j] = comps[j] - Poly.monomial(
+                    n, new, Fraction(c * diag[j].denominator, h_pot.den * diag[j].numerator))
             step = FormalMap(comps, trunc=N)
             cur = pullback_form(cur, step, N)
             phi_total = phi_total.compose(step, N)
@@ -947,7 +948,7 @@ def _prelinearize_attempt(P: Multivector, N: int) -> Type2PrelinResult:
     frame = [coordinate_field(n, i) for i in range(S)]
     X_out = X.truncate(N)
     for key, c in X_out.comps.items():
-        for exps in c.terms:
+        for exps in c.num:
             if any(exps[t] for t in range(S)):
                 raise SolveInconsistencyError(
                     "field keeps frame-variable dependence", degree=sum(exps))
@@ -982,9 +983,11 @@ def _slice_push(Y: Multivector, step: FormalMap, i: int, D: int) -> Multivector:
     V_i(Y(u_k)) = [V_i, Y](u_k) = 0, so Y(u_k) o step^-1 is Y(u_k) on x_i = 0.
     """
     n = Y.nvars
-    return Multivector(n, 1, {
-        (k,): Poly(n, {e: c for e, c in apply_vector(Y, u, D).terms.items() if not e[i]})
-        for k, u in enumerate(step.comps)})
+    out = {}
+    for k, u in enumerate(step.comps):
+        v = apply_vector(Y, u, D)
+        out[(k,)] = Poly._make(n, {e: c for e, c in v.num.items() if not e[i]}, v.den)
+    return Multivector(n, 1, out)
 
 
 def _transport_solve(V: Multivector, i: int, N: int, f: Poly, rhs: Poly,
@@ -1003,11 +1006,11 @@ def _transport_solve(V: Multivector, i: int, N: int, f: Poly, rhs: Poly,
         r = rhs - f.mul(g, d - 1)
         for (k,), t in tail.comps.items():
             r = r - t.mul(g.partial(k), d - 1)
-        inc = {}
-        for exps, c in r.homogeneous_component(d - 1).terms.items():
+        inc, h = {}, r.homogeneous_component(d - 1)
+        for exps, c in h.num.items():
             new = list(exps)
             new[i] += 1
-            inc[tuple(new)] = c / new[i]
+            inc[tuple(new)] = Fraction(c, h.den * new[i])
         g = g + Poly(n, inc)
     return g
 

@@ -44,10 +44,12 @@ from .polyalg import (
     SolveInconsistencyError,
     _eliminate,
     _integer_rows,
+    _rref_kernel,
+    _rref_with_transform,
     char_poly,
     eigen_data,
     inertia,
-    solve_linear,
+    solve_sparse,
 )
 from .exterior import (
     DiffForm,
@@ -71,40 +73,60 @@ from .verify import _require_order, is_conambu
 # exact subspace utilities (row spaces over Q)
 # ---------------------------------------------------------------------------
 
-def rowspace_basis(rows: Sequence[Sequence[Fraction]], n: int) -> RatMatrix:
-    """The canonical basis of the row space: its reduced row echelon rows."""
-    return RatMatrix(_eliminate(rows, n).reduced_rows)
+def rowspace_basis(rows: Sequence[Sequence], n: int) -> RatMatrix:
+    """The canonical basis of the row space (rows of ints or rationals): its
+    reduced row echelon rows, from one integer elimination."""
+    return RatMatrix._make(*_eliminate(rows, n).reduced_ints)
+
+
+def _annihilator(S: RatMatrix) -> List[List[int]]:
+    """Integer rows spanning the annihilator of the row space of S, a
+    canonical basis: read off its reduced rows, whose pivot entries are 1."""
+    pivots = [next(k for k, v in enumerate(row) if v) for row in S.num]
+    return _rref_kernel(S.num, pivots, S.den, S.cols)
 
 
 def intersect_rowspaces(*spaces: RatMatrix) -> RatMatrix:
-    """The intersection of the row spaces: the annihilator of the sum of their
-    annihilators, found by one elimination."""
+    """The intersection of the row spaces, each given by its canonical basis
+    (`rowspace_basis`): the annihilator of the sum of their annihilators,
+    found by one elimination."""
     n = spaces[0].cols
     if any(S.rows == 0 for S in spaces):
         return RatMatrix.zeros(0, n)
-    return rowspace_basis(_eliminate([v for S in spaces for v in S.nullspace()], n).kernel, n)
+    return rowspace_basis(_eliminate([v for S in spaces for v in _annihilator(S)], n)
+                          .kernel_ints[0], n)
 
 
 def sum_rowspaces(spaces: Sequence[RatMatrix], n: int) -> RatMatrix:
-    rows = []
-    for S in spaces:
-        rows.extend(S.data)
-    return rowspace_basis(rows, n)
+    # a row space is the span of its integer rows, whatever the denominator
+    return rowspace_basis([row for S in spaces for row in S.num], n)
 
 
-def complete_basis(rows: Sequence[Sequence[Fraction]], n: int) -> RatMatrix:
+def complete_basis(rows: Sequence[Sequence], n: int, den: int = 1) -> RatMatrix:
     """Extend independent rows to an invertible n x n matrix with unit vectors.
 
+    The rows are rational rows, or integer rows over the denominator den.
     e_i is taken exactly when it is not in the span of the rows and e_0..e_{i-1},
     that is, when i is a pivot column of the rows' annihilator.
     """
-    annihilator = _eliminate(rows, n).kernel
+    annihilator = _eliminate(rows, n).kernel_ints[0]
     chosen = [list(r) for r in rows]
-    chosen += [[Fraction(int(j == i)) for j in range(n)]
-               for i in _eliminate(annihilator, n).pivots]
+    chosen += [[den * (j == i) for j in range(n)] for i in _eliminate(annihilator, n).pivots]
     if len(chosen) != n:
         raise SolveInconsistencyError("could not complete a basis")
-    return RatMatrix(chosen)
+    num, d = _integer_rows(chosen)
+    return RatMatrix._make(num, d * den)
+
+
+def _rows_over(pairs) -> RatMatrix:
+    """The matrix with rows row / d, for pairs (integer row, nonzero int d)."""
+    L = math.lcm(*[d for _, d in pairs])
+    return RatMatrix._make([[v * (L // d) for v in row] for row, d in pairs], L)
+
+
+def _unit_rows(n: int) -> list:
+    """The identity as pairs for `_rows_over`, one row to be replaced at a time."""
+    return [([int(i == j) for j in range(n)], 1) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -248,31 +270,32 @@ class _State:
         self.back_den = 1
 
     def apply(self, A: RatMatrix):
-        """Switch to coordinates z_new with z_current = A . z_new."""
-        a, d = _integer_rows(A.data)
+        """Switch to coordinates z_new with z_current = A . z_new, on A's
+        integer rows over its denominator."""
+        a, d = A.num, A.den
         self.num, self.den = _pull_back(self.num, self.den, a, d)
         self.back, self.back_den = _lowest_terms(
             {i: _row_times(row, a) for i, row in self.back.items()}, self.back_den * d)
-        self.__dict__.pop("coeffs", None)
 
-    @functools.cached_property
+    @property
     def coeffs(self) -> Dict[Tuple[int, ...], List[Fraction]]:
-        """{K: Fraction coefficients of component K}, kept until the next apply."""
+        """{K: Fraction coefficients of component K}, built when read."""
         return {K: [Fraction(v, self.den) for v in row] for K, row in self.num.items()}
 
-    def row(self, K: Tuple[int, ...]) -> List[Fraction]:
-        return self.coeffs.get(K) or [Fraction(0)] * self.n
+    def row(self, K: Tuple[int, ...]) -> List[int]:
+        """The numerators of component K over den."""
+        return self.num.get(K) or [0] * self.n
 
     def form(self) -> DiffForm:
-        n = self.n
+        n, den = self.n, self.den
         units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
-        return DiffForm(n, self.p, {K: Poly(n, {units[k]: v for k, v in enumerate(row) if v})
-                                    for K, row in self.coeffs.items()})
+        return DiffForm(n, self.p, {
+            K: Poly._make(n, {units[k]: v for k, v in enumerate(row) if v}, den)
+            for K, row in self.num.items()})
 
     def change_map(self) -> FormalMap:
         """The change z_current = back^-1 . x_input."""
-        den = self.back_den
-        back = RatMatrix._make([[Fraction(v, den) for v in row] for row in self.back.values()])
+        back = RatMatrix._make(list(self.back.values()), self.back_den)
         return FormalMap.from_matrix(back.inverse())
 
 
@@ -333,22 +356,24 @@ def _row_times(row: Sequence[int], M: Sequence[Sequence[int]]) -> List[int]:
 
 
 def _block_diag(n: int, blocks: Dict[Tuple[int, int], RatMatrix]) -> RatMatrix:
-    out = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    L = math.lcm(*[B.den for B in blocks.values()])
+    out = [[L * (i == j) for j in range(n)] for i in range(n)]
     for (lo, hi), B in blocks.items():
         if B.rows != hi - lo or B.cols != hi - lo:
             raise ValueError("block size mismatch")
-        for i in range(lo, hi):
-            for j in range(lo, hi):
-                out[i][j] = B[i - lo, j - lo]
-    return RatMatrix(out)
+        f = L // B.den
+        for i, row in enumerate(B.num, lo):
+            out[i][lo:hi] = [v * f for v in row]
+    return RatMatrix._make(out, L)
 
 
-def _alpha_matrix(state: _State, p: int) -> List[List[Fraction]]:
-    """M[j][k] = coefficient of z_k in alpha_j, where the form is dz_1^...^dz_{p-1} ^ alpha."""
+def _alpha_matrix(state: _State, p: int) -> List[List[int]]:
+    """M[j][k] = coefficient of z_k in alpha_j, as a numerator over state.den,
+    where the form is dz_1^...^dz_{p-1} ^ alpha."""
     n = state.n
     prefix = tuple(range(p - 1))
-    M = [[Fraction(0)] * n for _ in range(n)]
-    for K, row in state.coeffs.items():
+    M = [[0] * n for _ in range(n)]
+    for K, row in state.num.items():
         if K[:-1] != prefix:
             raise SolveInconsistencyError(
                 "form is not divisible by the parameter prefix")
@@ -413,8 +438,9 @@ def _classify(omega: DiffForm) -> ClassificationReport:
         else:
             report = _case2(state, table, p, q)
         # the certificate, read afresh from the report and the input
+        change = report.change.linear_matrix()
         if _pull_back(*_linear_array(report.achieved_form),
-                      *_integer_rows(report.change.linear_matrix().data)) != _linear_array(omega):
+                      change.num, change.den) != _linear_array(omega):
             raise SolveInconsistencyError(
                 "classification certificate failed: the change does not pull "
                 "the normal form back to the input")
@@ -425,36 +451,39 @@ def _classify(omega: DiffForm) -> ClassificationReport:
 def _case1(state: _State, E: RatMatrix, p: int, q: int) -> ClassificationReport:
     n = state.n
     # coordinates: p-1 covectors from E, completed arbitrarily
-    prefix_rows = E.data[:p - 1]
+    prefix_rows = E.num[:p - 1]
     if 1 < p <= E.rows:
         # omega = l vol_E, and every component's coefficients are proportional
         # to l. With l in E, a prefix that contains l gives r = -1, s = 1 and
         # one that does not gives r = 0, s = 0 for the same form; drop the last
-        # row of E that l involves, so the report reads r = 0 in all coordinates
-        l = next(iter(state.coeffs.values()))
-        inside = solve_linear(E.transpose(), l)
+        # row of E that l involves, so the report reads r = 0 in all coordinates.
+        # E^T x = l is solved on the integer rows, which scales x by a
+        # positive constant and keeps its zero pattern.
+        l = next(iter(state.num.values()))
+        inside = solve_sparse([{i: v for i, v in enumerate(col) if v} for col in zip(*E.num)],
+                              E.rows, l)
         if inside.consistent:
             t = max(i for i, a in enumerate(inside.solution) if a)
-            prefix_rows = [row for i, row in enumerate(E.data) if i != t][:p - 1]
-    state.apply(complete_basis(prefix_rows, n).inverse())
+            prefix_rows = [row for i, row in enumerate(E.num) if i != t][:p - 1]
+    state.apply(complete_basis(prefix_rows, n, E.den).inverse())
 
     y = list(range(p - 1, n))
     M = _alpha_matrix(state, p)
     # curl of alpha in the y-variables
     D = [[M[j][k] - M[k][j] for k in y] for j in y]
-    if all(v == 0 for row in D for v in row):
+    if not any(map(any, D)):
         return _case1_closed(state, M, p, q)
-    return _case1_curl(state, D, p, q)
+    return _case1_curl(state, RatMatrix._make(D, state.den), p, q)
 
 
-def _case1_closed(state: _State, M: List[List[Fraction]], p: int,
+def _case1_closed(state: _State, M: List[List[int]], p: int,
                   q: int) -> ClassificationReport:
     """Subcase d'alpha = 0: diagonalize the quadratic, normalize the pairings.
 
     M is the alpha matrix of the current form (_alpha_matrix)."""
     n = state.n
     y = list(range(p - 1, n))
-    inr = inertia(RatMatrix([[M[j][k] for k in y] for j in y]))
+    inr = inertia(RatMatrix._make([[M[j][k] for k in y] for j in y], state.den))
     # order the diagonal: positive entries, then negative, then zeros
     order = sorted(range(len(y)),
                    key=lambda i: (0 if inr.diagonal[i] > 0 else
@@ -462,31 +491,31 @@ def _case1_closed(state: _State, M: List[List[Fraction]], p: int,
     # z_old = C . P^T . z_new on the y block, P the permutation to that order:
     # column k of C P^T is column order[k] of C
     C = inr.congruence
-    state.apply(_block_diag(n, {(p - 1, n): RatMatrix(
-        [[C[i, order[k]] for k in range(len(y))] for i in range(len(y))])}))
+    state.apply(_block_diag(n, {(p - 1, n): RatMatrix._make(
+        [[row[i] for i in order] for row in C.num], C.den)}))
 
     rank = inr.n_plus + inr.n_minus
     r = rank - 1
     quad = y[:rank]
     free = y[rank:]
 
-    # absorb parameter-linear parts on the quadratic slots: u_j = z_j + A_j / d_j
+    # absorb parameter-linear parts on the quadratic slots: u_j = z_j + A_j / d_j,
+    # row j of the move being e_j - sum_i (M[j][i] / M[j][j]) e_i over the parameters
     M = _alpha_matrix(state, p)
-    diag = [M[j][j] for j in quad]
-    if any(d == 0 for d in diag):
+    if any(M[j][j] == 0 for j in quad):
         raise SolveInconsistencyError("quadratic block lost rank")
     if p > 1:
-        A = RatMatrix.identity(n).copy_data()
-        for idx, j in enumerate(quad):
-            for i in range(p - 1):
-                A[j][i] = -M[j][i] / diag[idx]
-        state.apply(RatMatrix(A))
+        rows = _unit_rows(n)
+        for j in quad:
+            row = [-v for v in M[j][:p - 1]] + [M[j][j] * (k == j) for k in range(p - 1, n)]
+            rows[j] = (row, M[j][j])
+        state.apply(_rows_over(rows))
 
     # pairing block: parameter coefficients on the free y slots
     s = 0
     if p > 1 and free:
         M = _alpha_matrix(state, p)
-        pairing = RatMatrix([[M[j][i] for j in free] for i in range(p - 1)])
+        pairing = RatMatrix._make([[M[j][i] for j in free] for i in range(p - 1)], state.den)
         s = pairing.rank()
         if s:
             U, W = _rank_normalize(pairing)
@@ -494,27 +523,27 @@ def _case1_closed(state: _State, M: List[List[Fraction]], p: int,
             state.apply(_block_diag(n, {(0, p - 1): U.transpose(), (free[0], n): W}))
             # exact cleanup: rescale each paired free slot so the coefficient is 1
             M = _alpha_matrix(state, p)
-            A = RatMatrix.identity(n).copy_data()
+            rows = _unit_rows(n)
             for i in range(s):
                 mu = M[free[i]][i]
                 if mu == 0:
                     raise SolveInconsistencyError("pairing normalization failed")
-                A[free[i]][free[i]] = 1 / mu
-            state.apply(RatMatrix(A))
+                rows[free[i]] = ([state.den * (k == free[i]) for k in range(n)], mu)
+            state.apply(_rows_over(rows))
 
     # final shape verification: d_j z_j dz_j on the quadratic slots and
     # z_i dz_{free_i} on the paired ones, behind the parameter prefix
     M = _alpha_matrix(state, p)
     diag = [M[j][j] for j in quad]
     prefix = tuple(range(p - 1))
-    shape = {prefix + (j,): [d if k == j else Fraction(0) for k in range(n)]
-             for j, d in zip(quad, diag)}
+    shape = {prefix + (j,): [d * (k == j) for k in range(n)] for j, d in zip(quad, diag)}
     for i in range(s):
-        shape[prefix + (free[i],)] = [Fraction(int(k == i)) for k in range(n)]
-    if shape != state.coeffs:
+        shape[prefix + (free[i],)] = [state.den * (k == i) for k in range(n)]
+    if shape != state.num:
         raise SolveInconsistencyError("Type 1 normalization did not reach the normal shape")
     achieved = state.form()
 
+    diag = [Fraction(d, state.den) for d in diag]
     signs = [1 if d > 0 else -1 for d in diag]
     scales = [1.0] * n
     for idx, j in enumerate(quad):
@@ -526,42 +555,34 @@ def _case1_closed(state: _State, M: List[List[Fraction]], p: int,
 
 def _rank_normalize(M: RatMatrix) -> Tuple[RatMatrix, RatMatrix]:
     """Invertible U, W with U M W = [[I_s, 0], [0, 0]]."""
-    R, U, pivots = M.rref()
-    # move pivot columns to the front
+    R, U, pivots = _rref_with_transform(M)
+    # W = W1 . P: W1 clears the non-pivot entries of each pivot row by column
+    # operations, and P moves the pivot columns to the front, so column j of
+    # W is column order[j] of W1
     order = list(pivots) + [c for c in range(M.cols) if c not in pivots]
-    Pcol = RatMatrix([[Fraction(int(order[j] == i)) for j in range(M.cols)]
-                      for i in range(M.cols)])
-    # clear the non-pivot entries of each pivot row by column operations
-    W1 = RatMatrix.identity(M.cols).copy_data()
+    W1 = [[R.den * (i == j) for j in range(M.cols)] for i in range(M.cols)]
     for k, c in enumerate(pivots):
         for d in range(M.cols):
-            if d not in pivots and R[k, d] != 0:
-                W1[c][d] = -R[k, d]
-    return U, RatMatrix(W1).matmul(Pcol)
+            if d not in pivots and R.num[k][d]:
+                W1[c][d] = -R.num[k][d]
+    return U, RatMatrix._make([[row[j] for j in order] for row in W1], R.den)
 
 
-def _case1_curl(state: _State, D: List[List[Fraction]], p: int, q: int) -> ClassificationReport:
+def _case1_curl(state: _State, Dm: RatMatrix, p: int, q: int) -> ClassificationReport:
     """Subcase d'alpha != 0: on a co-Nambu form the curl has rank 2 and alpha
     lives on its two slots after the move below; land in Type 2."""
     n = state.n
-    y = list(range(p - 1, n))
-    f = len(y)
-    Dm = RatMatrix(D)
-    a = b = None
-    for i in range(f):
-        for j in range(i + 1, f):
-            if Dm[i, j] != 0:
-                a, b = i, j
-                break
-        if a is not None:
-            break
+    f = n - p + 1
+    D = Dm.num
+    a, b = next((i, j) for i in range(f) for j in range(i + 1, f) if D[i][j])
     # columns: e_a, e_b / D[a][b], then the kernel of rows a and b; rows a and
     # b are independent (D is antisymmetric), so these columns are a basis
-    c0 = [Fraction(int(i == a)) for i in range(f)]
-    c1 = [Fraction(int(i == b)) / Dm[a, b] for i in range(f)]
-    kern = RatMatrix([list(Dm.data[a]), list(Dm.data[b])]).nullspace()
+    kern, d = _eliminate([D[a], D[b]], f).kernel_ints
+    columns = _rows_over([([int(i == a) for i in range(f)], 1),
+                          ([Dm.den * (i == b) for i in range(f)], D[a][b])]
+                         + [(k, d) for k in kern])
     # now d'alpha = dz_p ^ dz_{p+1}
-    state.apply(_block_diag(n, {(p - 1, n): RatMatrix([c0, c1] + kern).transpose()}))
+    state.apply(_block_diag(n, {(p - 1, n): columns.transpose()}))
     return _type2_finisher(state, p, q)
 
 
@@ -571,7 +592,7 @@ def _case2(state: _State, table: SpanTable, p: int, q: int) -> ClassificationRep
     if U.rows != p + 1:
         raise SolveInconsistencyError(
             f"sum of spans has dimension {U.rows}, expected p+1: input is not co-Nambu")
-    state.apply(complete_basis([U.data[i] for i in range(p + 1)], n).inverse())
+    state.apply(complete_basis(U.num, n, U.den).inverse())
     return _type2_finisher(state, p, q)
 
 
@@ -588,7 +609,7 @@ def _type2_finisher(state: _State, p: int, q: int) -> ClassificationReport:
     if outside:
         _reduce_outside_dependence(state, p, [state.row(hat) for hat in hats], outside[0])
     # the Type 2 shape: components on the block, coefficients free of outside variables
-    if any(key[-1] > p for key in state.coeffs) or \
+    if any(key[-1] > p for key in state.num) or \
             any(any(state.row(hat)[p + 1:]) for hat in hats):
         raise SolveInconsistencyError("form does not reach the Type 2 shape on the (p+1)-block")
 
@@ -604,35 +625,37 @@ def _type2_finisher(state: _State, p: int, q: int) -> ClassificationReport:
     return ClassificationReport(nf, state.change_map(), achieved, n, p, q)
 
 
-def _reduce_outside_dependence(state: _State, p: int, a: List[List[Fraction]], j0: int):
+def _reduce_outside_dependence(state: _State, p: int, a: List[List[int]], j0: int):
     """Paper Subcase b of the Type-2 normalization: omega = a * (constant form).
 
-    a[i] holds the linear coefficients of the dz-hat_i component, and a[j0]
-    involves an outside variable.
+    a[i] holds the linear coefficients of the dz-hat_i component, as
+    numerators over state.den, and a[j0] involves an outside variable.
     """
     n = state.n
     base = a[j0]
-    # on a co-Nambu form every a_i is c_i a_{j0}; the shape check and the
-    # certificate catch any other input
+    # on a co-Nambu form every a_i is c_i a_{j0}, with c_i = a[i][k] / base[k];
+    # the shape check and the certificate catch any other input
     k = next(k for k, v in enumerate(base) if v)
-    c = [row[k] / base[k] for row in a]
-    # constant form omega_c = sum_i c_i dz-hat_i on the block; solve i_w omega_c = 0
-    wc = {tuple(j for j in range(p + 1) if j != i): ci for i, ci in enumerate(c) if ci}
+    # constant form omega_c = sum_i c_i dz-hat_i on the block, up to the
+    # factor 1 / base[k], which no kernel below sees; solve i_w omega_c = 0
+    wc = {tuple(j for j in range(p + 1) if j != i): row[k] for i, row in enumerate(a) if row[k]}
     contractions = [_contract(wc, (v,)) for v in range(p + 1)]
-    sol = RatMatrix([[contractions[v].get(key, 0) for v in range(p + 1)]
-                     for key in itertools.combinations(range(p + 1), p - 1)]).nullspace()
+    sol = _eliminate([[contractions[v].get(key, 0) for v in range(p + 1)]
+                      for key in itertools.combinations(range(p + 1), p - 1)],
+                     p + 1).kernel_ints[0]
     if len(sol) != 1:
         raise SolveInconsistencyError("constant factor form has no unique kernel")
     # eta rows: annihilator of w = sol[0] inside the block
-    eta = [v + [Fraction(0)] * (n - p - 1) for v in RatMatrix(sol).nullspace()]
-    state.apply(complete_basis(eta + [base], n).inverse())
+    eta, d = _eliminate(sol, p + 1).kernel_ints
+    rows = _rows_over([(v + [0] * (n - p - 1), d) for v in eta] + [(base, state.den)])
+    state.apply(complete_basis(rows.num, n, rows.den).inverse())
     # now omega = lambda * z_{p+1} dz_1^...^dz_p; normalize lambda into z_{p+1}
     lam = state.row(tuple(range(p)))[p]
     if lam == 0:
         raise SolveInconsistencyError("proportional reduction lost the factor")
-    A = RatMatrix.identity(n).copy_data()
-    A[p][p] = 1 / lam
-    state.apply(RatMatrix(A))
+    rows = _unit_rows(n)
+    rows[p] = ([state.den * (k == p) for k in range(n)], lam)
+    state.apply(_rows_over(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -694,10 +717,10 @@ def classify_linear_tensor(P: Multivector) -> ClassificationReport:
         order = list(range(p + 1, n)) + list(range(p + 1))
     # new coordinate k is the old coordinate order[k]: the change's rows are
     # reordered, and z_old = A . z_new with A[i][k] = [i == order[k]]
-    acc = RatMatrix([report.change.linear_matrix().data[k] for k in order])
+    change = report.change.linear_matrix()
+    acc = RatMatrix._make([change.num[k] for k in order], change.den)
     relabel = _State(report.achieved_form)
-    relabel.apply(RatMatrix([[Fraction(int(i == order[k])) for k in range(n)]
-                             for i in range(n)]))
+    relabel.apply(RatMatrix._make([[int(i == order[k]) for k in range(n)] for i in range(n)]))
     achieved_form = relabel.form()
     det = acc.det()
     achieved_tensor = form_to_tensor(achieved_form).scale(det)

@@ -3,9 +3,10 @@
 Everything in this module is exact. Polynomials are kept in a sparse
 exponent-vector representation, as integer numerators over one denominator in
 lowest terms, and print in graded-lexicographic order, so printing and JSON
-output are byte-stable. Matrices carry Fraction entries and support exact
-rank, kernel, solving (with a Farkas inconsistency certificate), congruence
-diagonalization of symmetric forms, and exact characteristic polynomials.
+output are byte-stable. Matrices are kept as integer rows over one
+denominator and support exact rank, kernel, solving (with a Farkas
+inconsistency certificate), congruence diagonalization of symmetric forms,
+and exact characteristic polynomials.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from typing import List, Optional, Sequence, Tuple
 Rational = Fraction
 
 NEG_INF = float("-inf")
+
+_ZERO = Fraction(0)  # shared: Fractions are immutable
 
 
 class NambuError(Exception):
@@ -186,10 +189,6 @@ class Poly:
     def constant_term(self) -> Fraction:
         return self.coefficient((0,) * self.nvars)
 
-    def sorted_terms(self):
-        """Terms in graded-lexicographic order (deterministic)."""
-        return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]))
-
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
@@ -317,20 +316,25 @@ class Poly:
         if not self.num:
             return "0"
         pieces = []
-        for exps, c in self.sorted_terms():
+        den = self.den
+        # graded-lexicographic order (deterministic)
+        for exps, c in sorted(self.num.items(), key=lambda kv: _grlex_key(kv[0])):
             factors = []
             for i, e in enumerate(exps):
                 if e == 0:
                     continue
                 v = f"{varname}{i + 1}"
                 factors.append(v if e == 1 else f"{v}^{e}")
-            mag = abs(c)
+            # |c| / den in lowest terms, printed as Fraction prints it
+            g = math.gcd(c, den)
+            top, bottom = abs(c) // g, den // g
+            mag = str(top) if bottom == 1 else f"{top}/{bottom}"
             if not factors:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif mag == "1":
                 body = "*".join(factors)
             else:
-                body = str(mag) + "*" + "*".join(factors)
+                body = mag + "*" + "*".join(factors)
             pieces.append(("-" if c < 0 else "+", body))
         sign, body = pieces[0]
         text = ("-" if sign == "-" else "") + body
@@ -586,108 +590,115 @@ def _integer_rows(data) -> Tuple[List[List[int]], int]:
 
 
 class RatMatrix:
-    """Dense matrix with Fraction entries and exact linear algebra."""
+    """Dense rational matrix with exact linear algebra.
 
-    __slots__ = ("rows", "cols", "data")
+    Stored as integer rows over one denominator: ``num`` is a list of integer
+    rows and ``den`` a positive int with gcd(den, every entry) = 1, so the
+    zero matrix has den 1. ``data`` is the view of Fraction rows, built when
+    read, as ``Poly.terms`` is. Instances are immutable.
+    """
+
+    __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, data: Sequence[Sequence]):
         rows = [[_as_fraction(v) for v in row] for row in data]
-        if rows:
-            width = len(rows[0])
-            for row in rows:
-                if len(row) != width:
-                    raise ValueError("ragged matrix")
-        else:
-            width = 0
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "data", rows)
+        width = len(rows[0]) if rows else 0
+        if any(len(row) != width for row in rows):
+            raise ValueError("ragged matrix")
+        self._set(*_integer_rows(rows))
+
+    def _set(self, num: List[List[int]], den: int) -> None:
+        object.__setattr__(self, "rows", len(num))
+        object.__setattr__(self, "cols", len(num[0]) if num else 0)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
-        raise AttributeError("RatMatrix is immutable (copy data to mutate)")
+        raise AttributeError("RatMatrix is immutable")
 
     @classmethod
-    def _make(cls, data) -> "RatMatrix":
+    def _make(cls, num: List[List[int]], den: int = 1) -> "RatMatrix":
+        """Internal constructor: the matrix num / den, num integer rows and
+        den a positive int, brought to lowest terms by one gcd."""
+        if den != 1:
+            g = math.gcd(den, *itertools.chain.from_iterable(num))
+            if g != 1:
+                num = [[v // g for v in row] for row in num]
+                den //= g
         self = object.__new__(cls)
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", len(data[0]) if data else 0)
-        object.__setattr__(self, "data", data)
+        self._set(num, den)
         return self
+
+    @property
+    def data(self) -> List[List[Fraction]]:
+        """The Fraction rows, built when read."""
+        den = self.den
+        return [[Fraction(v, den) for v in row] for row in self.num]
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
-        return RatMatrix([[Fraction(i == j) for j in range(n)] for i in range(n)])
+        return RatMatrix._make([[int(i == j) for j in range(n)] for i in range(n)])
 
     @staticmethod
     def zeros(r: int, c: int) -> "RatMatrix":
-        return RatMatrix([[Fraction(0)] * c for _ in range(r)])
+        return RatMatrix._make([[0] * c for _ in range(r)])
 
     def __eq__(self, other):
-        return isinstance(other, RatMatrix) and self.data == other.data
+        return isinstance(other, RatMatrix) and self.den == other.den and self.num == other.num
 
     __hash__ = None
 
     def __getitem__(self, key):
         i, j = key
-        return self.data[i][j]
-
-    def copy_data(self):
-        return [row[:] for row in self.data]
+        return Fraction(self.num[i][j], self.den)
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix._make([[self.data[i][j] for i in range(self.rows)]
-                                for j in range(self.cols)])
+        return RatMatrix._make([list(col) for col in zip(*self.num)], self.den)
 
     def matmul(self, other: "RatMatrix") -> "RatMatrix":
         """The product, on the integer numerators of both factors."""
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        (A, da), (B, db) = _integer_rows(self.data), _integer_rows(other.data)
-        cols = list(zip(*B))
-        return RatMatrix._make([[Fraction(sum(map(mul, row, col)), da * db) for col in cols]
-                                for row in A])
+        cols = list(zip(*other.num))
+        return RatMatrix._make([[sum(map(mul, row, col)) for col in cols] for row in self.num],
+                               self.den * other.den)
 
     def matvec(self, vec: Sequence) -> List[Fraction]:
-        v = [_as_fraction(x) for x in vec]
-        if len(v) != self.cols:
+        if len(vec) != self.cols:
             raise ValueError("dimension mismatch")
-        return [sum((row[k] * v[k] for k in range(self.cols)), Fraction(0))
-                for row in self.data]
+        (v,), d = _integer_rows([[_as_fraction(x) for x in vec]])
+        return [Fraction(sum(map(mul, row, v)), self.den * d) for row in self.num]
 
     def is_symmetric(self) -> bool:
         if self.rows != self.cols:
             return False
-        return all(self.data[i][j] == self.data[j][i]
-                   for i in range(self.rows) for j in range(i + 1, self.cols))
+        a = self.num
+        return all(a[i][j] == a[j][i] for i in range(self.rows) for j in range(i + 1, self.cols))
 
     def rref(self):
-        """Reduced row echelon form.
+        """Reduced row echelon form: (R, T, pivots) with T.matmul(self) == R
+        exactly. [R | T] is the RREF of [self | I], so T is the canonical
+        transform: its rows past the rank span the left kernel.
 
-        Returns (R, T, pivots) with T.matmul(self) == R exactly. [R | T] is the RREF
-        of [self | I], so T is the canonical transform: its rows past the rank
-        span the left kernel.
+        A thin wrapper over `_rref_with_transform`, which `inverse` and the
+        classifier call; nothing in the library calls this name, and it stays
+        because perfbench/tracing.py wraps it by name.
         """
-        reduced = _eliminate([row + unit for row, unit in
-                              zip(self.data, RatMatrix.identity(self.rows).data)],
-                             self.cols + self.rows)
-        R = [row[:self.cols] for row in reduced.reduced_rows]
-        T = [row[self.cols:] for row in reduced.reduced_rows]
-        pivots = [c for c in reduced.pivots if c < self.cols]
-        return RatMatrix._make(R), RatMatrix._make(T), pivots
+        return _rref_with_transform(self)
 
     def rank(self) -> int:
-        return len(_eliminate(self.data, self.cols).pivots)
+        return len(_eliminate(self.num, self.cols).pivots)
 
     def nullspace(self) -> List[List[Fraction]]:
         """Basis of the right kernel, free variables set to canonical units."""
-        return _eliminate(self.data, self.cols).kernel
+        return _eliminate(self.num, self.cols).kernel
 
     def det(self) -> Fraction:
-        """det(A) / d^n for the integer numerators A over the lcm d of the
-        denominators, det(A) by Bareiss: each division by a pivot is exact."""
+        """det(num) / den^n, det(num) by Bareiss: each division by a pivot is
+        exact."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        m, d = _integer_rows(self.data)
+        m = [row[:] for row in self.num]
         n = self.rows
         sign, prev = 1, 1
         for c in range(n):
@@ -702,12 +713,13 @@ class RatMatrix:
                 f, row = m[i][c], m[i]
                 m[i] = [(a * x - f * y) // prev for x, y in zip(row, top)]
             prev = a
-        return Fraction(sign * prev, d ** n)
+        return Fraction(sign * prev, self.den ** n)
 
     def inverse(self) -> "RatMatrix":
+        """The inverse, read off one integer elimination of [A | I]."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        _, T, pivots = self.rref()
+        _, T, pivots = _rref_with_transform(self)
         if len(pivots) != self.cols:
             raise ValueError("matrix is singular")
         return T
@@ -719,6 +731,18 @@ class RatMatrix:
         return f"RatMatrix({self.to_str_rows()})"
 
 
+def _rref_with_transform(M: RatMatrix):
+    """(R, T, pivots) with [R | T] the RREF of [M | I], from one integer
+    elimination of [num | den I], whose RREF it is too."""
+    n, den = M.cols, M.den
+    res = _eliminate([row + [den * (i == j) for j in range(M.rows)]
+                      for i, row in enumerate(M.num)], n + M.rows)
+    rows, d = res.reduced_ints
+    return (RatMatrix._make([row[:n] for row in rows], d),
+            RatMatrix._make([row[n:] for row in rows], d),
+            [c for c in res.pivots if c < n])
+
+
 @dataclass
 class LinearSolveResult:
     """Outcome of an exact linear solve M x = b.
@@ -727,9 +751,10 @@ class LinearSolveResult:
     per pivot, as (pivot column, row, its right-hand side): the row is a
     primitive integer row {column: int} (its pivot entry need not be 1), the
     right-hand side is b's row scaled alike, and every entry of the row lies
-    at or right of the pivot. The kernel basis is read off
-    these rows, the reduced rows off the kernel, and the inconsistency witness
-    off the system, each when first asked for; the solution has b's type.
+    at or right of the pivot. The reduced rows come from one integer
+    Gauss-Jordan pass over these rows, the kernel basis is read off them,
+    and the inconsistency witness off the system, each when first asked for;
+    the solution has b's type.
     """
 
     solution: Optional[list]
@@ -737,39 +762,51 @@ class LinearSolveResult:
     echelon: list = field(repr=False)
     rows: Sequence[dict] = field(repr=False)
     rhs: list = field(repr=False)
+    ncols: int = field(repr=False)
 
     @property
     def consistent(self) -> bool:
         return self.solution is not None
 
     @functools.cached_property
-    def kernel(self) -> List[List[Fraction]]:
-        """Basis of the right kernel of M, one vector per free column f with
-        x_f = 1 and the other free variables zero (empty when inconsistent)."""
+    def reduced_ints(self) -> Tuple[List[List[int]], int]:
+        """(R, d): the RREF rows of M, one per pivot, as dense integer rows
+        over one denominator d, the lcm of the Gauss-Jordan pivot entries."""
         if self.solution is None:
-            return []
-        pivot_set = set(self.pivots)
-        ncols = len(self.solution)
-        return [_back_substitute(self.echelon, ncols, Fraction(0), f)
-                for f in range(ncols) if f not in pivot_set]
+            raise ValueError("reduced rows of an inconsistent system")
+        rows = _gauss_jordan(self.echelon)
+        d = math.lcm(*[row[c] for c, row in rows])
+        out = []
+        for c, row in rows:
+            f = d // row[c]
+            dense = [0] * self.ncols
+            for k, v in row.items():
+                dense[k] = v * f
+            out.append(dense)
+        return out, d
 
     @functools.cached_property
     def reduced_rows(self) -> List[List[Fraction]]:
-        """The RREF rows of M, one per pivot c: 1 at c, 0 at the other pivots
-        and -k[c] at each free column f, where k is the kernel vector of f."""
+        """The RREF rows of M, one per pivot: 1 at the pivot, 0 at the other
+        pivots."""
+        rows, d = self.reduced_ints
+        return [[Fraction(v, d) for v in row] for row in rows]
+
+    @functools.cached_property
+    def kernel_ints(self) -> Tuple[List[List[int]], int]:
+        """(K, d): the kernel basis as integer vectors over one denominator d,
+        read off the reduced rows (empty when inconsistent)."""
         if self.solution is None:
-            raise ValueError("reduced rows of an inconsistent system")
-        pivot_set = set(self.pivots)
-        ncols = len(self.solution)
-        free = [f for f in range(ncols) if f not in pivot_set]
-        rows = []
-        for c in self.pivots:
-            row = [Fraction(0)] * ncols
-            row[c] = Fraction(1)
-            for f, k in zip(free, self.kernel):
-                row[f] = -k[c]
-            rows.append(row)
-        return rows
+            return [], 1
+        rows, d = self.reduced_ints
+        return _rref_kernel(rows, self.pivots, d, self.ncols), d
+
+    @functools.cached_property
+    def kernel(self) -> List[List[Fraction]]:
+        """Basis of the right kernel of M, one vector per free column f with
+        x_f = 1 and the other free variables zero (empty when inconsistent)."""
+        K, d = self.kernel_ints
+        return [[Fraction(v, d) for v in k] for k in K]
 
     @functools.cached_property
     def witness(self) -> Optional[List[Fraction]]:
@@ -788,6 +825,21 @@ class LinearSolveResult:
         return solve_sparse(rows, len(self.rows), [0] * len(transposed) + [1]).solution
 
 
+def _rref_kernel(rows: List[List[int]], pivots: List[int], d: int, ncols: int) -> List[List[int]]:
+    """The kernel basis of the RREF rows R / d with these pivots, over d: one
+    integer vector per free column f, d at f and -R[c][f] at each pivot c."""
+    pivot_set = set(pivots)
+    out = []
+    for f in range(ncols):
+        if f not in pivot_set:
+            k = [0] * ncols
+            k[f] = d
+            for c, row in zip(pivots, rows):
+                k[c] = -row[f]
+            out.append(k)
+    return out
+
+
 def _lincomb(s: int, x, t: int, y, g: int = 1):
     """(s * x - t * y) / g for ints s, t, g > 0 and two Fractions or Polys."""
     if isinstance(x, Poly):
@@ -796,23 +848,80 @@ def _lincomb(s: int, x, t: int, y, g: int = 1):
     return Fraction(s * x.numerator * yd - t * y.numerator * xd, xd * yd * g)
 
 
-def _back_substitute(echelon, ncols: int, zero, free: Optional[int] = None) -> list:
-    """Solve the echelon rows from the last pivot up, free variables `zero`;
-    the division by each pivot entry is where rationals first appear.
+def _reduce_row(row: dict, prow: dict, c: int):
+    """(row', s, t, h): row's entry at c cleared by the pivot row prow,
+    fraction-free. With a = prow[c], f = row[c] and g = gcd(a, f), s = a/g
+    and t = f/g, row' = (s row - t prow) / h, h its content (1 for a zero
+    row); row itself is reused when s = 1."""
+    a, f = prow[c], row[c]
+    g = math.gcd(a, f)
+    s, t = a // g, f // g
+    if s != 1:
+        row = {k: v * s for k, v in row.items()}
+    for k, v in prow.items():
+        x = row.get(k, 0) - t * v
+        if x:
+            row[k] = x
+        else:
+            del row[k]
+    h = math.gcd(*row.values()) or 1
+    return (row if h == 1 else {k: v // h for k, v in row.items()}), s, t, h
 
-    With `free` given, solves the homogeneous system with x_free = 1.
+
+def _gauss_jordan(echelon) -> List[Tuple[int, dict]]:
+    """The echelon rows reduced fraction-free from the last pivot up: each
+    row keeps its pivot c and is cleared at every other pivot column, a
+    primitive integer row whose quotient by its entry at c is the RREF row."""
+    pivots = [c for c, _, _ in echelon]
+    rows = [dict(row) for _, row, _ in echelon]
+    for j in range(len(rows) - 1, 0, -1):
+        c, prow = pivots[j], rows[j]
+        for i in range(j):
+            if c in rows[i]:
+                rows[i] = _reduce_row(rows[i], prow, c)[0]
+    return list(zip(pivots, rows))
+
+
+def _back_substitute(echelon, ncols: int, zero) -> list:
+    """Solve the echelon rows from the last pivot up, free variables zero.
+
+    A `Poly` right-hand side is solved polynomial by polynomial. A scalar one
+    is solved on integers, x_k = val[k] / at[k]: the running denominator D
+    starts at the lcm of the right-hand sides' denominators and grows, at a
+    pivot entry a, by a / gcd(acc, a) for the numerator acc over D, so it
+    stays the lcm of the denominators so far, up to sign. at[k] is the D
+    that x_k was last brought over; it divides the current D, and x_k is
+    brought over D when it is next read, so no step rescales the whole
+    vector. One Fraction per nonzero entry is built at the end.
     """
-    x = [zero] * ncols
-    if free is not None:
-        x[free] = Fraction(1)
+    if isinstance(zero, Poly):
+        x = [zero] * ncols
+        for c, row, rhs in reversed(echelon):
+            acc = rhs
+            for k, v in row.items():
+                if k != c and x[k]:
+                    acc = acc._add(x[k], -v)
+            a = row[c]
+            x[c] = acc if a == 1 else acc.scale(Fraction(1, a))
+        return x
+    D = math.lcm(*[rhs.denominator for _, _, rhs in echelon])
+    val, at = [0] * ncols, [1] * ncols
     for c, row, rhs in reversed(echelon):
-        acc = zero if free is not None else rhs
+        acc = rhs.numerator * (D // rhs.denominator)
         for k, v in row.items():
-            if k != c and x[k]:
-                acc = _lincomb(1, acc, v, x[k])
-        a = row[c]
-        x[c] = acc if a == 1 else acc * Fraction(1, a)
-    return x
+            if val[k]:  # x_c itself is still 0
+                if at[k] != D:
+                    val[k] *= D // at[k]
+                    at[k] = D
+                acc -= v * val[k]
+        if acc:
+            # x_c = acc / (a D) = (acc / g) / (m D), m = a / g
+            a = row[c]
+            g = math.gcd(acc, a)
+            val[c] = acc // g
+            D *= a // g
+            at[c] = D
+    return [Fraction(v, d) if v else _ZERO for v, d in zip(val, at)]
 
 
 def solve_sparse(rows: Sequence[dict], ncols: int, rhs: Sequence) -> LinearSolveResult:
@@ -839,7 +948,7 @@ def solve_sparse(rows: Sequence[dict], ncols: int, rhs: Sequence) -> LinearSolve
     pattern of the rational step; b_i follows by the same numbers.
     """
     polys = [v for v in rhs if isinstance(v, Poly)]
-    zero = Poly.zero(polys[0].nvars) if polys else Fraction(0)
+    zero = Poly.zero(polys[0].nvars) if polys else 0
     given = [v if isinstance(v, Poly) else zero if not v
              else Poly.const(zero.nvars, v) if polys else _as_fraction(v) for v in rhs]
     if len(given) != len(rows):
@@ -869,23 +978,11 @@ def solve_sparse(rows: Sequence[dict], ncols: int, rhs: Sequence) -> LinearSolve
         p = min(holders, key=lambda i: (len(work[i]), i))
         unpivoted.discard(p)
         prow, bp = work[p], b[p]
-        a = prow[c]
         for i in holders:
             if i == p:
                 continue
-            row = work[i]
-            g = math.gcd(a, row[c])
-            s, t = a // g, row[c] // g
-            if s != 1:
-                row = {k: v * s for k, v in row.items()}
-            for k, v in prow.items():
-                x = row.get(k, 0) - t * v
-                if x:
-                    row[k] = x
-                else:
-                    del row[k]
-            h = math.gcd(*row.values()) or 1
-            work[i] = row if h == 1 else {k: v // h for k, v in row.items()}
+            row, s, t, h = _reduce_row(work[i], prow, c)
+            work[i] = row
             if row:
                 leading.setdefault(min(row), []).append(i)
             if bp or b[i]:
@@ -895,12 +992,12 @@ def solve_sparse(rows: Sequence[dict], ncols: int, rhs: Sequence) -> LinearSolve
     solution = None
     if not any(b[i] for i in unpivoted):
         solution = _back_substitute(echelon, ncols, zero)
-    return LinearSolveResult(solution, pivots, echelon, rows, given)
+    return LinearSolveResult(solution, pivots, echelon, rows, given, ncols)
 
 
 def _eliminate(rows: Sequence[Sequence], ncols: int) -> LinearSolveResult:
-    """One `solve_sparse` of the dense rows against a zero right-hand side:
-    their pivots, kernel and reduced rows."""
+    """One `solve_sparse` of the dense rows (ints or rationals) against a
+    zero right-hand side: their pivots, kernel and reduced rows."""
     return solve_sparse([{c: v for c, v in enumerate(row) if v} for row in rows],
                         ncols, [0] * len(rows))
 
@@ -911,7 +1008,8 @@ def solve_linear(M: RatMatrix, b: Sequence) -> LinearSolveResult:
     The pivots are the leftmost ones, those of the RREF of M, so the
     particular solution with free variables zero is the RREF's. Returns it
     plus a kernel basis, or an inconsistency witness row y (y.M = 0 and
-    y.b != 0).
+    y.b != 0). A thin wrapper that nothing in the library calls; it stays
+    because perfbench/tracing.py wraps it by name.
     """
     return solve_sparse([{c: v for c, v in enumerate(row) if v} for row in M.data],
                         M.cols, b)
@@ -962,49 +1060,57 @@ class InertiaResult:
 
 
 def inertia(S: RatMatrix) -> InertiaResult:
-    """Symmetric Gaussian elimination with the rank-2 fallback.
+    """Symmetric Gaussian elimination with the rank-2 fallback, in integer
+    steps.
 
     Produces C with C^T S C diagonal; diagonal entries stay rational (no
-    square roots), so they are +-positive rationals rather than +-1.
+    square roots), so they are +-positive rationals rather than +-1. Column j
+    of C is an integer column c_j over a positive denominator e_j, and
+    a = c^T num(S) c is an integer matrix, so C^T S C is a[i][j] / (den e_i e_j).
+    A step C_dst += (u / v) C_src takes c_dst to alpha c_dst + beta c_src over
+    v e_dst e_src (alpha = v e_src, beta = u e_dst), row and column dst of a
+    alike; the content of c_dst and its denominator is then divided out.
     """
     if not S.is_symmetric():
         raise PreconditionError("inertia requires a symmetric matrix")
     n = S.rows
-    a = S.copy_data()
-    cmat = RatMatrix.identity(n).copy_data()
+    a = [row[:] for row in S.num]
+    cmat = [[int(i == j) for j in range(n)] for i in range(n)]
+    e = [1] * n
 
-    def col_op(dst, src, factor):
-        # column dst += factor * column src, and symmetric row op on a
+    def col_op(dst, src, u, v):
+        # C_dst += (u / v) C_src, and the symmetric row op on a
+        alpha, beta, den = v * e[src], u * e[dst], v * e[dst] * e[src]
+        if den < 0:
+            alpha, beta, den = -alpha, -beta, -den
         for i in range(n):
-            a[i][dst] += factor * a[i][src]
+            a[i][dst] = alpha * a[i][dst] + beta * a[i][src]
         for j in range(n):
-            a[dst][j] += factor * a[src][j]
+            a[dst][j] = alpha * a[dst][j] + beta * a[src][j]
         for i in range(n):
-            cmat[i][dst] += factor * cmat[i][src]
+            cmat[i][dst] = alpha * cmat[i][dst] + beta * cmat[i][src]
+        h = math.gcd(den, *(row[dst] for row in cmat))
+        if h != 1:
+            # a[dst][dst] is divided twice, by h^2
+            for i in range(n):
+                cmat[i][dst] //= h
+                a[i][dst] //= h
+            for j in range(n):
+                a[dst][j] //= h
+        e[dst] = den // h
 
     def col_swap(i, j):
         for r in range(n):
             a[r][i], a[r][j] = a[r][j], a[r][i]
-        a[i], a[j] = a[j], a[i]
-        for r in range(n):
             cmat[r][i], cmat[r][j] = cmat[r][j], cmat[r][i]
+        a[i], a[j] = a[j], a[i]
+        e[i], e[j] = e[j], e[i]
 
     k = 0
     while k < n:
-        pivot = None
-        for i in range(k, n):
-            if a[i][i] != 0:
-                pivot = i
-                break
+        pivot = next((i for i in range(k, n) if a[i][i]), None)
         if pivot is None:
-            pair = None
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    if a[i][j] != 0:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
+            pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]), None)
             if pair is None:
                 break  # remaining block is zero
             i, j = pair
@@ -1014,28 +1120,30 @@ def inertia(S: RatMatrix) -> InertiaResult:
                 col_swap(j, k + 1)
             # x_k = u + v, x_{k+1} = u - v turns the off-diagonal pair into
             # a +- pair on the diagonal
-            col_op(k, k + 1, Fraction(1))
-            col_op(k + 1, k, Fraction(-1, 2))
+            col_op(k, k + 1, 1, 1)
+            col_op(k + 1, k, -1, 2)
             if a[k][k] == 0:
                 raise SolveInconsistencyError("rank-2 inertia fallback failed")
             pivot = k
         if pivot != k:
             col_swap(pivot, k)
+        # C_j -= (a_kj / a_kk) C_k in the true entries
         d = a[k][k]
         for j in range(k + 1, n):
-            if a[k][j] != 0:
-                col_op(j, k, -a[k][j] / d)
+            if a[k][j]:
+                col_op(j, k, -a[k][j] * e[k], d * e[j])
         k += 1
 
-    diag = [a[i][i] for i in range(n)]
+    diag = [Fraction(a[i][i], S.den * e[i] ** 2) for i in range(n)]
     n_plus = sum(1 for v in diag if v > 0)
     n_minus = sum(1 for v in diag if v < 0)
     n_zero = n - n_plus - n_minus
-    C = RatMatrix(cmat)
-    check = C.transpose().matmul(S).matmul(C)
+    L = math.lcm(*e)
+    C = RatMatrix._make([[v * (L // ej) for v, ej in zip(row, e)] for row in cmat], L)
+    check = C.transpose().matmul(S).matmul(C).num
     for i in range(n):
         for j in range(n):
-            if i != j and check.data[i][j] != 0:
+            if i != j and check[i][j] != 0:
                 raise SolveInconsistencyError("congruence failed to diagonalize")
     return InertiaResult(n_plus, n_zero, n_minus, C, diag)
 
@@ -1054,7 +1162,7 @@ def char_poly(M: RatMatrix) -> List[Fraction]:
     if M.rows != M.cols:
         raise PreconditionError("characteristic polynomial of a non-square matrix")
     n = M.rows
-    A, d = _integer_rows(M.data)
+    A, d = M.num, M.den
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
     # after step k, W = A^k + c_1 A^(k-1) + ... + c_k I
@@ -1072,65 +1180,56 @@ def char_poly(M: RatMatrix) -> List[Fraction]:
 def rational_roots(coeffs: Sequence[Fraction]) -> Tuple[List[Fraction], List[Fraction]]:
     """All rational roots (with multiplicity) plus the remaining factor.
 
-    Uses the rational-root theorem on the integer-cleared polynomial, tests
-    each candidate p/q by integer Horner on q^deg * f(p/q), and deflates each
-    found root by synthetic division.
+    Works on the integer-cleared polynomial P = d f. A candidate p/q of the
+    rational-root theorem (p | P(0) and q | lead(P), in lowest terms) is
+    tested by integer Horner on q^deg P(p/q), and a root is divided out of P
+    as the primitive factor q t - p, on integers, as often as it divides.
+    The roots come back ordered by (|r|, sign), positive first; the
+    remaining factor f / prod (t - r) is the quotient left times prod q / d.
     """
     work = [Fraction(v) for v in coeffs]
     while work and work[-1] == 0:
         work.pop()
     if not work:
         raise ValueError("zero polynomial")
-    roots = []
     # strip powers of t
-    zero_mult = 0
-    while work[0] == 0:
-        zero_mult += 1
-        work.pop(0)
-    roots.extend([Fraction(0)] * zero_mult)
+    zero_mult = next(i for i, c in enumerate(work) if c)
+    (P,), d = _integer_rows([work[zero_mult:]])
+    roots = [Fraction(0)] * zero_mult
 
     def divisors(k: int):
         k = abs(k)
         out = set()
-        for d in range(1, int(math.isqrt(k)) + 1):
-            if k % d == 0:
-                out.add(d)
-                out.add(k // d)
+        for j in range(1, int(math.isqrt(k)) + 1):
+            if k % j == 0:
+                out.add(j)
+                out.add(k // j)
         return sorted(out)
 
-    changed = True
-    while len(work) > 1 and changed:
-        changed = False
-        denom = math.lcm(*(c.denominator for c in work))
-        ints = [c.numerator * (denom // c.denominator) for c in work]
-        lead, const = ints[-1], ints[0]
-        if const == 0:
-            roots.append(Fraction(0))
-            work = work[1:]
-            changed = True
-            continue
-        candidates = sorted(
-            {Fraction(s * p, q) for p in divisors(const) for q in divisors(lead)
-             for s in (1, -1)},
-            key=lambda f: (abs(f), f < 0))
-        for cand in candidates:
-            # p/q is a root iff q^deg * f(p/q) = sum_i ints[i] p^i q^(deg-i) is 0
-            p, q = cand.numerator, cand.denominator
-            acc, qk = 0, 1
-            for c in reversed(ints):
-                acc = acc * p + c * qk
-                qk *= q
-            if acc == 0:
-                roots.append(cand)
-                new = [Fraction(0)] * (len(work) - 1)
-                carry = Fraction(0)
-                for i in range(len(work) - 1, 0, -1):
-                    carry = work[i] + carry * cand
-                    new[i - 1] = carry
-                work = new
-                changed = True
-                break
-    return roots, work
+    scale = 1
+    if len(P) > 1:
+        for q in divisors(P[-1]):
+            for p in divisors(P[0]):
+                if math.gcd(p, q) != 1:
+                    continue
+                for r in (p, -p):
+                    while len(P) > 1 and P[0] % r == 0 and P[-1] % q == 0:
+                        # r/q is a root iff q^deg P(r/q) = sum_i P[i] r^i q^(deg-i) is 0
+                        acc, qk = 0, 1
+                        for c in reversed(P):
+                            acc = acc * r + c * qk
+                            qk *= q
+                        if acc:
+                            break
+                        # P = (q t - r) Q, Q's coefficients from the top down
+                        Q, carry = [0] * (len(P) - 1), 0
+                        for k in range(len(P) - 1, 0, -1):
+                            carry = Q[k - 1] = (P[k] + r * carry) // q
+                        P = Q
+                        roots.append(Fraction(r, q))
+                        scale *= q
+    roots.sort(key=lambda f: (abs(f), f < 0))
+    return roots, [Fraction(c * scale, d) for c in P]
 
 
 @dataclass
@@ -1189,12 +1288,53 @@ def _square_free_factors(f: List[Fraction]) -> List[Tuple[List[Fraction], int]]:
     return out
 
 
+def _mpf(c: Fraction):
+    import mpmath
+
+    return mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
+
+
+def _quadratic_roots(g: List[Fraction]) -> list:
+    """The two roots of the quadratic g (coefficients ascending, no rational
+    root), at mpmath's working precision.
+
+    The discriminant is exact. A complex pair is -c1 / (2 c2) exactly plus or
+    minus i sqrt(-disc) / (2 |c2|); a real pair is t / c2 and c0 / t with
+    t = -(c1 + sign(c1) sqrt(disc)) / 2, which subtracts no close numbers.
+    Small parts are then cleaned up as `mpmath.polyroots` cleans them: a root
+    below eps becomes 0, an imaginary part below eps is dropped, and a real
+    part below eps too.
+    """
+    import mpmath
+
+    c0, c1, c2 = g
+    disc = c1 * c1 - 4 * c0 * c2
+    if disc < 0:
+        re = _mpf(-c1 / (2 * c2))
+        im = mpmath.sqrt(_mpf(-disc)) / _mpf(2 * abs(c2))
+        roots = [mpmath.mpc(re, im), mpmath.mpc(re, -im)]
+    else:
+        s = mpmath.sqrt(_mpf(disc))
+        t = -(_mpf(c1) + s) / 2 if c1 >= 0 else -(_mpf(c1) - s) / 2
+        roots = [t / _mpf(c2), _mpf(c0) / t]
+    tol = mpmath.eps
+    for i, r in enumerate(roots):
+        if abs(r) < tol:
+            roots[i] = mpmath.mpf(0)
+        elif abs(mpmath.im(r)) < tol:
+            roots[i] = mpmath.re(r)
+        elif abs(mpmath.re(r)) < tol:
+            roots[i] = mpmath.im(r) * 1j
+    return roots
+
+
 def eigen_data(M: RatMatrix, tol: float = 1e-9) -> EigenData:
     """Exact characteristic polynomial, exact rational roots, numeric rest.
 
-    The rest is found by `mpmath.polyroots` on each exact square-free factor
-    of the residual, each root repeated by its multiplicity; a residual that
-    is square-free goes to `polyroots` whole.
+    The rest is found on each exact square-free factor of the residual, each
+    root repeated by its multiplicity: a quadratic factor by the quadratic
+    formula (`_quadratic_roots`), a factor of higher degree by
+    `mpmath.polyroots`; a residual that is square-free is one factor.
     """
     if M.rows != M.cols:
         raise PreconditionError("eigen_data requires a square matrix")
@@ -1212,9 +1352,8 @@ def eigen_data(M: RatMatrix, tol: float = 1e-9) -> EigenData:
         with mpmath.workdps(digits):
             for g, k in _square_free_factors(residual):
                 try:
-                    rest = mpmath.polyroots(
-                        [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-                         for c in reversed(g)], maxsteps=200, extraprec=80)
+                    rest = _quadratic_roots(g) if len(g) == 3 else mpmath.polyroots(
+                        [_mpf(c) for c in reversed(g)], maxsteps=200, extraprec=80)
                 except mpmath.libmp.NoConvergence as exc:
                     raise PreconditionError(
                         f"irrational eigenvalues not found to tolerance: {exc}")

@@ -252,9 +252,14 @@ def test_resonance_root_finder_failure_exit3(capsys, monkeypatch):
         raise mpmath.libmp.NoConvergence("Didn't converge in maxsteps=200 steps.")
 
     monkeypatch.setattr(mpmath, "polyroots", fail)
-    code, out, err = invoke(capsys, ["resonance", "-"], IRRATIONAL_PAYLOAD, monkeypatch)
+    # t^3 - 2 is irreducible over Q, so its roots come from the root finder
+    cubic = json.dumps({"matrix": [["0", "0", "2"], ["1", "0", "0"], ["0", "1", "0"]]})
+    code, out, err = invoke(capsys, ["resonance", "-"], cubic, monkeypatch)
     assert code == 3 and out == ""
     assert "precondition unmet" in err and "NoConvergence" not in err
+    # a quadratic factor is solved in closed form and never reaches it
+    code, out, _ = invoke(capsys, ["resonance", "-"], IRRATIONAL_PAYLOAD, monkeypatch)
+    assert code == 0 and out
 
 
 @pytest.mark.parametrize("payload", ['{"matrix": [[true]]}', '{"matrix": [[1, false], [0, 1]]}',

@@ -5,10 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from nambu.polyalg import (
     GradedSystem,
+    _back_substitute,
+    _quadratic_roots,
     Poly,
     PolyParseError,
     PreconditionError,
@@ -553,10 +555,11 @@ def test_solve_sparse_matches_gauss_jordan_on_large_sparse_systems(seed):
 
 
 @st.composite
-def rank_deficient_matrices(draw):
+def rank_deficient_matrices(draw, square=False):
     """A product of r x k and k x c matrices: rank at most k <= min(r, c)."""
     entry = draw(st.sampled_from([_entry, _big_entry]))
-    r, c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    r = draw(st.integers(1, 6))
+    c = r if square else draw(st.integers(1, 6))
     k = draw(st.integers(0, min(r, c)))
     A = [[draw(entry) for _ in range(k)] for _ in range(r)]
     B = [[draw(entry) for _ in range(c)] for _ in range(k)]
@@ -578,6 +581,15 @@ def test_rank_kernel_rref_match_gauss_jordan(M):
             vec[c] = -row[f]
         kernel.append(vec)
     assert M.nullspace() == kernel
+    # the integer forms behind the Fraction views: integer rows over one denominator
+    res = solve_sparse([{j: v for j, v in enumerate(row) if v} for row in M.data],
+                       M.cols, [0] * M.rows)
+    assert res.reduced_rows == R_ref
+    rows, d = res.reduced_ints
+    assert [[Fraction(v, d) for v in row] for row in rows] == R_ref
+    K, e = res.kernel_ints
+    assert [[Fraction(v, e) for v in k] for k in K] == kernel
+    assert d > 0 and e > 0 and all(type(v) is int for row in rows + K for v in row)
     R, T, rref_pivots = M.rref()
     assert rref_pivots == pivots
     assert T.matmul(M) == R
@@ -625,6 +637,73 @@ def test_echelon_rows_are_primitive_integer_rows(system):
     for c, row, _ in res.echelon:
         assert all(type(v) is int and v for v in row.values())
         assert min(row) == c and math.gcd(*row.values()) == 1
+
+
+# -- the integer kernels against test-local Fraction references -----------------
+
+def _fraction_inverse(M):
+    """The right half of the Gauss-Jordan RREF of [M | I], or None if singular."""
+    n = M.rows
+    R, pivots = _gauss_jordan([row + [Fraction(int(i == j)) for j in range(n)]
+                               for i, row in enumerate(M.data)])
+    if [c for c in pivots if c < n] != list(range(n)):
+        return None
+    return [row[n:] for row in R]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(square_matrices(), rank_deficient_matrices(square=True)))
+def test_inverse_matches_the_fraction_gauss_jordan(M):
+    want = _fraction_inverse(M)
+    if want is None:
+        with pytest.raises(ValueError):
+            M.inverse()
+        return
+    inv = M.inverse()
+    assert inv.data == want
+    assert M.matmul(inv) == inv.matmul(M) == RatMatrix.identity(M.rows)
+    assert math.gcd(inv.den, *[v for row in inv.num for v in row]) == 1
+
+
+def _fraction_back_substitute(echelon, ncols):
+    x = [Fraction(0)] * ncols
+    for c, row, rhs in reversed(echelon):
+        acc = Fraction(rhs)
+        for k, v in row.items():
+            if k != c:
+                acc -= v * x[k]
+        x[c] = acc / row[c]
+    return x
+
+
+@st.composite
+def echelon_systems(draw):
+    """Echelon rows with pivots anywhere, pivot entries of either sign and
+    other than 1, zero and rational right-hand sides with large denominators."""
+    ncols = draw(st.integers(1, 9))
+    pivots = sorted(draw(st.sets(st.integers(0, ncols - 1), min_size=1)))
+    big = draw(st.booleans())
+    ints = st.integers(-10**9, 10**9) if big else st.integers(-6, 6)
+    echelon = []
+    for c in pivots:
+        row = {c: draw(ints.filter(bool))}
+        for k in range(c + 1, ncols):
+            v = draw(ints) if draw(st.booleans()) else 0
+            if v:
+                row[k] = v
+        rhs = draw(st.one_of(st.just(Fraction(0)), st.builds(
+            Fraction, ints, st.integers(1, 10**8 if big else 12))))
+        echelon.append((c, row, rhs))
+    return echelon, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(echelon_systems())
+def test_back_substitute_matches_the_fraction_reference(system):
+    echelon, ncols = system
+    got = _back_substitute(echelon, ncols, Fraction(0))
+    assert got == _fraction_back_substitute(echelon, ncols)
+    assert all(type(v) is Fraction for v in got)
 
 
 @st.composite
@@ -740,6 +819,89 @@ def test_inertia_invariant_under_congruence():
             C = random_invertible(rng, S.rows)
             S2 = C.transpose().matmul(S).matmul(C)
             assert inertia(S2).counts() == want
+
+
+def _fraction_inertia(S):
+    """Reference: the symmetric elimination with the rank-2 fallback on
+    Fraction entries, (C, diagonal)."""
+    n = S.rows
+    a = S.data
+    cmat = RatMatrix.identity(n).data
+
+    def col_op(dst, src, factor):
+        for i in range(n):
+            a[i][dst] += factor * a[i][src]
+        for j in range(n):
+            a[dst][j] += factor * a[src][j]
+        for i in range(n):
+            cmat[i][dst] += factor * cmat[i][src]
+
+    def col_swap(i, j):
+        for r in range(n):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+            cmat[r][i], cmat[r][j] = cmat[r][j], cmat[r][i]
+        a[i], a[j] = a[j], a[i]
+
+    k = 0
+    while k < n:
+        pivot = next((i for i in range(k, n) if a[i][i]), None)
+        if pivot is None:
+            pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]), None)
+            if pair is None:
+                break
+            i, j = pair
+            if i != k:
+                col_swap(i, k)
+            if j != k + 1:
+                col_swap(j, k + 1)
+            col_op(k, k + 1, Fraction(1))
+            col_op(k + 1, k, Fraction(-1, 2))
+            pivot = k
+        if pivot != k:
+            col_swap(pivot, k)
+        for j in range(k + 1, n):
+            if a[k][j]:
+                col_op(j, k, -a[k][j] / a[k][k])
+        k += 1
+    return cmat, [a[i][i] for i in range(n)]
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric matrices: rank-deficient ones (B^T D B), zero rows, zero
+    diagonals that need the rank-2 fallback, large denominators."""
+    entry = draw(st.sampled_from([_entry, _big_entry]))
+    n = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["dense", "product", "hollow"]))
+    if kind == "product":
+        k = draw(st.integers(0, n))
+        B = RatMatrix([[draw(entry) for _ in range(n)] for _ in range(k)])
+        D = RatMatrix([[draw(entry) if i == j else 0 for j in range(k)] for i in range(k)])
+        return B.transpose().matmul(D).matmul(B) if k else RatMatrix.zeros(n, n)
+    A = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        A[i][i] = A[i][i] if kind == "dense" else Fraction(0)
+        for j in range(i):
+            A[i][j] = A[j][i]
+    zero_rows = draw(st.sets(st.integers(0, n - 1))) if n else set()
+    for i in zero_rows:
+        for j in range(n):
+            A[i][j] = A[j][i] = Fraction(0)
+    return RatMatrix(A)
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrices())
+def test_inertia_matches_the_fraction_elimination(S):
+    C_ref, diag_ref = _fraction_inertia(S)
+    res = inertia(S)
+    assert res.congruence.data == C_ref
+    assert res.diagonal == diag_ref
+    D = res.congruence.transpose().matmul(S).matmul(res.congruence)
+    assert D == RatMatrix([[diag_ref[i] if i == j else 0 for j in range(S.rows)]
+                           for i in range(S.rows)])
+    assert res.counts() == (sum(v > 0 for v in diag_ref), sum(v == 0 for v in diag_ref),
+                            sum(v < 0 for v in diag_ref))
 
 
 # -- eigen data ------------------------------------------------------------------
@@ -891,3 +1053,70 @@ def test_rational_roots_match_the_fraction_test(roots, quadratic, lead):
     got = rational_roots(coeffs)
     assert got == _fraction_rational_roots(coeffs)
     assert sorted(got[0]) == sorted(roots) and len(got[1]) == 3
+
+
+def _is_rational_square(x):
+    return x >= 0 and all(math.isqrt(v) ** 2 == v for v in (x.numerator, x.denominator))
+
+
+_rational = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4))
+
+
+@st.composite
+def irreducible_quadratics(draw, complex_pair, entry=_rational):
+    """[c0, c1, c2] with no rational root: a complex pair or a real
+    irrational one."""
+    c2 = draw(entry.filter(bool))
+    c1 = draw(st.one_of(st.just(Fraction(0)), entry))
+    c0 = draw(entry.filter(bool))
+    disc = c1 * c1 - 4 * c0 * c2
+    if complex_pair:
+        assume(disc < 0)
+    else:
+        assume(disc > 0 and not _is_rational_square(disc))
+    return [c0, c1, c2]
+
+
+def _polyroots_floats(g):
+    import mpmath
+
+    with mpmath.workdps(30):
+        rest = mpmath.polyroots([mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
+                                 for c in reversed(g)], maxsteps=200, extraprec=80)
+        return sorted((complex(float(mpmath.re(r)), float(mpmath.im(r))) for r in rest),
+                      key=lambda z: (z.real, z.imag))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(irreducible_quadratics(True), irreducible_quadratics(False)))
+# roots near -10^10 and -10^-10: (-c1 + sqrt(disc)) / (2 c2) would cancel 20 digits
+@example([Fraction(1, 10**4), Fraction(10**6), Fraction(1, 10**4)])
+def test_quadratic_roots_match_polyroots(g):
+    import mpmath
+
+    with mpmath.workdps(30):
+        got = sorted((complex(float(mpmath.re(r)), float(mpmath.im(r)))
+                      for r in _quadratic_roots(g)), key=lambda z: (z.real, z.imag))
+    assert got == _polyroots_floats(g)
+
+
+# small entries: rational_roots finds divisors by trial division up to the
+# square root of the characteristic polynomial's constant term
+_small_rational = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(irreducible_quadratics(True, _small_rational),
+                 irreducible_quadratics(False, _small_rational)), st.integers(1, 2))
+def test_eigen_data_on_a_quadratic_factor_matches_polyroots(g, k):
+    # k companion blocks of g: the residual is g^k, one square-free factor g
+    c0, c1, c2 = g
+    n = 2 * k
+    M = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(0, n, 2):
+        M[i][i + 1] = -c0 / c2
+        M[i + 1][i] = Fraction(1)
+        M[i + 1][i + 1] = -c1 / c2
+    ed = eigen_data(RatMatrix(M))
+    want = sorted(_polyroots_floats(g) * k, key=lambda z: (z.real, z.imag))
+    assert ed.rational_eigenvalues == [] and ed.numeric_eigenvalues == want
