@@ -12,7 +12,6 @@ from .polyalg import (
     PolyParseError,
     PreconditionError,
     RatMatrix,
-    Rational,
     SolveInconsistencyError,
     eigen_data,
     inertia,
@@ -59,6 +58,7 @@ from .linclass import (
 from .formal import (
     GradedSolveReport,
     ResonanceReport,
+    contract_residual,
     derham_divide,
     formal_decompose_type1,
     formal_linearize_type1,

@@ -163,20 +163,10 @@ class _Alternating:
                                 {k: -p for k, p in self.comps.items()})
 
     def scale(self, scalar):
-        out = {}
-        for k, p in self.comps.items():
-            v = p.scale(scalar)
-            if not v.is_zero():
-                out[k] = v
-        return type(self)._make(self.nvars, self.grade, out)
+        return self.map_coeffs(lambda p: p.scale(scalar))
 
     def poly_scale(self, poly: Poly, trunc: Optional[int] = None):
-        out = {}
-        for k, p in self.comps.items():
-            v = p.mul(poly, trunc)
-            if not v.is_zero():
-                out[k] = v
-        return type(self)._make(self.nvars, self.grade, out)
+        return self.map_coeffs(lambda p: p.mul(poly, trunc))
 
     def map_coeffs(self, fn):
         out = {}
@@ -556,8 +546,9 @@ class FormalMap:
     """Polynomial coordinate change fixing the origin, truncated at trunc.
 
     Components express the target coordinates in terms of the source ones;
-    trunc None marks an exact polynomial map (mandatory for nonlinear inverses
-    to be taken at some finite order).
+    trunc records the degree through which they are trusted (None: exact).
+    Precision is passed, not carried: compose and inverse take it as an
+    argument, and compose without one is exact.
     """
 
     __slots__ = ("nvars", "comps", "trunc")
@@ -615,11 +606,9 @@ class FormalMap:
         return all(c == Poly.variable(self.nvars, i) for i, c in enumerate(self.comps))
 
     def compose(self, inner: "FormalMap", trunc: Optional[int] = None) -> "FormalMap":
-        """self after inner: (self o inner)(x) = self(inner(x))."""
+        """self after inner, self(inner(x)), cut at trunc (exact when None)."""
         if self.nvars != inner.nvars:
             raise ValueError("nvars mismatch")
-        if trunc is None and not (self.is_linear() and inner.is_linear()):
-            trunc = _combine_trunc(self.trunc, inner.trunc)
         return FormalMap(substitute_many(self.comps, inner.comps, trunc), trunc)
 
     def inverse(self, trunc: Optional[int] = None) -> "FormalMap":
@@ -635,22 +624,12 @@ class FormalMap:
         if self.is_linear():
             return FormalMap.from_matrix(Linv)
         if trunc is None:
-            trunc = self.trunc
-        if trunc is None:
             raise PreconditionError("nonlinear inverse needs a truncation degree")
         lin = psi = FormalMap.from_matrix(Linv).comps
         for k in range(2, trunc + 1):
             err = [c.homogeneous_component(k) for c in substitute_many(self.comps, psi, k)]
             psi = [p - v for p, v in zip(psi, substitute_many(lin, err))]
         return FormalMap(psi, trunc)
-
-
-def _combine_trunc(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
 
 
 def formal_map_to_json(phi: FormalMap) -> dict:
@@ -671,19 +650,23 @@ def formal_map_from_json(data: dict) -> FormalMap:
 
 # -- transport of forms and tensors ------------------------------------------------
 
+def _read_at(obj, args: Sequence[Poly], N: Optional[int] = None):
+    """obj with each coefficient c read at args, c o args cut at N (one power table)."""
+    return type(obj)._make(obj.nvars, obj.grade, {
+        K: v for K, v in zip(obj.comps, substitute_many(obj.comps.values(), args, N)) if v})
+
+
 def pullback_form(omega: DiffForm, phi: FormalMap, N: Optional[int] = None) -> DiffForm:
     """Substitute x -> phi(x) in coefficients and dx_i -> d(phi_i).
 
     With N the coefficients are truncated at that degree; N=None computes the
     exact polynomial pullback (always finite, since polynomials compose).
-    All coefficients are substituted along phi with one power table.
     """
     if omega.nvars != phi.nvars:
         raise ValueError("nvars mismatch")
     n = omega.nvars
     dphi = [{(j,): d for j in range(n) if (d := c.partial(j))} for c in phi.comps]
-    coeffs = {K: v for K, v in zip(omega.comps, substitute_many(omega.comps.values(), phi.comps, N))
-              if v}
+    coeffs = _read_at(omega, phi.comps, N).comps
     minors = _prefix_minors(dphi, coeffs, Poly.one(n), N)
     out: Dict[IndexTuple, Poly] = {}
     for K, coeff in coeffs.items():
@@ -692,35 +675,27 @@ def pullback_form(omega: DiffForm, phi: FormalMap, N: Optional[int] = None) -> D
     return DiffForm._make(n, omega.grade, out)
 
 
-def pushforward_tensor(P: Multivector, phi: FormalMap, N: Optional[int] = None) -> Multivector:
-    """Transport P contravariantly along phi: phi_* P = (Lambda Dphi . P) o phi^{-1},
-    `_jacobian_push` read at phi.inverse(N), exact through N. N=None is
-    allowed for linear maps only, and is then exact."""
+def pushforward_tensor(P: Multivector, phi: FormalMap) -> Multivector:
+    """Transport P contravariantly along a linear map phi, exactly:
+    phi_* P = (Lambda Dphi . P) o phi^-1, and Dphi is constant, so only P's
+    coefficients are read at phi^-1 before `_jacobian_push`."""
     if P.nvars != phi.nvars:
         raise ValueError("nvars mismatch")
-    if N is None and not phi.is_linear():
-        raise PreconditionError("untruncated pushforward is only allowed for linear maps")
-    return _jacobian_push(P, phi, N, phi.inverse(N).comps)
+    if not phi.is_linear():
+        raise PreconditionError("pushforward_tensor needs a linear map")
+    return _jacobian_push(_read_at(P, phi.inverse().comps), phi)
 
 
-def _jacobian_push(P: Multivector, phi: FormalMap, N: Optional[int],
-                   at: Optional[Sequence[Poly]] = None) -> Multivector:
-    """Lambda(Dphi) . P, coefficients and columns read at `at` (at x when
-    None): each d_i becomes the Jacobian column sum_k (d_i phi_k) d_k, and
-    wedges of columns (shared along index prefixes) and products are cut at N.
-    Columns and coefficients are read at `at` with one power table.
-    """
+def _jacobian_push(P: Multivector, phi: FormalMap, N: Optional[int] = None) -> Multivector:
+    """Lambda(Dphi) . P, read at x: each d_i becomes the Jacobian column
+    sum_k (d_i phi_k) d_k, and wedges of columns (shared along index
+    prefixes) and products are cut at N."""
     n = P.nvars
-    partials = [[(k, d) for k, c in enumerate(phi.comps) if (d := c.partial(i))]
-                for i in range(n)]
-    polys = [d for column in partials for _, d in column] + list(P.comps.values())
-    if at is not None:
-        polys = substitute_many(polys, at, N)
-    read = iter(polys)
-    columns = [{(k,): next(read) for k, _ in column} for column in partials]
+    columns = [{(k,): d for k, c in enumerate(phi.comps) if (d := c.partial(i))}
+               for i in range(n)]
     minors = _prefix_minors(columns, P.comps, Poly.one(n), N)
     out: Dict[IndexTuple, Poly] = {}
-    for I, coeff in zip(P.comps, read):
+    for I, coeff in P.comps.items():
         for K, v in minors[I].items():
             _accumulate(out, K, coeff.mul(v, N))
     return Multivector._make(n, P.grade, out)

@@ -12,13 +12,17 @@ parameters), so each degree is one solve per active degree, with columns over
 active monomials and a Poly in the inert variables per row.
 
 Transport: the passes move objects by derivations and invert no map, and
-their contracts are checked along the map: Phi fixes 0 with an invertible
-linear part, so Phi_* P = Q through N exactly when Lambda(DPhi) . P = Q o Phi
-through N (_check_push). Type 2 prelinearization moves fields that commute
-with V_i by slice transport, Poincare solves the conjugacy equation
-X(Phi) = L o Phi, and the Type 1 multiplier step never moves a tensor:
-L_X Pi_1 = f_r Pi_1 keeps every pushed tensor a multiple g * Pi_1, so each
-time-1 flow acts on g alone by the Lie series exp(-(X + f_r)) (Deprit 1969).
+one checker, `contract_residual`, checks every contract along the map: a
+form's by its pullback, and a tensor's as Phi fixes 0 with an invertible
+linear part, so Phi_* P = (F o Phi^-1) Q through N exactly when
+Lambda(DPhi) . P = F (Q o Phi) through N. Type 2 prelinearization moves
+fields that commute with V_i by slice transport, and Poincare solves the
+conjugacy equation X(Phi) = L o Phi, the grade-1 case of that check. The
+Type 1 multiplier step never moves a tensor: L_X Pi_1 = f_r Pi_1 keeps every
+pushed tensor a multiple g * Pi_1, so each time-1 flow acts on g alone by the
+Lie series exp(-(X + f_r)) (Deprit 1969). That step and Poincare solve
+their Lie equations L_U T = R degree by degree with one solver, `_lie_solve`
+(the homological equation; Murdock 2003).
 
 Degree bookkeeping: a coefficient-degree-d vector field moves degree-d
 structure. Each object carries the degree through which it is trusted, and
@@ -54,8 +58,8 @@ from .polyalg import (
     PreconditionError,
     RatMatrix,
     SolveInconsistencyError,
+    _monomials_of_degree,
     eigen_data,
-    substitute_many,
 )
 from .exterior import (
     DiffForm,
@@ -64,6 +68,7 @@ from .exterior import (
     _accumulate,
     _contract_single,
     _jacobian_push,
+    _read_at,
     apply_vector,
     coordinate_field,
     coordinate_form,
@@ -142,23 +147,32 @@ class ResonanceReport:
         return out
 
 
-def _check_gap(gap, message: str) -> None:
-    """Raise SolveInconsistencyError when gap is nonzero, with the lowest
-    nonzero degree of gap and its residual at that degree."""
-    if not gap.is_zero():
-        bad = int(gap.min_coeff_degree())
-        raise SolveInconsistencyError(message, degree=bad,
-                                      residual=gap.homogeneous_component(bad))
+def _lowest(gap):
+    """None when gap is zero, else its lowest nonzero degree and part."""
+    if gap.is_zero():
+        return None
+    bad = int(gap.min_coeff_degree())
+    return bad, gap.homogeneous_component(bad)
 
 
-def _check_push(P: Multivector, phi: FormalMap, Q: Multivector, F: Poly, N: int,
-                message: str) -> None:
-    """Check phi_* P = (F o phi^-1) Q through N as Lambda(Dphi) . P =
-    F (Q o phi) (module docstring, "Transport"). P vanishes at 0, so Dphi is
-    needed through N - 1, which phi cut at N gives."""
-    Q_phi = Multivector._make(Q.nvars, Q.grade, {
-        K: v for K, v in zip(Q.comps, substitute_many(Q.comps.values(), phi.comps, N)) if v})
-    _check_gap((_jacobian_push(P, phi, N) - Q_phi.poly_scale(F, N)).truncate(N), message)
+def _raise_at(low, message: str) -> None:
+    """Raise SolveInconsistencyError(message) at low = (degree, residual)."""
+    if low is not None:
+        raise SolveInconsistencyError(message, degree=low[0], residual=low[1])
+
+
+def contract_residual(obj, phi: FormalMap, target, F: Poly, N: int):
+    """None when phi's contract holds through N, else its lowest failing
+    degree and the residual there: phi^* obj = F target for a form, and for
+    a tensor or a field phi_* obj = (F o phi^-1) target, checked as
+    Lambda(Dphi) . obj = F (target o phi) (module docstring, "Transport").
+    obj vanishes at 0, so Dphi is needed through N - 1, as phi cut at N is."""
+    if isinstance(obj, DiffForm):
+        moved = pullback_form(obj, phi, N)
+    else:
+        moved = _jacobian_push(obj, phi, N)
+        target = _read_at(target, phi.comps, N)
+    return _lowest((moved - target.poly_scale(F, N)).truncate(N))
 
 
 # ---------------------------------------------------------------------------
@@ -172,19 +186,6 @@ def _homogeneous_split(obj, max_degree):
         if not h.is_zero():
             parts[d] = h
     return parts
-
-
-def _monomials_of_degree(nvars, d, slots=None):
-    """Exponent tuples of total degree d supported on slots (default: all),
-    in descending lexicographic order."""
-    out = []
-    for combo in itertools.combinations_with_replacement(
-            range(nvars) if slots is None else sorted(slots), d):
-        exps = [0] * nvars
-        for i in combo:
-            exps[i] += 1
-        out.append(tuple(exps))
-    return out
 
 
 def _rhs_by_active_degree(obj, active) -> Dict[int, Dict[tuple, Poly]]:
@@ -259,8 +260,8 @@ def graded_divide(divisor, target, active: Sequence[int], N: int,
                                        res_tuples, n, kind, report, label)
         result_parts[d] = sol_part
         result = result + sol_part
-    _check_gap(wedge(divisor, result, N).truncate(N) - target.truncate(N),
-               f"division failed{': ' + label if label else ''}")
+    _raise_at(_lowest(wedge(divisor, result, N).truncate(N) - target.truncate(N)),
+              f"division failed{': ' + label if label else ''}")
     return result
 
 
@@ -409,7 +410,7 @@ def formal_decompose_type1(omega: DiffForm, N: int
         gamma = coordinate_form(n, j) + (theta_j if sign > 0 else -theta_j)
         gammas.append(gamma)
     candidate = wedge_all(gammas + [alpha], N) if gammas else alpha
-    _check_gap(candidate.truncate(N) - omega, "decomposition does not reproduce the form")
+    _raise_at(_lowest(candidate.truncate(N) - omega), "decomposition does not reproduce the form")
     return gammas, alpha, report
 
 
@@ -533,8 +534,8 @@ def formal_linearize_type1(omega: DiffForm, N: int) -> Type1LinearizationResult:
             raise SolveInconsistencyError(
                 "multiplier absorption failed", degree=r, residual=gap)
 
-    _check_gap((pullback_form(omega, phi_total, N) - omega_lin.poly_scale(f_total, N)).truncate(N),
-               "final linearization identity failed")
+    _raise_at(contract_residual(omega, phi_total, omega_lin, f_total, N),
+              "final linearization identity failed")
     return Type1LinearizationResult(phi_total, f_total, report, omega_lin)
 
 
@@ -582,7 +583,6 @@ def _split_multiplier(alpha1, rho, y, r, n, report):
 class MultiplierRemovalResult:
     change: FormalMap
     per_degree: List[Tuple[int, Multivector, Poly]]  # (degree, X, f_r)
-    normal_tensor: Multivector
     scaling: Optional[Fraction] = None               # exact constant scale used
     obstruction: Optional[dict] = None               # irrational constant root
     numeric_scale: Optional[float] = None
@@ -677,7 +677,7 @@ def remove_multiplier(f: Poly, signs: Sequence[int], N: int,
     if c == 0:
         raise PreconditionError("multiplier must not vanish at the origin")
 
-    result = MultiplierRemovalResult(FormalMap.identity(n), [], P1)
+    result = MultiplierRemovalResult(FormalMap.identity(n), [])
     g = f.truncate(N)
     x = [Poly.variable(n, i) for i in range(n)]
     phi_total = FormalMap.identity(n)
@@ -704,7 +704,9 @@ def remove_multiplier(f: Poly, signs: Sequence[int], N: int,
         f_r = g.homogeneous_component(r)
         if f_r.is_zero():
             continue
-        X = _solve_lie_multiplier(P1, signs, f_r, active, n, result.report)
+        bases, fields = _lie_multiplier_basis(signs, r, active, n)
+        X = _lie_solve(P1, bases, fields, P1.poly_scale(f_r), r, "Lie multiplier",
+                       "multiplier Lie solve inconsistent", result.report)
         if lie_derivative(X, P1) != P1.poly_scale(f_r):
             raise SolveInconsistencyError(
                 "Lie-derivative identity failed", degree=r)
@@ -718,43 +720,39 @@ def remove_multiplier(f: Poly, signs: Sequence[int], N: int,
                 "multiplier degree did not advance", degree=r)
 
     change = FormalMap([p.truncate(N) for p in phi_total.comps], trunc=N)
-    _check_push(P1.poly_scale(f, N), change, P1, Poly.const(n, c), N,
-                "multiplier removal contract failed")
+    _raise_at(contract_residual(P1.poly_scale(f, N), change, P1, Poly.const(n, c), N),
+              "multiplier removal contract failed")
     result.change = change
     return result
 
 
-def _solve_lie_multiplier(P1: Multivector, diag: Sequence[int], f_r: Poly,
-                          active: Sequence[int], n: int,
-                          report: GradedSolveReport) -> Multivector:
-    """One exact solve for L_X Pi_1 = f_r Pi_1 on the structured basis of
-    `_lie_multiplier_basis`, its columns L_{hY} Pi_1 in closed form from
-    `_lie_columns`: L_{Y_ij} Pi_1 = 0, so a rotation column is a sum of
-    exponent shifts of the parts Y_ij ^ i_{dx_k} Pi_1."""
-    r = int(f_r.degree)
-    bases, fields = _lie_multiplier_basis(diag, r, active, n)
+def _lie_solve(T: Multivector, bases: Sequence[Multivector], fields, rhs: Multivector,
+               degree: int, note: str, message: str, report: GradedSolveReport) -> Multivector:
+    """One exact solve of L_U T = rhs for U = sum c h bases[b] over the
+    fields (b, h), on the closed-form columns of `_lie_columns`; U is
+    accumulated component by component from the solved multiples."""
     system = GradedSystem(len(fields))
-    for col, (entries, den) in enumerate(_lie_columns(P1, bases, fields)):
+    for col, (entries, den) in enumerate(_lie_columns(T, bases, fields)):
         for label, v in entries.items():
             system.add(label, col, v, den)
-    for key, poly in P1.poly_scale(f_r).comps.items():
+    for key, poly in rhs.comps.items():
         for exps, v in poly.num.items():
             system.rhs((key, exps), v, poly.den)
-    solution = report.solve(system, r, "Lie multiplier",
-                            "multiplier Lie solve inconsistent")
-    X = Multivector(n, 1, {})
-    for (b, h), v in zip(fields, solution):
+    out: Dict[tuple, Poly] = {}
+    for (b, h), v in zip(fields, report.solve(system, degree, note, message)):
         if v:
-            X = X + bases[b].poly_scale(h).scale(v)
-    return X
+            for key, c in bases[b].comps.items():
+                _accumulate(out, key, c.mul(h).scale(v))
+    return Multivector._make(T.nvars, 1, out)
 
 
 def _lie_multiplier_basis(diag: Sequence[int], r: int, active: Sequence[int], n: int):
-    """(bases, fields) of the degree-r Lie solve, a field (b, h) being
-    h * bases[b]. diag holds the quadratic signs eps_i of Pi_1. The fields:
-    the Q-preserving rotations Y_ij = eps_i x_j d_i - eps_j x_i d_j against
-    all degree-r monomials, plus Euler multiples h * E with h drawn from
-    powers of Q times inert-parameter monomials."""
+    """(bases, fields) of the degree-r solve of L_X Pi_1 = f_r Pi_1, a field
+    (b, h) being h * bases[b]; diag holds the quadratic signs eps_i of Pi_1.
+    The fields: the Q-preserving rotations Y_ij = eps_i x_j d_i - eps_j x_i d_j
+    against all degree-r monomials (L_{Y_ij} Pi_1 = 0, so their columns are
+    exponent shifts of the Y_ij ^ i_{dx_k} Pi_1), plus Euler multiples h * E
+    with h drawn from powers of Q times inert-parameter monomials."""
     bases = [Multivector(n, 1, {(i,): Poly.variable(n, j).scale(diag[i]),
                                 (j,): Poly.variable(n, i).scale(-diag[j])})
              for i, j in itertools.combinations(active, 2)]
@@ -872,9 +870,9 @@ def prelinearize_type2(P: Multivector, N: int) -> Type2PrelinResult:
     the returned coordinates X has no frame components and no frame-variable
     dependence through N, and, F the returned multiplier, read in the
     input's coordinates, and f = F o change^-1, the contract
-        pushforward_tensor(P, change, N) == f * frame ^ X   (truncated at N)
-    is checked along change, inverting nothing, as Lambda(Dchange) . P ==
-    F * frame ^ (X o change).
+        change_* P == f * frame ^ X   (truncated at N)
+    is checked along change by `contract_residual`, inverting nothing, as
+    Lambda(Dchange) . P == F * frame ^ (X o change).
 
     One pass on one precision schedule (module docstring, "Degree
     bookkeeping"): the frame decomposition runs at N + q - 1, and slot i
@@ -907,8 +905,8 @@ def _prelinearize_attempt(P: Multivector, N: int) -> Type2PrelinResult:
         vj = graded_divide(X, Bj.scale(-sign), y, N + S, report, label=f"frame {j + 1}")
         Vs.append(coordinate_field(n, j) + vj)
     cand = wedge_all(Vs + [X], N + S)
-    _check_gap((cand - T).truncate(N + S),
-               "frame decomposition does not reproduce the tensor (input not Nambu?)")
+    _raise_at(_lowest((cand - T).truncate(N + S)),
+              "frame decomposition does not reproduce the tensor (input not Nambu?)")
 
     F = Poly.one(n)  # the multiplier, read in the input's coordinates
     phi_total = FormalMap.identity(n)
@@ -954,8 +952,8 @@ def _prelinearize_attempt(P: Multivector, N: int) -> Type2PrelinResult:
                     "field keeps frame-variable dependence", degree=sum(exps))
     change = FormalMap([c.truncate(N) for c in phi_total.comps], trunc=N)
     F = F.truncate(N)
-    _check_push(P, change, wedge_all(frame + [X_out], N), F, N,
-                "prelinearization contract failed")
+    _raise_at(contract_residual(P, change, wedge_all(frame + [X_out], N), F, N),
+              "prelinearization contract failed")
     return Type2PrelinResult(F, frame, X_out, change, report, B)
 
 
@@ -1034,6 +1032,7 @@ def poincare_linearize(X: Multivector, N: int, tol: float = 1e-9) -> PoincareRes
     exactly over Q whether or not the eigenvalues are rational. The change
     solves X(Phi_j) = L_j o Phi degree by degree, phi_d = -U for [L, U] = R,
     R the degree-d part of X(Phi); it is unique through N (Murdock 2003).
+    That equation is the contract Phi_* X = L, checked by `contract_residual`.
     """
     if X.grade != 1:
         raise PreconditionError("poincare_linearize needs a vector field")
@@ -1051,6 +1050,7 @@ def poincare_linearize(X: Multivector, N: int, tol: float = 1e-9) -> PoincareRes
             f"resonances of order <= {N} at tol={tol}: {offending}")
 
     report = GradedSolveReport()
+    units = [coordinate_field(n, i) for i in range(n)]
     comps = [Poly.variable(n, i) for i in range(n)]
     for d in range(2, N + 1):
         # Phi stops below degree d, so L o Phi has no part of degree d
@@ -1058,39 +1058,15 @@ def poincare_linearize(X: Multivector, N: int, tol: float = 1e-9) -> PoincareRes
                                for j, c in enumerate(comps)})
         if R.is_zero():
             continue
-        U = _homological_solve(lin, R, d, report)
+        # [L, U] = R as L_U L = -R on the unit fields times degree-d monomials
+        fields = [(i, Poly.monomial(n, mon)) for mon in _monomials_of_degree(n, d)
+                  for i in range(n)]
+        U = _lie_solve(lin, units, fields, -R, d, "homological",
+                       "homological equation inconsistent", report)
         comps = [c - U.component((j,)) for j, c in enumerate(comps)]
-    L_phi = substitute_many([lin.component((j,)) for j in range(n)], comps)
-    gap = {(j,): apply_vector(X, c, N) - L_phi[j]
-           for j, c in enumerate(comps)}  # X(Phi_j) - L_j o Phi
-    _check_gap(Multivector(n, 1, gap), "linearization incomplete")
-    return PoincareResult(FormalMap(comps, trunc=N), report, reson)
-
-
-def _homological_solve(L: Multivector, R: Multivector, d: int,
-                       report: GradedSolveReport) -> Multivector:
-    """Solve [L, U] = R on the degree-d monomial-vector basis, exactly, as
-    L_U L = -R: the column of x^m d_i is L_{x^m d_i} L = -[L, x^m d_i] =
-    x^m sum_j d_i(L_j) d_j - L(x^m) d_i, from `_lie_columns` on the
-    coordinate fields."""
-    n = L.nvars
-    mons = _monomials_of_degree(n, d)
-    basis = [(mon, i) for mon in mons for i in range(n)]
-    system = GradedSystem(len(basis))
-    units = [coordinate_field(n, i) for i in range(n)]
-    fields = [(i, Poly.monomial(n, mon)) for mon, i in basis]
-    for col, (entries, den) in enumerate(_lie_columns(L, units, fields)):
-        for label, v in entries.items():
-            system.add(label, col, v, den)
-    for key, poly in R.comps.items():
-        for exps, v in poly.num.items():
-            system.rhs((key, exps), -v, poly.den)
-    solution = report.solve(system, d, "homological", "homological equation inconsistent")
-    terms: Dict[tuple, dict] = {}
-    for (mon, i), v in zip(basis, solution):
-        if v:
-            terms.setdefault((i,), {})[mon] = v
-    return Multivector(n, 1, {k: Poly(n, t) for k, t in terms.items()})
+    change = FormalMap(comps, trunc=N)
+    _raise_at(contract_residual(X, change, lin, Poly.one(n), N), "linearization incomplete")
+    return PoincareResult(change, report, reson)
 
 
 # ---------------------------------------------------------------------------

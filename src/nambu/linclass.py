@@ -27,7 +27,6 @@ failure (exit 4).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -35,7 +34,6 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .polyalg import (
-    EigenData,
     InputError,
     NambuError,
     Poly,
@@ -47,7 +45,6 @@ from .polyalg import (
     _rref_kernel,
     _rref_with_transform,
     char_poly,
-    eigen_data,
     inertia,
     solve_sparse,
 )
@@ -62,6 +59,7 @@ from .exterior import (
     coordinate_form,
     field_matrix,
     form_to_tensor,
+    formal_map_to_json,
     prefix_blocks,
     tensor_to_form,
     wedge,
@@ -189,8 +187,7 @@ class NormalForm:
     s: Optional[int] = None
     signs: Optional[List[int]] = None          # quadratic sign pattern
     diag: Optional[List[Fraction]] = None      # achieved signed diagonal entries
-    matrix: Optional[RatMatrix] = None         # type 2
-    char_coeffs: Optional[List[Fraction]] = None
+    matrix: Optional[RatMatrix] = None         # type 2, in the report's convention
 
 
 @dataclass
@@ -206,23 +203,10 @@ class ClassificationReport:
     signature: Optional[int] = None
     index_pair: Optional[Tuple[int, int]] = None
     zero_set_dim: Optional[int] = None
-    span: Optional[SpanTable] = None
     numeric_companion: Optional[List[float]] = None  # per-variable scale to +-1
     achieved_tensor: Optional[Multivector] = None
-    tensor_matrix: Optional[RatMatrix] = None
-
-    @property
-    def matrix(self) -> Optional[RatMatrix]:
-        """The reported Type 2 matrix (in the report's conventions); None for Type 1."""
-        return self.tensor_matrix if self.tensor_matrix is not None else self.normal_form.matrix
-
-    @functools.cached_property
-    def eigen(self) -> Optional[EigenData]:
-        """Eigen data of the reported Type 2 matrix, computed on first read."""
-        return eigen_data(self.matrix) if self.normal_form.tag == "type2" else None
 
     def to_json_obj(self) -> dict:
-        from .exterior import formal_map_to_json
         nf = self.normal_form
         out = {"type": "1" if nf.tag == "type1" else "2"}
         if nf.tag == "type1":
@@ -231,8 +215,8 @@ class ClassificationReport:
             out["signs"] = nf.signs
             out["diag"] = [str(v) for v in nf.diag]
         else:
-            out["matrix"] = self.matrix.to_str_rows()
-            coeffs = char_poly(self.matrix)
+            out["matrix"] = nf.matrix.to_str_rows()
+            coeffs = char_poly(nf.matrix)
             text = Poly(1, {(k,): c for k, c in enumerate(coeffs)}).to_str("t")
             out["char_poly"] = text.replace("t1", "t")
         out["nondegenerate"] = self.nondegenerate
@@ -444,7 +428,6 @@ def _classify(omega: DiffForm) -> ClassificationReport:
             raise SolveInconsistencyError(
                 "classification certificate failed: the change does not pull "
                 "the normal form back to the input")
-    report.span = table
     return nondegeneracy(report)
 
 
@@ -621,7 +604,7 @@ def _type2_finisher(state: _State, p: int, q: int) -> ClassificationReport:
     # component is (j,) + the outside variables, with j in the block.
     dual = form_to_tensor(achieved)
     A = field_matrix(Multivector(n, 1, {key[:1]: c for key, c in dual.comps.items()}), block)
-    nf = NormalForm("type2", matrix=A, char_coeffs=char_poly(A))
+    nf = NormalForm("type2", matrix=A)
     return ClassificationReport(nf, state.change_map(), achieved, n, p, q)
 
 
@@ -703,7 +686,7 @@ def classify_linear_tensor(P: Multivector) -> ClassificationReport:
     achieved tensor absorbs the determinant factor so
     pushforward_tensor(P, report.change) == report.achieved_tensor exactly.
     Classification runs as in classify_linear, with the same certificate; the
-    reported matrix, and with it the eigen data, is the tensor-convention one.
+    reported matrix, normal_form.matrix, is the tensor-convention one.
     """
     q = P.grade
     n = P.nvars
@@ -730,7 +713,7 @@ def classify_linear_tensor(P: Multivector) -> ClassificationReport:
     report.achieved_tensor = achieved_tensor
 
     if report.normal_form.tag == "type2":
-        report.tensor_matrix = _extract_type2_field_matrix(achieved_tensor, q)
+        report.normal_form.matrix = _extract_type2_field_matrix(achieved_tensor, q)
     return report
 
 

@@ -19,8 +19,6 @@ from fractions import Fraction
 from operator import add, mul
 from typing import List, Optional, Sequence, Tuple
 
-Rational = Fraction
-
 NEG_INF = float("-inf")
 
 _ZERO = Fraction(0)  # shared: Fractions are immutable
@@ -367,6 +365,19 @@ def _mul_buckets(b1, b2, trunc: Optional[int]) -> list:
                     e = tuple(map(add, e1, e2))
                     acc[e] = get(e, 0) + n1 * n2
     return sorted(out.items())
+
+
+def _monomials_of_degree(nvars, d, slots=None):
+    """Exponent tuples of total degree d supported on slots (default: all),
+    in descending lexicographic order."""
+    out = []
+    for combo in itertools.combinations_with_replacement(
+            range(nvars) if slots is None else sorted(slots), d):
+        exps = [0] * nvars
+        for i in combo:
+            exps[i] += 1
+        out.append(tuple(exps))
+    return out
 
 
 def substitute_many(polys: Sequence[Poly], args: Sequence[Poly],

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import List, Optional, Sequence, Tuple
 
-from .polyalg import Poly, PreconditionError
+from .polyalg import Poly, PreconditionError, _monomials_of_degree
 from .exterior import (
     DiffForm,
     Multivector,
@@ -197,15 +197,9 @@ def fundamental_identity_residual(P: Multivector, fs: Sequence[Poly],
 # ---------------------------------------------------------------------------
 
 def monomials_up_to(nvars: int, max_degree: int) -> List[Poly]:
-    """All monomials of total degree 0..max_degree in lexicographic order."""
-    out = []
-    for d in range(max_degree + 1):
-        for combo in itertools.combinations_with_replacement(range(nvars), d):
-            exps = [0] * nvars
-            for i in combo:
-                exps[i] += 1
-            out.append(Poly.monomial(nvars, exps))
-    return out
+    """All monomials of total degree 0..max_degree, degree by degree."""
+    return [Poly.monomial(nvars, exps) for d in range(max_degree + 1)
+            for exps in _monomials_of_degree(nvars, d)]
 
 
 def search_identity_violation(P: Multivector, max_degree: int = 2,

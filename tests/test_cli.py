@@ -9,10 +9,11 @@ import pytest
 from fractions import Fraction
 
 from nambu.cli import run
-from nambu.exterior import formal_map_from_json, graded_from_json, pushforward_tensor
+from nambu.exterior import formal_map_from_json, graded_from_json
 from nambu.linclass import normal_form_generator
 from nambu.polyalg import RatMatrix, parse_poly
 from nambu.verify import is_nambu
+from reference import pushforward
 
 
 def invoke(capsys, argv, stdin=None, monkeypatch=None):
@@ -301,7 +302,7 @@ def test_linearize_type2_success(capsys, monkeypatch):
     f = parse_poly(data["multiplier"], 5)
     B = RatMatrix([[Fraction(v) for v in row] for row in data["field_matrix"]])
     linear, _ = normal_form_generator("type2", 5, 4, matrix=B)
-    lhs = pushforward_tensor(P, phi, 3).truncate(3)
+    lhs = pushforward(P, phi, 3).truncate(3)
     assert lhs == linear.poly_scale(f, 3).truncate(3)
 
 

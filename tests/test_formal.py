@@ -22,6 +22,7 @@ from nambu.polyalg import (
     PreconditionError,
     RatMatrix,
     SolveInconsistencyError,
+    _monomials_of_degree,
     eigen_data,
     parse_poly,
 )
@@ -39,13 +40,13 @@ from nambu.exterior import (
     lie_derivative,
     merge_sign,
     pullback_form,
-    pushforward_tensor,
     scalar_form,
     wedge,
     wedge_all,
 )
 from nambu.formal import (
     GradedSolveReport,
+    contract_residual,
     derham_divide,
     formal_decompose_type1,
     formal_linearize_type1,
@@ -57,6 +58,7 @@ from nambu.formal import (
     resonance_report,
 )
 from nambu.linclass import normal_form_generator
+from reference import pushforward
 
 
 def x(n, i):
@@ -494,7 +496,7 @@ def test_remove_multiplier_linear_and_quadratic():
         res = remove_multiplier(f, [1, 1, 1, 1], N)
         for r, X, f_r in res.per_degree:
             assert lie_derivative(X, P1) == P1.poly_scale(f_r)
-        pushed = pushforward_tensor(P1.poly_scale(f, N + 1), res.change, N)
+        pushed = pushforward(P1.poly_scale(f, N + 1), res.change, N)
         assert (pushed - P1).truncate(N).is_zero()
 
 
@@ -503,7 +505,7 @@ def test_remove_multiplier_constant_scaling():
     P1, _ = normal_form_generator("type1", n, 3, r=3, s=0, signs=[1, 1, 1, 1])
     res = remove_multiplier(Poly.const(n, 4), [1, 1, 1, 1], N)
     assert res.scaling == 2
-    pushed = pushforward_tensor(P1.scale(4), res.change, N)
+    pushed = pushforward(P1.scale(4), res.change, N)
     assert (pushed - P1).truncate(N).is_zero()
 
 
@@ -520,7 +522,7 @@ def test_remove_multiplier_nonelliptic_and_parametric():
     P1, _ = normal_form_generator("type1", n, 3, r=3, s=0, signs=signs)
     f = parse_poly("1 + x5 + x1*x5", n)  # parameter-dependent multiplier
     res = remove_multiplier(f, signs, N, nvars=n)
-    pushed = pushforward_tensor(P1.poly_scale(f, N + 1), res.change, N)
+    pushed = pushforward(P1.poly_scale(f, N + 1), res.change, N)
     assert (pushed - P1).truncate(N).is_zero()
 
 
@@ -544,7 +546,7 @@ def test_remove_multiplier_constant_paths(case):
     assert (res.scaling, res.obstruction) == (scaling, obstruction)
     assert res.per_degree
     c = 1 if obstruction is None else Fraction(obstruction["constant"])
-    pushed = pushforward_tensor(P1.poly_scale(f, N), res.change, N)
+    pushed = pushforward(P1.poly_scale(f, N), res.change, N)
     assert (pushed - P1.scale(c)).truncate(N).is_zero()
 
 
@@ -573,15 +575,13 @@ def power(n, j, d):
 
 
 def contract_verdicts(P, phi, Q, F, N):
-    """(the degree at which the inverse-free check phi_* P == (F o phi^-1) Q
-    raises, or None; whether the pushforward reference form holds)."""
-    try:
-        formal._check_push(P, phi, Q, F, N, "contract failed")
-        new = None
-    except SolveInconsistencyError as exc:
-        new = exc.degree
+    """(the lowest degree at which the inverse-free check phi_* P ==
+    (F o phi^-1) Q fails, or None; whether the pushforward reference form
+    holds)."""
+    low = contract_residual(P, phi, Q, F, N)
     f = F.substitute(phi.inverse(N).comps, N)
-    return new, (pushforward_tensor(P, phi, N) - Q.poly_scale(f, N)).truncate(N).is_zero()
+    return (None if low is None else low[0],
+            (pushforward(P, phi, N) - Q.poly_scale(f, N)).truncate(N).is_zero())
 
 
 def test_remove_multiplier_contract_mutations():
@@ -694,7 +694,7 @@ def prelinearization_gap(P, res, N, f=None):
     through N, with f = multiplier_at_target(res, N) unless given."""
     if f is None:
         f = multiplier_at_target(res, N)
-    lhs = pushforward_tensor(P, res.change, N)
+    lhs = pushforward(P, res.change, N)
     return (lhs - wedge_all(res.frame + [res.field], N).poly_scale(f, N)).truncate(N)
 
 
@@ -773,6 +773,35 @@ def test_prelinearize_contract_mutations():
         assert verdicts(res.change, bump(res.multiplier, power(n, k, N - 1))) == (N, False)
 
 
+def linearization_contract(kind):
+    """(obj, change, target, F, N) of a Type 1 linearization (a form
+    contract) or of a Type 2 prelinearization (a tensor contract)."""
+    if kind == "type1":
+        n, N = 5, 4
+        w = pullback_form(type1_form(n, 2, [1, 1, 1, -1]),
+                          quad_perturbation(random.Random(11), n), N)
+        res = formal_linearize_type1(w, N)
+        return w, res.change, res.linear_form, res.multiplier, N
+    P, N = moving_multiplier_input()
+    res = prelinearize_type2(P, N)
+    return P, res.change, wedge_all(res.frame + [res.field], N), res.multiplier, N
+
+
+@pytest.mark.parametrize("kind", ["type1", "type2"])
+def test_contract_residual_reports_a_planted_degree(kind):
+    # x_j -> x_j + x_j^k changes the contract first at degree k <= N
+    obj, change, target, F, N = linearization_contract(kind)
+    n = obj.nvars
+    assert contract_residual(obj, change, target, F, N) is None
+    for k in range(2, N + 1):
+        for j in range(n):
+            comps = list(change.comps)
+            comps[j] = bump(comps[j], power(n, j, k))
+            degree, residual = contract_residual(obj, FormalMap(comps, N), target, F, N)
+            assert degree == k and not residual.is_zero()
+            assert residual == residual.homogeneous_component(k)
+
+
 def test_prelinearize_zero_trace_rejected():
     B = RatMatrix([[0, 1], [-1, 0]])
     P, _ = normal_form_generator("type2", 5, 4, matrix=B)
@@ -836,7 +865,7 @@ def linearize_type2_cli(P, N, capsys, monkeypatch):
     f = parse_poly(data["multiplier"], n)
     B = RatMatrix([[Fraction(v) for v in row] for row in data["field_matrix"]])
     linear, _ = normal_form_generator("type2", n, q, matrix=B)
-    lhs = pushforward_tensor(P, phi, N).truncate(N)
+    lhs = pushforward(P, phi, N).truncate(N)
     assert lhs == linear.poly_scale(f, N).truncate(N)
     return code
 
@@ -1055,8 +1084,8 @@ def commuting_fields(draw):
         (k,): Poly(n, {e: c for e, c in _draw_poly(draw, n, [1, 2] if vanishing else [0, 1, 2])
                        .terms.items() if not e[i]})
         for k in range(n)})
-    V = pushforward_tensor(coordinate_field(n, i), chi, D + 2)
-    return V, pushforward_tensor(Z, chi, D + 2), i, D, D if vanishing else D - 1
+    V = pushforward(coordinate_field(n, i), chi, D + 2)
+    return V, pushforward(Z, chi, D + 2), i, D, D if vanishing else D - 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -1069,7 +1098,7 @@ def test_slice_push_is_the_pushforward(case):
                                                         -tail.component((k,)), 0)
                       for k in range(n)], trunc=D)
     assert (formal._slice_push(Y, step, i, D).truncate(exact)
-            == pushforward_tensor(Y, step, D).truncate(exact))
+            == pushforward(Y, step, D).truncate(exact))
 
 
 # -- Poincare linearization ------------------------------------------------------------------
@@ -1105,7 +1134,7 @@ def test_poincare_nonresonant_linearizes():
                 pert = pert + Multivector(n, 1, {(i,): Poly.monomial(n, e, rng.randint(-2, 2))})
         X = lin + pert
         res = poincare_linearize(X, N)
-        pushed = pushforward_tensor(X, res.change, N)
+        pushed = pushforward(X, res.change, N)
         assert (pushed - lin).truncate(N).is_zero()
         # divisors never vanish: min over orders 2..3 of |2a+3b - lam| >= 1
         assert all(v >= 1 for v in res.resonance.small_divisors.values())
@@ -1113,19 +1142,24 @@ def test_poincare_nonresonant_linearizes():
 
 def poincare_by_pushforward(X, N):
     """Poincare linearization by a per-degree pushforward loop, an
-    independent reference: solve [L, U] = R for the lowest nonlinear part R
-    of the current field, push the field along x -> x - U and compose."""
+    independent reference: solve [L, U] = R, as L_U L = -R, for the lowest
+    nonlinear part R of the current field, push the field along x -> x - U
+    and compose."""
     n = X.nvars
     L = X.homogeneous_component(1)
+    units = [coordinate_field(n, i) for i in range(n)]
     cur = X.truncate(N)
     phi = FormalMap.identity(n)
     for d in range(2, N + 1):
         R = cur.homogeneous_component(d)
         if R.is_zero():
             continue
-        U = formal._homological_solve(L, R, d, GradedSolveReport())
+        fields = [(i, Poly.monomial(n, mon)) for mon in _monomials_of_degree(n, d)
+                  for i in range(n)]
+        U = formal._lie_solve(L, units, fields, -R, d, "homological", "inconsistent",
+                              GradedSolveReport())
         step = FormalMap([x(n, i) - U.component((i,)) for i in range(n)], trunc=N)
-        cur = pushforward_tensor(cur, step, N)
+        cur = pushforward(cur, step, N)
         assert cur.homogeneous_component(d).is_zero()
         phi = step.compose(phi, N)
     assert (cur - L).truncate(N).is_zero()
@@ -1174,7 +1208,7 @@ def test_homological_columns_are_the_brackets(n, d, data):
                            for j in range(n)})
     units = [coordinate_field(n, i) for i in range(n)]
     fields = [(i, Poly.monomial(n, mon))
-              for mon in formal._monomials_of_degree(n, d) for i in range(n)]
+              for mon in _monomials_of_degree(n, d) for i in range(n)]
     for (i, h), column in zip(fields, formal._lie_columns(L, units, fields)):
         bracket = lie_bracket(L, units[i].poly_scale(h))
         assert column_terms(*column) == lie_terms(-bracket)

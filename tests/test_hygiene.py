@@ -1,6 +1,6 @@
 """Source hygiene: every name a module imports is used in that module, every
-local a library function assigns is read, and every library function is
-referenced somewhere."""
+local a library function assigns is read, every library function is
+referenced somewhere, and every field of a library dataclass is read."""
 
 import ast
 import collections
@@ -163,3 +163,55 @@ def test_every_library_function_is_referenced():
     # __init__.py only re-exports
     defining = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in LIBRARY}
     assert unreferenced_functions(defining, [p.read_text(encoding="utf-8") for p in SOURCES]) == []
+
+
+def _is_dataclass(node):
+    return any((d.func if isinstance(d, ast.Call) else d).id == "dataclass"
+               for d in node.decorator_list
+               if isinstance(d.func if isinstance(d, ast.Call) else d, ast.Name))
+
+
+def unread_dataclass_fields(defining, referencing):
+    """Fields of the dataclasses defined in `defining` ({label: source})
+    that no source in `referencing` reads as an attribute, as
+    "label line N: Class.field". Setting an attribute is not a read."""
+    read = {node.attr for source in referencing for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    found = []
+    for label, source in defining.items():
+        for cls in ast.walk(ast.parse(source)):
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                        and node.target.id not in read):
+                    found.append(f"{label} line {node.lineno}: {cls.name}.{node.target.id}")
+    return found
+
+
+def test_scan_finds_unread_dataclass_fields():
+    module = ("from dataclasses import dataclass, field\n"
+              "@dataclass\n"
+              "class R:\n"
+              "    used: int\n"
+              "    stored: int = 0\n"
+              "    listed: list = field(default_factory=list)\n"
+              "@dataclass(frozen=True)\n"
+              "class S:\n"
+              "    never: int\n"
+              "class Plain:\n"
+              "    note: int = 0\n"
+              "def f(r):\n"
+              "    r.stored = r.used\n"
+              "    return R(1, 2, [])\n")
+    assert unread_dataclass_fields({"m": module}, [module]) == [
+        "m line 5: R.stored", "m line 6: R.listed", "m line 9: S.never"]
+    # a read in another file counts
+    assert unread_dataclass_fields({"m": module}, [module, "print(s.never, r.listed)\n"]) == [
+        "m line 5: R.stored"]
+
+
+def test_every_dataclass_field_is_read():
+    # reads come from the library and the tests
+    defining = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in LIBRARY}
+    assert unread_dataclass_fields(defining, [p.read_text(encoding="utf-8") for p in SOURCES]) == []
