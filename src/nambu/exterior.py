@@ -9,6 +9,8 @@ the library derive from this single choice.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -361,6 +363,31 @@ def _contract(comps: dict, I: IndexTuple) -> dict:
     return comps
 
 
+@functools.cache
+def _index_table(n: int, p: int):
+    """(contract, lifts): the index maps of constant p-forms in n variables.
+
+    contract[A], for each (p-1)-tuple A in lexicographic order, maps each
+    p-tuple K containing A to (i, sign) with i_A dx_K = sign dx_i. lifts[0]
+    (grade p) and lifts[1] (grade p + 1) map each tuple K of that grade to
+    ((i, slot, sign), ...), one entry per i outside K, with dx_i ^ dx_K =
+    sign dx_S and slot the index of S among the increasing tuples of the next
+    grade in lexicographic order. Both are read off `_contract` and
+    `merge_sign`, once per (n, p); callers must not change them.
+    """
+    keys = list(itertools.combinations(range(n), p - 1))
+    forms = list(itertools.combinations(range(n), p))
+    contract = {A: {K: (i, s) for K in forms for (i,), s in _contract({K: 1}, A).items()}
+                for A in keys}
+    lifts = []
+    for g in (p, p + 1):
+        slot = {S: t for t, S in enumerate(itertools.combinations(range(n), g + 1))}
+        lifts.append({K: tuple((i, slot[S], s) for i in range(n)
+                               if (ms := merge_sign((i,), K)) for S, s in (ms,))
+                      for K in itertools.combinations(range(n), g)})
+    return contract, lifts
+
+
 def _integer_parts(obj) -> Dict[Tuple[int, ...], dict]:
     """Split obj = (1/D) sum_m x^m w_m into integer constant components w_m.
 
@@ -499,6 +526,7 @@ def lie_derivative(X: Multivector, T: Multivector) -> Multivector:
 # on the volume form, and i_P (c * vol) = i_{c P} vol for a constant c, so
 # the standard one is the only one the library uses.
 
+@functools.cache
 def duality_sign(nvars: int, I: IndexTuple) -> int:
     """Sign s with i_{e_I}(dx_1^...^dx_n) = s * dx_complement(I)."""
     (sign,) = _contract({tuple(range(nvars)): 1}, I).values()
@@ -506,19 +534,23 @@ def duality_sign(nvars: int, I: IndexTuple) -> int:
 
 
 def tensor_to_form(P: Multivector) -> DiffForm:
-    """omega = i_P (dx1^...^dxn), the co-Nambu form dual to P."""
-    return interior(P, standard_volume(P.nvars))
+    """omega = i_P (dx1^...^dxn), the co-Nambu form dual to P: the component
+    at I moves to the complement of I, times duality_sign(n, I)."""
+    n = P.nvars
+    out: Dict[IndexTuple, Poly] = {}
+    for I, c in P.comps.items():
+        out[tuple(i for i in range(n) if i not in I)] = c if duality_sign(n, I) > 0 else -c
+    return DiffForm._make(n, n - P.grade, out)
 
 
 def form_to_tensor(omega: DiffForm) -> Multivector:
     """Inverse of tensor_to_form."""
     n = omega.nvars
-    full = set(range(n))
     out: Dict[IndexTuple, Poly] = {}
     for K, c in omega.comps.items():
-        I = tuple(sorted(full - set(K)))
+        I = tuple(i for i in range(n) if i not in K)
         out[I] = c if duality_sign(n, I) > 0 else -c
-    return Multivector(n, n - omega.grade, out)
+    return Multivector._make(n, n - omega.grade, out)
 
 
 def field_matrix(X: Multivector, idx: Sequence[int]) -> RatMatrix:
@@ -656,6 +688,15 @@ def _read_at(obj, args: Sequence[Poly], N: Optional[int] = None):
         K: v for K, v in zip(obj.comps, substitute_many(obj.comps.values(), args, N)) if v})
 
 
+def _minor_trunc(obj, N: Optional[int]) -> Optional[int]:
+    """The degree through which minors are read when each is multiplied by a
+    coefficient of obj and cut at N: every coefficient has degree at least
+    low, so N - low is exact."""
+    if N is None or obj.is_zero():
+        return N
+    return N - obj.min_coeff_degree()
+
+
 def pullback_form(omega: DiffForm, phi: FormalMap, N: Optional[int] = None) -> DiffForm:
     """Substitute x -> phi(x) in coefficients and dx_i -> d(phi_i).
 
@@ -666,8 +707,9 @@ def pullback_form(omega: DiffForm, phi: FormalMap, N: Optional[int] = None) -> D
         raise ValueError("nvars mismatch")
     n = omega.nvars
     dphi = [{(j,): d for j in range(n) if (d := c.partial(j))} for c in phi.comps]
-    coeffs = _read_at(omega, phi.comps, N).comps
-    minors = _prefix_minors(dphi, coeffs, Poly.one(n), N)
+    read = _read_at(omega, phi.comps, N)
+    coeffs = read.comps
+    minors = _prefix_minors(dphi, coeffs, Poly.one(n), _minor_trunc(read, N))
     out: Dict[IndexTuple, Poly] = {}
     for K, coeff in coeffs.items():
         for L, v in minors[K].items():
@@ -693,7 +735,7 @@ def _jacobian_push(P: Multivector, phi: FormalMap, N: Optional[int] = None) -> M
     n = P.nvars
     columns = [{(k,): d for k, c in enumerate(phi.comps) if (d := c.partial(i))}
                for i in range(n)]
-    minors = _prefix_minors(columns, P.comps, Poly.one(n), N)
+    minors = _prefix_minors(columns, P.comps, Poly.one(n), _minor_trunc(P, N))
     out: Dict[IndexTuple, Poly] = {}
     for I, coeff in P.comps.items():
         for K, v in minors[I].items():

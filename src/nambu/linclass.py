@@ -53,6 +53,7 @@ from .exterior import (
     FormalMap,
     Multivector,
     _contract,
+    _index_table,
     _integer_parts,
     _prefix_minors,
     basis_multivector,
@@ -164,14 +165,19 @@ def span_table(omega: DiffForm) -> SpanTable:
     _require_linear(omega)
     n, p = omega.nvars, omega.grade
     parts = _integer_parts(omega)
+    contract, _ = _index_table(n, p)
     entries: List[Optional[RatMatrix]] = []
     for j in range(n):
         wj = parts.get(tuple(int(i == j) for i in range(n)), {})
         rows = []
-        for akey in itertools.combinations(range(n), p - 1):
-            cur = _contract(wj, akey)
-            if cur:
-                rows.append([cur.get((i,), 0) for i in range(n)])
+        for cmap in contract.values():
+            row = [0] * n
+            for K, v in wj.items():
+                if (hit := cmap.get(K)):
+                    i, s = hit
+                    row[i] = v if s > 0 else -v
+            if any(row):
+                rows.append(row)
         entries.append(rowspace_basis(rows, n) if rows else None)
     return SpanTable(n, p, entries)
 

@@ -131,22 +131,27 @@ class Poly:
 
     @staticmethod
     def const(nvars: int, value) -> "Poly":
-        return Poly(nvars, {(0,) * nvars: _as_fraction(value)})
+        return Poly.monomial(nvars, (0,) * nvars, value)
 
     @staticmethod
     def one(nvars: int) -> "Poly":
-        return Poly.const(nvars, 1)
+        return Poly._make(nvars, {(0,) * nvars: 1}, 1)
 
     @staticmethod
     def variable(nvars: int, i: int) -> "Poly":
         if not 0 <= i < nvars:
             raise IndexError(f"variable index {i} out of range for nvars={nvars}")
-        exps = tuple(1 if j == i else 0 for j in range(nvars))
-        return Poly(nvars, {exps: Fraction(1)})
+        return Poly._make(nvars, {tuple(int(j == i) for j in range(nvars)): 1}, 1)
 
     @staticmethod
     def monomial(nvars: int, exps: Sequence[int], coeff=1) -> "Poly":
-        return Poly(nvars, {tuple(exps): _as_fraction(coeff)})
+        exps = tuple(exps)
+        if len(exps) != nvars or any(e < 0 for e in exps):
+            raise ValueError(f"exponent vector {exps} is not a monomial in {nvars} variables")
+        c = coeff if isinstance(coeff, int) else _as_fraction(coeff)
+        if not c:
+            return Poly.zero(nvars)
+        return Poly._make(nvars, {exps: c.numerator}, c.denominator)
 
     # -- basic queries -----------------------------------------------------
 

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import add
 from typing import List, Optional, Sequence, Tuple
 
 from .polyalg import Poly, PreconditionError, _monomials_of_degree
 from .exterior import (
     DiffForm,
     Multivector,
-    _contract,
+    _index_table,
     _integer_parts,
     _wedge_into,
     apply_vector,
@@ -92,43 +91,72 @@ def is_conambu(omega: DiffForm) -> ConambuVerdict:
 def _first_failure(omega: DiffForm):
     """(A, equation) of the first failure, or None.
 
-    With omega = sum_m x^m w_m split into integer constant forms, the x^M
-    coefficient of i_A omega ^ omega is the sum of i_A w_m ^ w_m' over
-    m + m' = M, and likewise against domega = sum_m x^m v_m. As i_A w_m =
-    sum_i c_i dx_i, that is sum_i c_i (dx_i ^ w_m'): each dx_i ^ w is wedged
-    once, and a key A costs only integer multiply-adds.
+    With omega = (1/D) sum_m x^m w_m split into integer constant forms, the
+    x^M coefficient of i_A omega ^ omega is D^-2 times the sum of
+    i_A w_m ^ w_m' over m + m' = M, and likewise against domega = sum_m
+    x^m v_m. As i_A w_m = sum_i c_i dx_i, that is sum_i c_i (dx_i ^ w_m').
+
+    Each lifted form dx_i ^ w_m' is packed into one integer, its component
+    at slot s (`_index_table`) times 2^(B s), so a key A costs one integer
+    multiply-add per (m, m', i), and the packed x^M coefficient is
+    sum_s C_s 2^(B s) with C_s the true component at slot s. Each C_s is a
+    sum of at most |parts| * n products c_i * u (m fixes m' = M - m, and i
+    fixes the other index tuple), with c and u components of the w_m and
+    v_m, so |C_s| <= b = |parts| * n * max|c| * max|u|. B is the least
+    width with 2^B > b. Then the packed sum is 0 exactly when every C_s is:
+    if s0 is the lowest slot with C_s0 != 0, the sum is 2^(B s0) (C_s0 +
+    2^B R) for an integer R, and 0 < |C_s0| < 2^B, so C_s0 is no multiple
+    of 2^B and cannot cancel. Monomials are coded the same way, m as
+    sum_j m_j base^j with base above every exponent of m + m', so the code
+    of M is the sum of the codes of m and m'.
     """
     n, p = omega.nvars, omega.grade
     parts = _integer_parts(omega)
+    if not parts:
+        return None
     dparts: dict = {}
     for m, w in parts.items():
         for j, e in enumerate(m):
             if e:
                 lower = m[:j] + (e - 1,) + m[j + 1:]
                 _wedge_into(dparts.setdefault(lower, {}), {(j,): e}, w)
-    # per equation and part m: (m + m', [dx_i ^ w_m' for each i]) for each m'
-    pairs = []
-    for rhs in (parts, dparts):
-        lifted = {m2: [_wedge_into({}, {(i,): 1}, w) for i in range(n)]
-                  for m2, w in rhs.items()}
-        pairs.append({m: [(tuple(map(add, m, m2)), lift) for m2, lift in lifted.items()]
-                      for m in parts})
-    for key in itertools.combinations(range(n), p - 1):
+    contract, lifts = _index_table(n, p)
+    maxc = max(abs(v) for w in parts.values() for v in w.values())
+    maxu = max([maxc] + [abs(v) for w in dparts.values() for v in w.values()])
+    B = (len(parts) * n * maxc * maxu).bit_length()
+    base = 2 * max(map(max, parts)) + 1
+
+    def code(m):
+        return sum(e * base ** j for j, e in enumerate(m))
+
+    # per equation: (code of m', [packed dx_i ^ w_m' for each i]) for each m'
+    lifted = []
+    for rhs, lift in zip((parts, dparts), lifts):
+        packed = []
+        for m2, w in rhs.items():
+            acc = [0] * n
+            for K, v in w.items():
+                for i, slot, s in lift[K]:
+                    acc[i] += (v if s > 0 else -v) << (B * slot)
+            packed.append((code(m2), acc))
+        lifted.append(packed)
+    coded = [(code(m), w) for m, w in parts.items()]
+    for key, cmap in contract.items():
         contracted = []
-        for m, w in parts.items():
-            c = _contract(w, key)
+        for cm, w in coded:
+            c = [(i, v if s > 0 else -v) for K, v in w.items()
+                 if (hit := cmap.get(K)) for i, s in (hit,)]
             if c:
-                contracted.append((m, [(i, ci) for (i,), ci in c.items()]))
-        for eq, pairs_of in zip((3, 4), pairs):
+                contracted.append((cm, c))
+        for eq, packed in zip((3, 4), lifted):
             coeffs: dict = {}
-            for m, c in contracted:
-                for M, lift in pairs_of[m]:
-                    acc = coeffs.setdefault(M, {})
-                    get = acc.get
+            for cm, c in contracted:
+                for c2, acc in packed:
+                    total = coeffs.get(cm + c2, 0)
                     for i, ci in c:
-                        for K, v in lift[i].items():
-                            acc[K] = get(K, 0) + ci * v
-            if any(v for acc in coeffs.values() for v in acc.values()):
+                        total += ci * acc[i]
+                    coeffs[cm + c2] = total
+            if any(coeffs.values()):
                 return key, eq
     return None
 

@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from nambu.polyalg import Poly, PreconditionError, RatMatrix, parse_poly
 from nambu.exterior import (
     DiffForm,
+    _contract,
+    _index_table,
     FormalMap,
     Multivector,
     apply_vector,
@@ -24,6 +26,7 @@ from nambu.exterior import (
     graded_from_json,
     interior,
     lie_bracket,
+    merge_sign,
     prefix_blocks,
     pullback_form,
     pushforward_tensor,
@@ -237,6 +240,44 @@ def test_form_to_tensor_examples():
     w45 = wedge(coordinate_form(5, 3), coordinate_form(5, 4))
     assert form_to_tensor(w45) == basis_multivector(5, (0, 1, 2))
     assert form_to_tensor(DiffForm(5, 2, {})).is_zero()
+
+
+def test_tensor_to_form_matches_interior_of_the_volume():
+    # the duality as first defined, omega = i_P (dx1^...^dxn), kept here as
+    # the reference: same components, inserted in the same order
+    rng = random.Random(23)
+    for n in range(3, 8):
+        for k in range(n + 1):
+            for _ in range(3):
+                P = random_tensor(rng, n, k)
+                form, ref = tensor_to_form(P), interior(P, standard_volume(n))
+                assert form == ref
+                assert list(form.comps) == list(ref.comps)
+
+
+def test_index_table_matches_contract_and_merge_sign():
+    for n in range(1, 8):
+        for p in range(1, n + 1):
+            contract, lifts = _index_table(n, p)
+            keys = list(itertools.combinations(range(n), p - 1))
+            assert list(contract) == keys
+            for A in keys:
+                expected = {}
+                for K in itertools.combinations(range(n), p):
+                    for (i,), s in _contract({K: 1}, A).items():
+                        expected[K] = (i, s)
+                assert contract[A] == expected
+            for g, lift in zip((p, p + 1), lifts):
+                slots = list(itertools.combinations(range(n), g + 1))
+                grade_g = list(itertools.combinations(range(n), g))
+                assert list(lift) == grade_g
+                for K in grade_g:
+                    expected = []
+                    for i in range(n):
+                        ms = merge_sign((i,), K)
+                        if ms is not None:
+                            expected.append((i, slots.index(ms[0]), ms[1]))
+                    assert list(lift[K]) == expected
 
 
 def test_duality_round_trip_randomized():

@@ -111,6 +111,21 @@ def test_cancellation_raises_the_gcd():
     assert _clean(P("2/3*x1", 1).scale(Fraction(3, 2))).den == 1
 
 
+def test_constructors_match_the_general_constructor():
+    for coeff in (1, -4, 0, Fraction(6, -4), "3/9", Fraction(0)):
+        mono = Poly.monomial(3, (1, 0, 2), coeff)
+        ref = Poly(3, {(1, 0, 2): coeff})
+        assert (mono.nvars, mono.num, mono.den) == (ref.nvars, ref.num, ref.den)
+        const = Poly.const(3, coeff)
+        ref = Poly(3, {(0, 0, 0): coeff})
+        assert (const.num, const.den) == (ref.num, ref.den)
+    assert (Poly.one(2).num, Poly.one(2).den) == ({(0, 0): 1}, 1)
+    assert (Poly.variable(3, 1).num, Poly.variable(3, 1).den) == ({(0, 1, 0): 1}, 1)
+    for exps in ((1, 0), (1, -1, 0)):
+        with pytest.raises(ValueError):
+            Poly.monomial(3, exps)
+
+
 def test_partials_commute_randomized():
     rng = random.Random(11)
     for _ in range(30):

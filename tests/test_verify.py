@@ -149,8 +149,13 @@ def _first_failure_reference(w):
     return None
 
 
+SMALL = st.fractions(-3, 3, max_denominator=3)
+# coefficients far above any machine word, for the packed co-Nambu check
+BIG = st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**12))
+
+
 @st.composite
-def polynomial_forms(draw):
+def polynomial_forms(draw, coeffs=SMALL):
     n = draw(st.integers(4, 6))
     p = draw(st.integers(1, n - 3))
     linear = draw(st.booleans())
@@ -166,7 +171,7 @@ def polynomial_forms(draw):
             else:
                 for _ in range(draw(st.integers(0, 2))):
                     e[draw(st.integers(0, n - 1))] += 1
-            terms[tuple(e)] = draw(st.fractions(-3, 3, max_denominator=3))
+            terms[tuple(e)] = draw(coeffs)
         comps[key] = Poly(n, terms)
     return DiffForm(n, p, comps)
 
@@ -204,7 +209,7 @@ def _per_key_wedge_failure(omega):
 
 
 @st.composite
-def passing_forms(draw):
+def passing_forms(draw, coeffs=SMALL):
     """f dg_1 ^ ... ^ dg_p for polynomials f and g_j: co-Nambu by construction."""
     n = draw(st.integers(4, 6))
     p = draw(st.integers(1, n - 3))
@@ -216,7 +221,7 @@ def passing_forms(draw):
             e = [0] * n
             for i in draw(mono):
                 e[i] += 1
-            terms[tuple(e)] = draw(st.fractions(-3, 3, max_denominator=3))
+            terms[tuple(e)] = draw(coeffs)
         return Poly(n, terms)
 
     omega = scalar_form(poly())
@@ -229,6 +234,30 @@ def passing_forms(draw):
 @given(st.one_of(polynomial_forms(), passing_forms()))
 def test_first_failure_matches_the_per_key_wedge_loop(w):
     assert _first_failure(w) == _per_key_wedge_failure(w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(polynomial_forms(BIG), passing_forms(BIG)))
+def test_first_failure_with_huge_coefficients(w):
+    assert _first_failure(w) == _per_key_wedge_failure(w)
+
+
+def test_packed_width_is_sharp():
+    # a constant 4-form in 7 variables with unit components: |parts| = 1,
+    # so the packed width is B = bit_length(1 * 7 * 1 * 1) = 3. At the first
+    # key A = (0, 1, 2), i_A w ^ w has components 4 and -1 at the last two
+    # slots of the grade-5 tuples, 4 * 2^(2 * 19) - 2^(2 * 20) = 0, so two-bit
+    # fields would cancel them and miss the failure; three bits keep it
+    n = 7
+    w = {(0, 1, 2, i): 1 for i in (3, 4, 5, 6)}
+    w.update({(1, 3, 4, 5): 1, (1, 3, 4, 6): -1, (1, 3, 5, 6): 1, (1, 4, 5, 6): -1,
+              (2, 3, 4, 5): -1})
+    key = (0, 1, 2)
+    slots = list(itertools.combinations(range(n), 5))
+    lifted = _wedge_into({}, _contract(w, key), w)
+    assert [lifted.get(S, 0) for S in slots] == [0] * 19 + [4, -1]
+    omega = DiffForm(n, 4, {K: Poly.const(n, v) for K, v in w.items()})
+    assert _first_failure(omega) == _per_key_wedge_failure(omega) == (key, 3)
 
 
 def test_passing_forms_pass():
