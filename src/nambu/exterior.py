@@ -26,25 +26,13 @@ from .polyalg import (
 IndexTuple = Tuple[int, ...]
 
 
-_MERGE_CACHE: dict = {}
-_MERGE_MISS = object()
-
-
+@functools.cache
 def merge_sign(I: IndexTuple, J: IndexTuple) -> Optional[Tuple[IndexTuple, int]]:
     """Sorted concatenation of two increasing disjoint tuples with parity.
 
     Returns None when the tuples share an index. Memoized: the index tuples
     in play are tiny and recur constantly in wedge loops.
     """
-    cached = _MERGE_CACHE.get((I, J), _MERGE_MISS)
-    if cached is not _MERGE_MISS:
-        return cached
-    result = _merge_sign_raw(I, J)
-    _MERGE_CACHE[(I, J)] = result
-    return result
-
-
-def _merge_sign_raw(I, J):
     if not I:
         return J, 1
     if not J:
@@ -553,23 +541,34 @@ def form_to_tensor(omega: DiffForm) -> Multivector:
     return Multivector._make(n, n - omega.grade, out)
 
 
+def linear_rows(comps: dict, n: int) -> Tuple[dict, int]:
+    """The linear parts of the polynomials comps[key] as integer rows over one
+    denominator: ({key: row}, den), row[i] / den the coefficient of x_i.
+
+    den is the lcm of the polynomials' denominators, so the rows are in
+    lowest terms when every polynomial is linear.
+    """
+    den = math.lcm(*[c.den for c in comps.values()])
+    rows = {}
+    for key, c in comps.items():
+        row = rows[key] = [0] * n
+        f = den // c.den
+        for exps, v in c.num.items():
+            if sum(exps) == 1:
+                row[exps.index(1)] = v * f
+    return rows, den
+
+
 def field_matrix(X: Multivector, idx: Sequence[int]) -> RatMatrix:
     """The linear matrix b of the vector field X on the variables idx.
 
     b[a][c] is the coefficient of x_{idx[a]} in the d/dx_{idx[c]} component,
-    so X^(1) = sum b^i_j x_i d_j. Every component of X must lie on idx; linear
-    terms in other variables are not read, and callers check them.
+    so X^(1) = sum b^i_j x_i d_j. Components and linear terms off idx are
+    not read, and callers check them.
     """
-    pos = {v: k for k, v in enumerate(idx)}
-    at = {i: a for a, i in enumerate(idx)}
-    den = math.lcm(*[c.den for c in X.comps.values()])
-    B = [[0] * len(pos) for _ in pos]
-    for (j,), c in X.comps.items():
-        col, f = pos[j], den // c.den
-        for exps, v in c.num.items():
-            if sum(exps) == 1 and exps.index(1) in at:
-                B[at[exps.index(1)]][col] = v * f
-    return RatMatrix._make(B, den)
+    rows, den = linear_rows(X.comps, X.nvars)
+    cols = [rows.get((j,)) for j in idx]
+    return RatMatrix._make([[col[i] if col else 0 for col in cols] for i in idx], den)
 
 
 # -- formal coordinate changes ----------------------------------------------------
@@ -621,15 +620,8 @@ class FormalMap:
 
     def linear_matrix(self) -> RatMatrix:
         """The matrix of the linear part, read off the numerators."""
-        n = self.nvars
-        den = math.lcm(*[c.den for c in self.comps])
-        rows = [[0] * n for _ in self.comps]
-        for row, c in zip(rows, self.comps):
-            f = den // c.den
-            for exps, v in c.num.items():
-                if sum(exps) == 1:
-                    row[exps.index(1)] = v * f
-        return RatMatrix._make(rows, den)
+        rows, den = linear_rows(dict(enumerate(self.comps)), self.nvars)
+        return RatMatrix._make(list(rows.values()), den)
 
     def is_linear(self) -> bool:
         return all(c.degree <= 1 for c in self.comps)

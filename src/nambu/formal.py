@@ -83,7 +83,7 @@ from .exterior import (
     wedge,
     wedge_all,
 )
-from .linclass import normal_form_generator
+from .linclass import _type2_field, normal_form_generator
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +516,7 @@ def formal_linearize_type1(omega: DiffForm, N: int) -> Type1LinearizationResult:
             if key[0] < p - 1:
                 raise SolveInconsistencyError(
                     "prefix residual has parameter components", degree=r)
-        f_r, h_pot = _split_multiplier(alpha1, rho, y, r, n, report)
+        f_r, h_pot = _split_multiplier(diag, rho, y, r, n, report)
         f_total = f_total + f_r
         if not h_pot.is_zero():
             comps = [Poly.variable(n, i) for i in range(n)]
@@ -539,15 +539,14 @@ def formal_linearize_type1(omega: DiffForm, N: int) -> Type1LinearizationResult:
     return Type1LinearizationResult(phi_total, f_total, report, omega_lin)
 
 
-def _split_multiplier(alpha1, rho, y, r, n, report):
-    """Solve rho = f * alpha1 + d_y(h) for homogeneous degree r.
+def _split_multiplier(diag, rho, y, r, n, report):
+    """Solve rho = f * alpha1 + d_y(h) for homogeneous degree r, with
+    alpha1 = sum_j diag[j] x_j dx_j (`_type1_linear_data`).
 
     Unknowns: f over degree r-1 monomials, h over degree r+1 monomials with
     at least one active variable; rho's terms of active degree a make one
     exact solve, with f over active degree a-1 and h over a+1.
     """
-    diag = {key[0]: poly.linear_coefficients()[key[0]]
-            for key, poly in alpha1.comps.items()}
     pieces = {"f": [], "h": []}
     for a, rows in sorted(_rhs_by_active_degree(rho, y).items()):
         cols = ([("f", mon) for mon in (_monomials_of_degree(n, a - 1, y) if a else [])]
@@ -835,20 +834,8 @@ class Type2PrelinResult:
 def _type2_linear_data(P: Multivector):
     """Validate the exact Type-2 linear part; return (q, y, b-matrix)."""
     n, q = P.nvars, P.grade
-    lin = P.homogeneous_component(1)
-    S = q - 1
-    blocks = prefix_blocks(lin, S)
-    frame_key = tuple(range(S))
-    y = list(range(S, n))
-    for T, part in blocks.items():
-        if T != frame_key and not part.is_zero():
-            raise PreconditionError("linear part is not in Type 2 normal shape")
-    W = blocks.get(frame_key)
-    if W is None:
-        raise PreconditionError("linear part vanishes")
-    if any(c.linear_coefficients()[t] for c in W.comps.values() for t in range(S)):
-        raise PreconditionError("linear field involves frame variables")
-    Bm = field_matrix(W, y)
+    y = list(range(q - 1, n))
+    Bm = _type2_field(P, PreconditionError)
     if Bm.det() == 0:
         raise PreconditionError("Type 2 linear part is degenerate")
     if q == n - 1:

@@ -8,8 +8,9 @@ the achieved normal form.
 
 Coordinate conventions. Form reports use parameters first: z_1..z_{p-1} are
 the wedge prefix, the quadratic block sits on z_p..z_n. Tensor reports use
-the dual convention (active block first, parameters last); the two differ by
-the block-swap permutation folded into the reported change.
+the dual convention (active block first, parameters last): the block swap is
+the classifier's last move, so a tensor report comes from the final state,
+every per-variable field in its own coordinates, and is certified as printed.
 
 Over Q the quadratic part diagonalizes to entries sign_j * c_j with c_j > 0
 rational; scaling them to +-1 needs square roots and is provided only as a
@@ -61,6 +62,7 @@ from .exterior import (
     field_matrix,
     form_to_tensor,
     formal_map_to_json,
+    linear_rows,
     prefix_blocks,
     tensor_to_form,
     wedge,
@@ -255,7 +257,7 @@ class _State:
 
     def __init__(self, omega: DiffForm):
         self.n, self.p = omega.nvars, omega.grade
-        self.num, self.den = _linear_array(omega)
+        self.num, self.den = linear_rows(omega.comps, self.n)
         self.back = {i: [int(i == j) for j in range(self.n)] for i in range(self.n)}
         self.back_den = 1
 
@@ -287,20 +289,6 @@ class _State:
         """The change z_current = back^-1 . x_input."""
         back = RatMatrix._make(list(self.back.values()), self.back_den)
         return FormalMap.from_matrix(back.inverse())
-
-
-def _linear_array(omega: DiffForm) -> Tuple[Dict[Tuple[int, ...], List[int]], int]:
-    """The constant array of a linear form: each component's linear
-    coefficients, as integer rows over the lcm of the components'
-    denominators, which is in lowest terms since each component is."""
-    n = omega.nvars
-    den = math.lcm(*[c.den for c in omega.comps.values()])
-    num = {}
-    for K, c in omega.comps.items():
-        row = num[K] = [0] * n
-        for exps, v in c.num.items():
-            row[exps.index(1)] = v * (den // c.den)
-    return num, den
 
 
 def _lowest_terms(rows: dict, den: int):
@@ -392,17 +380,18 @@ def classify_linear(omega: DiffForm) -> ClassificationReport:
     a step fails: if omega fails it, its witness is raised as a
     PreconditionError; otherwise the step's own error is re-raised.
     """
-    return _certified_report(omega)
+    return _certified_report(omega, tensor=False)
 
 
-def _certified_report(omega: DiffForm) -> ClassificationReport:
-    """The certified classification of omega, or the reason it has none."""
+def _certified_report(omega: DiffForm, tensor: bool) -> ClassificationReport:
+    """The certified classification of omega, reported in tensor conventions
+    when tensor is set, or the reason it has none."""
     _require_linear(omega)
     if omega.grade < 1:
         raise PreconditionError("a co-Nambu form must have grade >= 1")
     _require_order(omega.nvars - omega.grade)
     try:
-        return _classify(omega)
+        return _classify(omega, tensor)
     except (NambuError, ValueError, ZeroDivisionError) as exc:
         verdict = is_conambu(omega)
         if not verdict.passed:
@@ -412,32 +401,56 @@ def _certified_report(omega: DiffForm) -> ClassificationReport:
         raise
 
 
-def _classify(omega: DiffForm) -> ClassificationReport:
+def _classify(omega: DiffForm, tensor: bool) -> ClassificationReport:
+    """The cases move the state to normal coordinates; with tensor, the last
+    move is the block swap to the tensor convention. One report is built
+    from the final state and certified as it is returned."""
     n, p = omega.nvars, omega.grade
     q = n - p
-    table = span_table(omega)
-    if omega.is_zero():
-        nf = NormalForm("type1", r=-1, s=0, signs=[], diag=[])
-        report = ClassificationReport(nf, FormalMap.identity(n),
-                                      DiffForm(n, p, {}), n, p, q)
-    else:
+    state = _State(omega)
+    nf, scales = NormalForm("type1", r=-1, s=0, signs=[], diag=[]), None
+    if not omega.is_zero():
+        table = span_table(omega)
         E = table.common_intersection()
-        state = _State(omega)
         if E.rows >= p - 1:
-            report = _case1(state, E, p, q)
+            nf, scales = _case1(state, E, p)
         else:
-            report = _case2(state, table, p, q)
-        # the certificate, read afresh from the report and the input
-        change = report.change.linear_matrix()
-        if _pull_back(*_linear_array(report.achieved_form),
-                      change.num, change.den) != _linear_array(omega):
-            raise SolveInconsistencyError(
-                "classification certificate failed: the change does not pull "
-                "the normal form back to the input")
-    return nondegeneracy(report)
+            nf, scales = _case2(state, table, p)
+    if tensor:
+        # active block first, parameters last: new coordinate k is the old
+        # coordinate order[k], so z_old = A . z_new with A[i][k] = [i == order[k]]
+        cut = p - 1 if nf.tag == "type1" else p + 1
+        order = list(range(cut, n)) + list(range(cut))
+        state.apply(RatMatrix._make([[int(i == order[k]) for k in range(n)] for i in range(n)]))
+        if scales:
+            scales = [scales[k] for k in order]
+    change, achieved = state.change_map(), state.form()
+    L = change.linear_matrix()
+    achieved_tensor = form_to_tensor(achieved).scale(L.det()) if tensor else None
+    if nf.tag == "type2":
+        if tensor:
+            nf.matrix = _type2_field(achieved_tensor, SolveInconsistencyError)
+        else:
+            # the a_i transform with a transpose twist under block changes (they
+            # pair with the cofactor representation on dz-hat), so the invariant
+            # matrix is the one of the dual tensor's vector-field factor: each
+            # dual component is (j,) + the outside variables, j in the block
+            dual = form_to_tensor(achieved)
+            nf.matrix = field_matrix(
+                Multivector(n, 1, {key[:1]: c for key, c in dual.comps.items()}), range(p + 1))
+    report = nondegeneracy(ClassificationReport(
+        nf, change, achieved, n, p, q, numeric_companion=scales,
+        achieved_tensor=achieved_tensor))
+    # the certificate: the reported change (L, read off its polynomials) pulls
+    # the reported achieved form back to the input
+    if _pull_back(*linear_rows(achieved.comps, n), L.num, L.den) != linear_rows(omega.comps, n):
+        raise SolveInconsistencyError(
+            "classification certificate failed: the change does not pull "
+            "the normal form back to the input")
+    return report
 
 
-def _case1(state: _State, E: RatMatrix, p: int, q: int) -> ClassificationReport:
+def _case1(state: _State, E: RatMatrix, p: int) -> Tuple[NormalForm, Optional[List[float]]]:
     n = state.n
     # coordinates: p-1 covectors from E, completed arbitrarily
     prefix_rows = E.num[:p - 1]
@@ -461,15 +474,16 @@ def _case1(state: _State, E: RatMatrix, p: int, q: int) -> ClassificationReport:
     # curl of alpha in the y-variables
     D = [[M[j][k] - M[k][j] for k in y] for j in y]
     if not any(map(any, D)):
-        return _case1_closed(state, M, p, q)
-    return _case1_curl(state, RatMatrix._make(D, state.den), p, q)
+        return _case1_closed(state, M, p)
+    return _case1_curl(state, RatMatrix._make(D, state.den), p), None
 
 
-def _case1_closed(state: _State, M: List[List[int]], p: int,
-                  q: int) -> ClassificationReport:
+def _case1_closed(state: _State, M: List[List[int]], p: int
+                  ) -> Tuple[NormalForm, List[float]]:
     """Subcase d'alpha = 0: diagonalize the quadratic, normalize the pairings.
 
-    M is the alpha matrix of the current form (_alpha_matrix)."""
+    M is the alpha matrix of the current form (_alpha_matrix). Returns the
+    normal form and the per-variable scales to +-1."""
     n = state.n
     y = list(range(p - 1, n))
     inr = inertia(RatMatrix._make([[M[j][k] for k in y] for j in y], state.den))
@@ -530,16 +544,13 @@ def _case1_closed(state: _State, M: List[List[int]], p: int,
         shape[prefix + (free[i],)] = [state.den * (k == i) for k in range(n)]
     if shape != state.num:
         raise SolveInconsistencyError("Type 1 normalization did not reach the normal shape")
-    achieved = state.form()
 
     diag = [Fraction(d, state.den) for d in diag]
     signs = [1 if d > 0 else -1 for d in diag]
     scales = [1.0] * n
     for idx, j in enumerate(quad):
         scales[j] = 1.0 / math.sqrt(abs(float(diag[idx])))
-    nf = NormalForm("type1", r=r, s=s, signs=signs, diag=diag)
-    return ClassificationReport(nf, state.change_map(), achieved,
-                                n, p, q, numeric_companion=scales)
+    return NormalForm("type1", r=r, s=s, signs=signs, diag=diag), scales
 
 
 def _rank_normalize(M: RatMatrix) -> Tuple[RatMatrix, RatMatrix]:
@@ -557,7 +568,7 @@ def _rank_normalize(M: RatMatrix) -> Tuple[RatMatrix, RatMatrix]:
     return U, RatMatrix._make([[row[j] for j in order] for row in W1], R.den)
 
 
-def _case1_curl(state: _State, Dm: RatMatrix, p: int, q: int) -> ClassificationReport:
+def _case1_curl(state: _State, Dm: RatMatrix, p: int) -> NormalForm:
     """Subcase d'alpha != 0: on a co-Nambu form the curl has rank 2 and alpha
     lives on its two slots after the move below; land in Type 2."""
     n = state.n
@@ -572,26 +583,25 @@ def _case1_curl(state: _State, Dm: RatMatrix, p: int, q: int) -> ClassificationR
                          + [(k, d) for k in kern])
     # now d'alpha = dz_p ^ dz_{p+1}
     state.apply(_block_diag(n, {(p - 1, n): columns.transpose()}))
-    return _type2_finisher(state, p, q)
+    return _type2_finisher(state, p)
 
 
-def _case2(state: _State, table: SpanTable, p: int, q: int) -> ClassificationReport:
+def _case2(state: _State, table: SpanTable, p: int) -> Tuple[NormalForm, None]:
     n = state.n
     U = sum_rowspaces([table.entries[j] for j in table.nonzero_indices()], n)
     if U.rows != p + 1:
         raise SolveInconsistencyError(
             f"sum of spans has dimension {U.rows}, expected p+1: input is not co-Nambu")
     state.apply(complete_basis(U.num, n, U.den).inverse())
-    return _type2_finisher(state, p, q)
+    return _type2_finisher(state, p), None
 
 
-def _type2_finisher(state: _State, p: int, q: int) -> ClassificationReport:
+def _type2_finisher(state: _State, p: int) -> NormalForm:
     """Components live inside the first p+1 coordinates; read or reduce the a_i.
 
     a_i is the coefficient of dz-hat_i. When some a_i involves the outside
     variables, the reduction moves their common factor into z_{p+1}.
     """
-    n = state.n
     block = tuple(range(p + 1))
     hats = [tuple(j for j in block if j != i) for i in block]
     outside = [i for i, hat in enumerate(hats) if any(state.row(hat)[p + 1:])]
@@ -601,17 +611,7 @@ def _type2_finisher(state: _State, p: int, q: int) -> ClassificationReport:
     if any(key[-1] > p for key in state.num) or \
             any(any(state.row(hat)[p + 1:]) for hat in hats):
         raise SolveInconsistencyError("form does not reach the Type 2 shape on the (p+1)-block")
-
-    achieved = state.form()
-    # The raw a_i coefficients transform with a transpose twist under block
-    # changes (they pair with the cofactor representation on dz-hat), so the
-    # matrix whose Jordan data is the actual invariant is the one of the dual
-    # tensor's vector-field factor. Read it through the duality: each dual
-    # component is (j,) + the outside variables, with j in the block.
-    dual = form_to_tensor(achieved)
-    A = field_matrix(Multivector(n, 1, {key[:1]: c for key, c in dual.comps.items()}), block)
-    nf = NormalForm("type2", matrix=A)
-    return ClassificationReport(nf, state.change_map(), achieved, n, p, q)
+    return NormalForm("type2")
 
 
 def _reduce_outside_dependence(state: _State, p: int, a: List[List[int]], j0: int):
@@ -687,52 +687,33 @@ def classify_linear_tensor(P: Multivector) -> ClassificationReport:
     The tensor is classified through its dual form i_P (dx1^...^dxn), which
     is co-Nambu exactly when P is Nambu, whatever the volume form.
 
-    The permutation to the tensor convention (active block first) is folded
-    into the change and relabels the achieved form's constant array, and the
-    achieved tensor absorbs the determinant factor so
-    pushforward_tensor(P, report.change) == report.achieved_tensor exactly.
-    Classification runs as in classify_linear, with the same certificate; the
-    reported matrix, normal_form.matrix, is the tensor-convention one.
+    The classifier's last move is the permutation to the tensor convention
+    (active block first), and the achieved tensor absorbs the determinant
+    factor so pushforward_tensor(P, report.change) == report.achieved_tensor
+    exactly. The certificate is the one of classify_linear, run on the report
+    as returned; the reported matrix, normal_form.matrix, is the
+    tensor-convention one (`_type2_field`).
     """
-    q = P.grade
-    n = P.nvars
-    report = _certified_report(tensor_to_form(P))
-    p = n - q
-
-    # permutation to the tensor convention: active block first, parameters last
-    if report.normal_form.tag == "type1":
-        order = list(range(p - 1, n)) + list(range(p - 1))
-    else:
-        order = list(range(p + 1, n)) + list(range(p + 1))
-    # new coordinate k is the old coordinate order[k]: the change's rows are
-    # reordered, and z_old = A . z_new with A[i][k] = [i == order[k]]
-    change = report.change.linear_matrix()
-    acc = RatMatrix._make([change.num[k] for k in order], change.den)
-    relabel = _State(report.achieved_form)
-    relabel.apply(RatMatrix._make([[int(i == order[k]) for k in range(n)] for i in range(n)]))
-    achieved_form = relabel.form()
-    det = acc.det()
-    achieved_tensor = form_to_tensor(achieved_form).scale(det)
-
-    report.change = FormalMap.from_matrix(acc)
-    report.achieved_form = achieved_form
-    report.achieved_tensor = achieved_tensor
-
-    if report.normal_form.tag == "type2":
-        report.normal_form.matrix = _extract_type2_field_matrix(achieved_tensor, q)
-    return report
+    return _certified_report(tensor_to_form(P), tensor=True)
 
 
-def _extract_type2_field_matrix(P: Multivector, q: int) -> RatMatrix:
-    """Read b with P = d1^...^d_{q-1}^(sum b^i_j x_i d_j) over the last block."""
-    frame = tuple(range(q - 1))
-    blocks = prefix_blocks(P, q - 1)
-    if set(blocks) - {frame}:
-        raise SolveInconsistencyError("achieved tensor is not in Type 2 shape")
-    X = blocks.get(frame, Multivector(P.nvars, 1, {}))
-    if any(c.linear_coefficients()[k] for c in X.comps.values() for k in frame):
-        raise SolveInconsistencyError("Type 2 field involves frame variables")
-    return field_matrix(X, range(q - 1, P.nvars))
+def _type2_field(P: Multivector, error: type) -> RatMatrix:
+    """The matrix b of P's linear part d_1^...^d_{q-1} ^ sum b^i_j x_i d_j, the
+    field on the last n - q + 1 variables and free of the frame variables.
+
+    Raises `error` when the linear part has another shape.
+    """
+    S = P.grade - 1
+    frame = tuple(range(S))
+    blocks = prefix_blocks(P.homogeneous_component(1), S)
+    if any(T != frame and not part.is_zero() for T, part in blocks.items()):
+        raise error("linear part is not in Type 2 normal shape")
+    if frame not in blocks:
+        raise error("linear part vanishes")
+    X = blocks[frame]
+    if any(any(row[:S]) for row in linear_rows(X.comps, P.nvars)[0].values()):
+        raise error("linear field involves frame variables")
+    return field_matrix(X, range(S, P.nvars))
 
 
 # ---------------------------------------------------------------------------

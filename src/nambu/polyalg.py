@@ -463,19 +463,20 @@ def substitute_many(polys: Sequence[Poly], args: Sequence[Poly],
 # polynomial text grammar: "3/2*x1^2*x3 - x2 + 1"
 # ---------------------------------------------------------------------------
 
-def parse_poly(text: str, nvars: int, varname: str = "x") -> Poly:
+def parse_poly(text: str, nvars: int) -> Poly:
     """Parse the polynomial mini-grammar.
 
     Terms are sums/differences of products of rational numbers and powers of
     x1..xn; "*" between factors is optional; whitespace is insignificant.
-    Errors carry the offending position.
+    Numbers and indices are ASCII digits. Errors carry the offending position.
     """
-    tokens = _tokenize(text, varname)
+    tokens = _tokenize(text)
     if not tokens:
         raise PolyParseError("empty polynomial", 0)
     pos = 0
     terms = {}
-    first = True
+    # _parse_term stops only at a sign token or at the end of the input, so
+    # every term after the first starts with a sign
     while pos < len(tokens):
         kind, _, at = tokens[pos]
         sign = 1
@@ -484,10 +485,7 @@ def parse_poly(text: str, nvars: int, varname: str = "x") -> Poly:
             pos += 1
             if pos >= len(tokens):
                 raise PolyParseError("expected a term after sign", at + 1)
-        elif not first:
-            raise PolyParseError("expected '+' or '-' between terms", at)
-        exps, coeff, pos = _parse_term(tokens, pos, nvars, varname, text)
-        first = False
+        exps, coeff, pos = _parse_term(tokens, pos, nvars, text)
         if coeff:
             # a sum that cancels leaves the dict, as in Poly.__add__
             s = terms.get(exps, 0) + sign * coeff
@@ -498,7 +496,21 @@ def parse_poly(text: str, nvars: int, varname: str = "x") -> Poly:
     return Poly._make(nvars, *_over_one_denominator(terms))
 
 
-def _tokenize(text: str, varname: str):
+def _digits(text: str, i: int) -> Tuple[Optional[int], int]:
+    """(value, end) of the run of ASCII digits at i; value is None when
+    there is none."""
+    j = i
+    while j < len(text) and text[j] in "0123456789":
+        j += 1
+    if j == i:
+        return None, i
+    try:
+        return int(text[i:j]), j
+    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+        raise PolyParseError("number too long", i) from None
+
+
+def _tokenize(text: str):
     tokens = []
     i = 0
     n = len(text)
@@ -511,42 +523,31 @@ def _tokenize(text: str, varname: str):
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            num = int(text[i:j])
-            if j < n and text[j] == "/":
-                k = j + 1
-                if k >= n or not text[k].isdigit():
-                    raise PolyParseError("expected denominator digits", j + 1)
-                m = k
-                while m < n and text[m].isdigit():
-                    m += 1
-                den = int(text[k:m])
-                if den == 0:
-                    raise PolyParseError("zero denominator", k)
-                tokens.append(("num", Fraction(num, den), i))
-                i = m
-            else:
-                tokens.append(("num", num, i))
-                i = j
+        if ch == "x":
+            index, j = _digits(text, i + 1)
+            if index is None:
+                raise PolyParseError("expected variable index after 'x'", i + 1)
+            tokens.append(("var", index, i))
+            i = j
             continue
-        if text.startswith(varname, i):
-            j = i + len(varname)
-            k = j
-            while k < n and text[k].isdigit():
-                k += 1
-            if k == j:
-                raise PolyParseError(f"expected variable index after '{varname}'", j)
-            tokens.append(("var", int(text[j:k]), i))
-            i = k
-            continue
-        raise PolyParseError(f"unexpected character {ch!r}", i)
+        num, j = _digits(text, i)
+        if num is None:
+            raise PolyParseError(f"unexpected character {ch!r}", i)
+        if j < n and text[j] == "/":
+            den, m = _digits(text, j + 1)
+            if den is None:
+                raise PolyParseError("expected denominator digits", j + 1)
+            if den == 0:
+                raise PolyParseError("zero denominator", j + 1)
+            tokens.append(("num", Fraction(num, den), i))
+            i = m
+        else:
+            tokens.append(("num", num, i))
+            i = j
     return tokens
 
 
-def _parse_term(tokens, pos, nvars, varname, text):
+def _parse_term(tokens, pos, nvars, text):
     """(exponent tuple, coefficient, next position) of the term at pos."""
     coeff = 1
     exps = [0] * nvars
@@ -562,7 +563,7 @@ def _parse_term(tokens, pos, nvars, varname, text):
         elif kind == "var":
             if not 1 <= value <= nvars:
                 raise PolyParseError(
-                    f"variable {varname}{value} out of range 1..{nvars}", at)
+                    f"variable x{value} out of range 1..{nvars}", at)
             power = 1
             pos += 1
             if pos < len(tokens) and tokens[pos][0] == "^":

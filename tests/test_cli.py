@@ -1,10 +1,12 @@
 """CLI front end: parsing, dispatch, exit codes, byte-stable output."""
 
+import contextlib
 import io
 import json
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fractions import Fraction
 
@@ -65,6 +67,37 @@ def test_verify_zero_denominator_position(capsys, monkeypatch):
     code, out, err = invoke(capsys, ["verify", "-"], payload, monkeypatch)
     assert code == 2 and out == ""
     assert "zero denominator (at position 2)" in err
+
+
+def _verify_form_cli(text):
+    """Exit code and stderr of `nambu verify - --form` on one component text."""
+    payload = json.dumps({"nvars": 2, "grade": 1, "components": {"1": text}})
+    stdin, sys.stdin = sys.stdin, io.StringIO(payload)
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(["verify", "-", "--form"])
+    finally:
+        sys.stdin = stdin
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("text, at", [("x²", 1), ("²", 0), ("1/²", 2), ("x1^²", 3),
+                                      ("٣*x1", 0), ("x١", 1),
+                                      pytest.param("9" * 5000, 0, id="5000-digits")])
+def test_polynomial_text_takes_ascii_digits_only(text, at):
+    # str.isdigit() holds for superscripts and Arabic-Indic digits, which
+    # int() then rejects or reads as ASCII ones; a number longer than int()
+    # converts is an input error too
+    code, err = _verify_form_cli(text)
+    assert code == 2 and f"(at position {at})" in err
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="+-*^/ x0123456789٣١²³¹⁰", max_size=12))
+def test_polynomial_text_never_crashes_the_cli(text):
+    code, err = _verify_form_cli(text)
+    assert code != 5 and "internal error" not in err
 
 
 def test_verify_q2_precondition(capsys, monkeypatch):

@@ -356,7 +356,8 @@ def split_inputs(draw):
 @given(split_inputs())
 def test_multiplier_split_matches_per_pattern_solves(case):
     alpha1, rho, y, r, n = case
-    got = _outcome(lambda: formal._split_multiplier(alpha1, rho, y, r, n, GradedSolveReport()))
+    diag = formal._type1_linear_data(alpha1, require_full_rank=False)[2]
+    got = _outcome(lambda: formal._split_multiplier(diag, rho, y, r, n, GradedSolveReport()))
     assert got == _outcome(lambda: per_pattern_split_multiplier(alpha1, rho, y, r, n))
 
 

@@ -280,6 +280,38 @@ def test_classify_zero_tensor():
     assert rep.normal_form.r == -1
 
 
+def _quadratic_slots(omega):
+    """{j: d_j} for the variables j outside the prefix shared by every key of
+    omega whose own component carries d_j x_j: the quadratic block of a Type
+    1 normal form, wherever its coordinates put it."""
+    keys = [set(K) for K in omega.comps]
+    prefix = set.intersection(*keys)
+    return {j: d for K, c in omega.comps.items() for j in set(K) - prefix
+            if (d := c.linear_coefficients()[j])}
+
+
+@pytest.mark.parametrize("n, q, r, s", [(5, 3, 1, 0), (5, 3, 2, 1), (6, 4, 3, 1),
+                                        (6, 3, 2, 1), (6, 3, 1, 2)])
+def test_companion_scales_sit_on_the_reports_quadratic_block(n, q, r, s):
+    """p >= 2 puts the parameters first in form reports and last in tensor
+    reports; either way the scale 1/sqrt|d_j| sits on the variables that
+    carry the achieved quadratic block, and 1.0 on the others."""
+    rng = random.Random(n * 100 + q * 10 + r + s)
+    signs = [rng.choice([1, -1]) for _ in range(r + 1)]
+    _, w = normal_form_generator("type1", n, q, r=r, s=s, signs=signs)
+    moved = pullback_form(w, FormalMap.from_matrix(rand_inv(rng, n)))
+    for rep in (classify_linear(moved), classify_linear_tensor(form_to_tensor(moved))):
+        slots = _quadratic_slots(rep.achieved_form)
+        # the block swap of a tensor report may flip the signs, not the sizes
+        assert sorted(map(abs, slots.values())) == sorted(map(abs, rep.normal_form.diag))
+        assert any(abs(d) != 1 for d in slots.values())
+        expected = [1 / math.sqrt(abs(slots[j])) if j in slots else 1.0 for j in range(n)]
+        assert rep.numeric_companion == pytest.approx(expected, rel=1e-12)
+        if rep.achieved_tensor is not None:
+            det = rep.change.linear_matrix().det()
+            assert rep.achieved_tensor == form_to_tensor(rep.achieved_form).scale(det)
+
+
 # -- nondegeneracy invariants ------------------------------------------------------------
 
 def test_nondegeneracy_elliptic_signature():
