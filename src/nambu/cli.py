@@ -3,8 +3,9 @@
 Exit codes: 0 success or verified-pass, 1 verified-fail or resonance found,
 2 malformed input or flag value (a --tol, NAMBU_TOL or --bryuno value that
 is not finite, a --tol that is not positive), 3 precondition unmet (q < 3,
-not co-Nambu, degenerate linear part, zero trace, empty resonance matrix),
-4 internal solve inconsistency, 5 any other
+not co-Nambu, degenerate linear part, zero trace, empty resonance matrix,
+an eigenvalue or small divisor beyond float range), 4 internal solve
+inconsistency, 5 any other
 internal error, printed as one line (`internal error: <Type>: <message>`)
 without a traceback. Exit 1 never reports a crash.
 """
@@ -200,8 +201,9 @@ def _cmd_linearize(args) -> int:
     data = _read_payload(args.input)
     obj = parse_input(data, as_form=args.form)
     N = args.order
+    tol = _default_tol(args)
     if args.type2:
-        return _linearize_type2(obj, N, args)
+        return _linearize_type2(obj, N, tol, args)
     return _linearize_type1(obj, N, args)
 
 
@@ -229,8 +231,7 @@ def _linearize_type1(obj, N, args) -> int:
     return EXIT_OK
 
 
-def _linearize_type2(obj, N, args) -> int:
-    tol = _default_tol(args)
+def _linearize_type2(obj, N, tol, args) -> int:
     if isinstance(obj, DiffForm):
         P = form_to_tensor(obj)
     else:

@@ -9,7 +9,10 @@ result is ever patched numerically.
 Inert variables ride in the right-hand side: the divisions treat the
 variables off the active block as parameters (Saito's de Rham lemma with
 parameters), so each degree is one solve per active degree, with columns over
-active monomials and a Poly in the inert variables per row.
+active monomials and a Poly in the inert variables per row. One loop,
+`_graded_solve`, solves and records these systems for every pass (the de Rham
+and frame divisions, the multiplier split, and the Lie equations L_U T = R with
+every variable active), and each pass supplies only its columns, in closed form.
 
 Transport: the passes move objects by derivations and invert no map, and
 one checker, `contract_residual`, checks every contract along the map: a
@@ -21,8 +24,7 @@ conjugacy equation X(Phi) = L o Phi, the grade-1 case of that check. The
 Type 1 multiplier step never moves a tensor: L_X Pi_1 = f_r Pi_1 keeps every
 pushed tensor a multiple g * Pi_1, so each time-1 flow acts on g alone by the
 Lie series exp(-(X + f_r)) (Deprit 1969). That step and Poincare solve
-their Lie equations L_U T = R degree by degree with one solver, `_lie_solve`
-(the homological equation; Murdock 2003).
+their Lie equations L_U T = R, the homological equation (Murdock 2003).
 
 Degree bookkeeping: a coefficient-degree-d vector field moves degree-d
 structure. Each object carries the degree through which it is trusted, and
@@ -45,6 +47,7 @@ N.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -53,13 +56,14 @@ from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .polyalg import (
-    GradedSystem,
     Poly,
     PreconditionError,
     RatMatrix,
     SolveInconsistencyError,
     _monomials_of_degree,
+    as_float,
     eigen_data,
+    solve_sparse,
 )
 from .exterior import (
     DiffForm,
@@ -76,6 +80,7 @@ from .exterior import (
     field_matrix,
     lie_bracket,
     lie_derivative,
+    linear_rows,
     merge_sign,
     prefix_blocks,
     pullback_form,
@@ -102,16 +107,6 @@ class GradedSolveRecord:
 @dataclass
 class GradedSolveReport:
     records: List[GradedSolveRecord] = field(default_factory=list)
-
-    def solve(self, system, degree: int, note: str, message: str, residual=None) -> list:
-        """Solve and record system; raise SolveInconsistencyError(message)
-        with degree and residual when it is inconsistent."""
-        res = system.solve()
-        self.records.append(GradedSolveRecord(degree, len(system.rows), system.ncols,
-                                              res.consistent, note))
-        if not res.consistent:
-            raise SolveInconsistencyError(message, degree=degree, residual=residual)
-        return res.solution
 
     def to_json_obj(self):
         return [{"degree": r.degree, "rows": r.rows, "cols": r.cols,
@@ -180,27 +175,64 @@ def contract_residual(obj, phi: FormalMap, target, F: Poly, N: int):
 # ---------------------------------------------------------------------------
 
 def _homogeneous_split(obj, max_degree):
-    parts = {}
-    for d in range(max_degree + 1):
-        h = obj.homogeneous_component(d)
-        if not h.is_zero():
-            parts[d] = h
-    return parts
+    return {d: h for d in range(max_degree + 1)
+            if not (h := obj.homogeneous_component(d)).is_zero()}
 
 
-def _rhs_by_active_degree(obj, active) -> Dict[int, Dict[tuple, Poly]]:
-    """obj's terms as right-hand sides: active degree -> row (active part of
-    the monomial, component key) -> the Poly of its inert parts."""
-    n = obj.nvars
+def _graded_solve(rhs, active, columns, degree: int, note: str,
+                  report: GradedSolveReport, message: str) -> list:
+    """The pairs (label, u), u a Poly in the inert variables, with sum u *
+    column = rhs: one exact system per active degree a of rhs's terms, its
+    unknowns columns(a) = [(label, {(active monomial, key): int}, den)]; a
+    degree without columns is left to the caller's check. Each system is
+    recorded in report; an inconsistent one raises
+    SolveInconsistencyError(message) at degree, rhs its residual."""
     active_set = set(active)
-    out: Dict[int, Dict[tuple, tuple]] = {}
-    for key, poly in obj.comps.items():
+    by_degree: Dict[int, dict] = {}  # active degree -> row -> (inert numerators, den)
+    for key, poly in rhs.comps.items():
         for exps, v in poly.num.items():
             act = tuple(e if i in active_set else 0 for i, e in enumerate(exps))
             inert = tuple(e - a for e, a in zip(exps, act))
-            out.setdefault(sum(act), {}).setdefault((act, key), ({}, poly.den))[0][inert] = v
-    return {a: {row: Poly._make(n, num, den) for row, (num, den) in rows.items()}
-            for a, rows in out.items()}
+            by_degree.setdefault(sum(act), {}).setdefault((act, key), ({}, poly.den))[0][inert] = v
+    out = []
+    for a, rhs_rows in sorted(by_degree.items()):
+        cols = columns(a)
+        if not cols:
+            continue
+        rows: Dict[tuple, dict] = {}
+        for c, (_, entries, den) in enumerate(cols):
+            for row, v in entries.items():
+                rows.setdefault(row, {})[c] = v if den == 1 else Fraction(v, den)
+        for row in rhs_rows:
+            rows.setdefault(row, {})
+        res = solve_sparse(list(rows.values()), len(cols),
+                           [Poly._make(rhs.nvars, *rhs_rows[row]) if row in rhs_rows else 0
+                            for row in rows])
+        report.records.append(
+            GradedSolveRecord(degree, len(rows), len(cols), res.consistent, note))
+        if not res.consistent:
+            raise SolveInconsistencyError(message, degree=degree, residual=rhs)
+        out += [(label, u) for (label, _, _), u in zip(cols, res.solution)]
+    return out
+
+
+def _wedge_columns(rows: dict, den: int, active: Sequence[int], res_tuples, n: int):
+    """columns(a) of result -> lin ^ result for `_graded_solve`, lin the
+    1-form sum_j (rows[(j,)] . x / den) dx_j: the unknown (mon, J), the term
+    x^mon dx_J with mon of active degree a - 1, has the entry sign * row[t]
+    at (mon + e_t, key), where dx_j ^ dx_J = sign dx_key. Each active
+    degree's columns are built once."""
+    terms = [(j, [(t, v) for t, v in enumerate(row) if v]) for (j,), row in rows.items()]
+    parts = {J: [(*ms, coeffs) for j, coeffs in terms if (ms := merge_sign((j,), J))]
+             for J in res_tuples}
+
+    @functools.cache
+    def columns(a):
+        return [((mon, J), {(mon[:t] + (mon[t] + 1,) + mon[t + 1:], key): sign * v
+                            for key, sign, coeffs in parts[J] for t, v in coeffs}, den)
+                for mon in (_monomials_of_degree(n, a - 1, active) if a else [])
+                for J in res_tuples]
+    return columns
 
 
 def graded_divide(divisor, target, active: Sequence[int], N: int,
@@ -230,22 +262,19 @@ def graded_divide(divisor, target, active: Sequence[int], N: int,
     for key in target.comps:
         if not set(key) <= active_set:
             raise PreconditionError("division target must live on the active block")
-    lin = divisor.homogeneous_component(1)
-    lin_rows = []
-    for i in active:
-        c = lin.component((i,))
-        row = c.linear_coefficients()
-        if any(row[t] != 0 for t in range(n) if t not in active_set):
-            raise PreconditionError("divisor linear part mixes inert variables")
-        lin_rows.append([row[t] for t in active])
-    if require_nondegenerate and RatMatrix(lin_rows).det() == 0:
+    rows, den = linear_rows(divisor.comps, n)
+    if any(row[t] for row in rows.values() for t in range(n) if t not in active_set):
+        raise PreconditionError("divisor linear part mixes inert variables")
+    if require_nondegenerate and RatMatrix(
+            [[rows[(i,)][t] if (i,) in rows else 0 for t in active] for i in active]).det() == 0:
         raise PreconditionError("divisor linear part is degenerate on the active block")
 
     k = target.grade
     res_grade = k - 1
     div_parts = _homogeneous_split(divisor, N + 1)
     tgt_parts = _homogeneous_split(target, N + 1)
-    res_tuples = list(itertools.combinations(active, res_grade))
+    columns = _wedge_columns(rows, den, active, list(itertools.combinations(active, res_grade)), n)
+    tag = f": {label}" if label else ""
     result = kind(n, res_grade, {})
     result_parts: Dict[int, object] = {}
 
@@ -256,12 +285,15 @@ def graded_divide(divisor, target, active: Sequence[int], N: int,
                 rhs = rhs - wedge(piece, result_parts[d + 1 - m])
         if rhs.is_zero():
             continue
-        sol_part = _solve_wedge_degree(div_parts.get(1), rhs, active, d,
-                                       res_tuples, n, kind, report, label)
+        pieces: Dict[tuple, list] = {}
+        for (mon, J), u in _graded_solve(rhs, active, columns, d, label, report,
+                                         f"inconsistent wedge division at degree {d}{tag}"):
+            pieces.setdefault(J, []).append((mon, u))
+        sol_part = kind(n, res_grade, {J: _shifted_sum(n, parts) for J, parts in pieces.items()})
         result_parts[d] = sol_part
         result = result + sol_part
     _raise_at(_lowest(wedge(divisor, result, N).truncate(N) - target.truncate(N)),
-              f"division failed{': ' + label if label else ''}")
+              f"division failed{tag}")
     return result
 
 
@@ -272,45 +304,6 @@ def _shifted_sum(n: int, pieces) -> Poly:
     D = math.lcm(*[v.den for _, v in pieces])
     return Poly._make(n, {tuple(map(add, mon, e)): c * (D // v.den)
                           for mon, v in pieces for e, c in v.num.items()}, D)
-
-
-def _solve_wedge_degree(lin_divisor, rhs, active, d, res_tuples,
-                        n, kind, report, label):
-    """One homogeneous degree of the wedge-multiplication solve: one system
-    per active degree, with the inert variables in the right-hand side."""
-    if lin_divisor is None:
-        raise SolveInconsistencyError(
-            f"divisor has no linear part{': ' + label if label else ''}", degree=d)
-    lin_coeffs = {key[0]: ({exps.index(1): v for exps, v in poly.num.items() if sum(exps) == 1},
-                           poly.den)
-                  for key, poly in lin_divisor.comps.items()}
-
-    pieces: Dict[tuple, list] = {}
-    for a, rows in sorted(_rhs_by_active_degree(rhs, active).items()):
-        if a == 0:
-            continue
-        cols = [(mon, J) for mon in _monomials_of_degree(n, a - 1, active)
-                for J in res_tuples]
-        system = GradedSystem(len(cols))
-        for col, (mon, J) in enumerate(cols):
-            for j, (coeffs, den) in lin_coeffs.items():
-                ms = merge_sign((j,), J)
-                if ms is None:
-                    continue
-                key, sign = ms
-                for t, v in coeffs.items():
-                    new = list(mon)
-                    new[t] += 1
-                    system.add((tuple(new), key), col, sign * v, den)
-        for row, v in rows.items():
-            system.rhs(row, v)
-        solution = report.solve(system, d, label,
-                                f"inconsistent wedge division at degree {d}"
-                                f"{': ' + label if label else ''}", rhs)
-        for (mon, J), v in zip(cols, solution):
-            pieces.setdefault(J, []).append((mon, v))
-    return kind(n, len(res_tuples[0]) if res_tuples else 0,
-                {J: _shifted_sum(n, parts) for J, parts in pieces.items()})
 
 
 def derham_divide(alpha: DiffForm, beta: DiffForm, active: Sequence[int], N: int,
@@ -357,7 +350,8 @@ def _type1_linear_data(omega: DiffForm, require_full_rank: bool = True):
 
     Expects omega^(1) = dx_1^...^dx_{p-1} ^ sum_j d_j x_j dx_j over the
     trailing block. With require_full_rank every trailing slot must carry a
-    nonzero d_j (the nondegenerate case). Returns (p, y, diag, alpha1).
+    nonzero d_j (the nondegenerate case). Returns (p, y, alpha1, rows, den),
+    alpha1's linear rows over den (`linear_rows`), so d_j = rows[(j,)][j] / den.
     """
     n, p = omega.nvars, omega.grade
     lin = omega.homogeneous_component(1)
@@ -370,18 +364,15 @@ def _type1_linear_data(omega: DiffForm, require_full_rank: bool = True):
     if alpha1 is None:
         raise PreconditionError("linear part vanishes")
     y = list(range(p - 1, n))
-    diag = {}
-    for (j,), c in alpha1.comps.items():
-        coeffs = c.linear_coefficients()
-        if any(coeffs[t] != 0 for t in range(n) if t != j):
-            raise PreconditionError("quadratic part of the linear form is not diagonal")
-        diag[j] = coeffs[j]
-    if require_full_rank and (sorted(diag) != y or any(diag[j] == 0 for j in y)):
+    rows, den = linear_rows(alpha1.comps, n)
+    if any(v for (j,), row in rows.items() for t, v in enumerate(row) if t != j):
+        raise PreconditionError("quadratic part of the linear form is not diagonal")
+    if require_full_rank and (sorted(j for j, in rows) != y or not all(rows[(j,)][j] for j in y)):
         raise PreconditionError(
             "linear part is a degenerate Type 1 form (full-rank diagonal needed)")
-    if not diag:
+    if not rows:
         raise PreconditionError("quadratic part of the linear form vanishes")
-    return p, y, diag, alpha1
+    return p, y, alpha1, rows, den
 
 
 def formal_decompose_type1(omega: DiffForm, N: int
@@ -467,7 +458,8 @@ def formal_linearize_type1(omega: DiffForm, N: int) -> Type1LinearizationResult:
     if N < 2:
         raise PreconditionError("N must be >= 2")
     n = omega.nvars
-    p, y, diag, alpha1 = _type1_linear_data(omega)
+    p, y, alpha1, rows, den = _type1_linear_data(omega)
+    split_columns = _split_columns(rows, den, y, n)
     report = GradedSolveReport()
     omega = omega.truncate(N)
     omega_lin = omega.homogeneous_component(1)
@@ -516,7 +508,7 @@ def formal_linearize_type1(omega: DiffForm, N: int) -> Type1LinearizationResult:
             if key[0] < p - 1:
                 raise SolveInconsistencyError(
                     "prefix residual has parameter components", degree=r)
-        f_r, h_pot = _split_multiplier(diag, rho, y, r, n, report)
+        f_r, h_pot = _split_multiplier(split_columns, rho, y, r, n, report)
         f_total = f_total + f_r
         if not h_pot.is_zero():
             comps = [Poly.variable(n, i) for i in range(n)]
@@ -525,7 +517,7 @@ def formal_linearize_type1(omega: DiffForm, N: int) -> Type1LinearizationResult:
                 new = list(exps)
                 new[j] -= 1
                 comps[j] = comps[j] - Poly.monomial(
-                    n, new, Fraction(c * diag[j].denominator, h_pot.den * diag[j].numerator))
+                    n, new, Fraction(c * den, h_pot.den * rows[(j,)][j]))
             step = FormalMap(comps, trunc=N)
             cur = pullback_form(cur, step, N)
             phi_total = phi_total.compose(step, N)
@@ -539,38 +531,32 @@ def formal_linearize_type1(omega: DiffForm, N: int) -> Type1LinearizationResult:
     return Type1LinearizationResult(phi_total, f_total, report, omega_lin)
 
 
-def _split_multiplier(diag, rho, y, r, n, report):
-    """Solve rho = f * alpha1 + d_y(h) for homogeneous degree r, with
-    alpha1 = sum_j diag[j] x_j dx_j (`_type1_linear_data`).
+def _split_columns(rows: dict, den: int, y: Sequence[int], n: int):
+    """columns(a) of rho = f * alpha1 + d_y(h) for `_graded_solve`, alpha1 =
+    sum_j (rows[(j,)] . x / den) dx_j read once per linearization.
 
-    Unknowns: f over degree r-1 monomials, h over degree r+1 monomials with
-    at least one active variable; rho's terms of active degree a make one
-    exact solve, with f over active degree a-1 and h over a+1.
+    f * alpha1 is alpha1 ^ f, so f's unknowns, over active degree a - 1, have
+    the division's columns for a 0-form quotient (`_wedge_columns`); h's,
+    over active degree a + 1, are d_y(x^mon), with mon[j] at (mon - e_j, (j,)).
     """
+    f_columns = _wedge_columns(rows, den, y, [()], n)
+
+    @functools.cache
+    def columns(a):
+        return ([(("f", mon), e, d) for (mon, _), e, d in f_columns(a)]
+                + [(("h", mon), {(mon[:j] + (mon[j] - 1,) + mon[j + 1:], (j,)): mon[j]
+                                 for j in y if mon[j]}, 1)
+                   for mon in _monomials_of_degree(n, a + 1, y)])
+    return columns
+
+
+def _split_multiplier(columns, rho, y, r, n, report):
+    """(f, h) with rho = f * alpha1 + d_y(h) in homogeneous degree r, on the
+    columns of `_split_columns`."""
     pieces = {"f": [], "h": []}
-    for a, rows in sorted(_rhs_by_active_degree(rho, y).items()):
-        cols = ([("f", mon) for mon in (_monomials_of_degree(n, a - 1, y) if a else [])]
-                + [("h", mon) for mon in _monomials_of_degree(n, a + 1, y)])
-        system = GradedSystem(len(cols))
-        for col, (kind_, mon) in enumerate(cols):
-            if kind_ == "f":
-                for j, dj in diag.items():
-                    new = list(mon)
-                    new[j] += 1
-                    system.add((tuple(new), (j,)), col, dj)
-                continue
-            for j in y:
-                if mon[j] == 0:
-                    continue
-                new = list(mon)
-                new[j] -= 1
-                system.add((tuple(new), (j,)), col, mon[j])
-        for row, v in rows.items():
-            system.rhs(row, v)
-        solution = report.solve(system, r, "multiplier split",
-                                "multiplier split inconsistent", rho)
-        for (kind_, mon), v in zip(cols, solution):
-            pieces[kind_].append((mon, v))
+    for (part, mon), u in _graded_solve(rho, y, columns, r, "multiplier split", report,
+                                        "multiplier split inconsistent"):
+        pieces[part].append((mon, u))
     return _shifted_sum(n, pieces["f"]), _shifted_sum(n, pieces["h"])
 
 
@@ -727,22 +713,17 @@ def remove_multiplier(f: Poly, signs: Sequence[int], N: int,
 
 def _lie_solve(T: Multivector, bases: Sequence[Multivector], fields, rhs: Multivector,
                degree: int, note: str, message: str, report: GradedSolveReport) -> Multivector:
-    """One exact solve of L_U T = rhs for U = sum c h bases[b] over the
-    fields (b, h), on the closed-form columns of `_lie_columns`; U is
-    accumulated component by component from the solved multiples."""
-    system = GradedSystem(len(fields))
-    for col, (entries, den) in enumerate(_lie_columns(T, bases, fields)):
-        for label, v in entries.items():
-            system.add(label, col, v, den)
-    for key, poly in rhs.comps.items():
-        for exps, v in poly.num.items():
-            system.rhs((key, exps), v, poly.den)
+    """L_U T = rhs solved for U = sum c h bases[b] over the fields (b, h), on
+    the columns of `_lie_columns` with every variable active."""
+    n = T.nvars
+    columns = _lie_columns(T, bases, fields)
     out: Dict[tuple, Poly] = {}
-    for (b, h), v in zip(fields, report.solve(system, degree, note, message)):
-        if v:
+    for (b, h), u in _graded_solve(rhs, range(n), lambda a: columns, degree, note, report,
+                                   message):
+        if u:
             for key, c in bases[b].comps.items():
-                _accumulate(out, key, c.mul(h).scale(v))
-    return Multivector._make(T.nvars, 1, out)
+                _accumulate(out, key, c.mul(h).scale(u.constant_term()))
+    return Multivector._make(n, 1, out)
 
 
 def _lie_multiplier_basis(diag: Sequence[int], r: int, active: Sequence[int], n: int):
@@ -778,8 +759,9 @@ def _lie_multiplier_basis(diag: Sequence[int], r: int, active: Sequence[int], n:
 
 
 def _lie_columns(T: Multivector, bases: Sequence[Multivector], fields) -> list:
-    """The columns L_{h Y} T of the fields (b, h), Y = bases[b], as pairs
-    ({(key, exps): numerator}, denominator) of L_{hY} T's nonzero terms.
+    """The columns L_{h Y} T of the fields (b, h), Y = bases[b], as triples
+    ((b, h), {(exps, key): numerator}, denominator) of L_{hY} T's nonzero
+    terms, for `_graded_solve`.
 
     By L_{hY} T = h L_Y T - sum_k (d_k h) (Y ^ i_{dx_k} T), with i the
     leading-slot contraction (`_contract_single`), a column is a sum of
@@ -809,9 +791,9 @@ def _lie_columns(T: Multivector, bases: Sequence[Multivector], fields) -> list:
                 else:
                     continue
                 for key, exps, v in entries:
-                    label = (key, tuple(map(add, exps, shift)))
+                    label = (tuple(map(add, exps, shift)), key)
                     acc[label] = get(label, 0) + f * v
-        columns.append(({label: v for label, v in acc.items() if v}, D * h.den))
+        columns.append(((b, h), {label: v for label, v in acc.items() if v}, D * h.den))
     return columns
 
 
@@ -1121,7 +1103,7 @@ def resonance_report(B: RatMatrix, M: int, tol: float = 1e-9,
                     resonances.append((i, m))
                 if gap < best:
                     best = gap
-        small[order] = best / D
+        small[order] = as_float(best, D, f"the order-{order} small divisor")
     bry = None
     params = None
     if C is not None:

@@ -15,6 +15,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from decimal import Context
 from fractions import Fraction
 from operator import add, mul
 from typing import List, Optional, Sequence, Tuple
@@ -304,14 +305,6 @@ class Poly:
         """Substitute args[i] for variable i: the one-polynomial case of
         `substitute_many`."""
         return substitute_many([self], args, trunc)[0]
-
-    def linear_coefficients(self) -> List[Fraction]:
-        """Coefficient vector of the degree-1 part."""
-        out = [Fraction(0)] * self.nvars
-        for exps, n in self.num.items():
-            if sum(exps) == 1:
-                out[exps.index(1)] = Fraction(n, self.den)
-        return out
 
     # -- printing ----------------------------------------------------------
 
@@ -1032,34 +1025,6 @@ def solve_linear(M: RatMatrix, b: Sequence) -> LinearSolveResult:
                         M.cols, b)
 
 
-class GradedSystem:
-    """One sparse exact system M x = b, assembled entry by entry with labelled rows.
-
-    A row label is any hashable key (a monomial with a component index, say);
-    rows keep the order of first use, columns run over 0..ncols-1, and
-    entries added twice at one place accumulate. A right-hand side entry is a
-    scalar or a `Poly`, whose monomials one solve answers at once.
-    """
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows = {}  # label -> {column: value}
-        self.b = {}     # label -> right-hand side
-
-    def add(self, row, col: int, v, den: int = 1) -> None:
-        """Add v / den at (row, col); int entries stay ints."""
-        entries = self.rows.setdefault(row, {})
-        entries[col] = entries.get(col, 0) + (v if den == 1 else Fraction(v, den))
-
-    def rhs(self, row, v, den: int = 1) -> None:
-        self.rows.setdefault(row, {})
-        self.b[row] = v if den == 1 else Fraction(v, den)
-
-    def solve(self) -> LinearSolveResult:
-        return solve_sparse(list(self.rows.values()), self.ncols,
-                            [self.b.get(key, 0) for key in self.rows])
-
-
 # ---------------------------------------------------------------------------
 # congruence diagonalization (Sylvester inertia)
 # ---------------------------------------------------------------------------
@@ -1197,10 +1162,13 @@ def char_poly(M: RatMatrix) -> List[Fraction]:
 def rational_roots(coeffs: Sequence[Fraction]) -> Tuple[List[Fraction], List[Fraction]]:
     """All rational roots (with multiplicity) plus the remaining factor.
 
-    Works on the integer-cleared polynomial P = d f. A candidate p/q of the
-    rational-root theorem (p | P(0) and q | lead(P), in lowest terms) is
-    tested by integer Horner on q^deg P(p/q), and a root is divided out of P
-    as the primitive factor q t - p, on integers, as often as it divides.
+    Works on the integer-cleared polynomial P = d f, its powers of t
+    stripped. A linear P has the root -P0 / P1, and a quadratic one the
+    roots (-P1 +- s) / (2 P2) when its exact discriminant is a square s^2,
+    else none. Of higher degree, a candidate p/q of the rational-root
+    theorem (p | P(0) and q | lead(P), in lowest terms) is tested by integer
+    Horner on q^deg P(p/q), and a root is divided out of P as the primitive
+    factor q t - p, on integers, as often as it divides.
     The roots come back ordered by (|r|, sign), positive first; the
     remaining factor f / prod (t - r) is the quotient left times prod q / d.
     """
@@ -1216,15 +1184,19 @@ def rational_roots(coeffs: Sequence[Fraction]) -> Tuple[List[Fraction], List[Fra
 
     def divisors(k: int):
         k = abs(k)
-        out = set()
-        for j in range(1, int(math.isqrt(k)) + 1):
-            if k % j == 0:
-                out.add(j)
-                out.add(k // j)
-        return sorted(out)
+        return sorted({e for j in range(1, math.isqrt(k) + 1) if k % j == 0 for e in (j, k // j)})
 
     scale = 1
-    if len(P) > 1:
+    if len(P) == 2:
+        roots.append(Fraction(-P[0], P[1]))
+        P = P[1:]
+    elif len(P) == 3:
+        disc = P[1] * P[1] - 4 * P[0] * P[2]
+        s = math.isqrt(disc) if disc >= 0 else -1
+        if s * s == disc:
+            roots += [Fraction(-P[1] + s, 2 * P[2]), Fraction(-P[1] - s, 2 * P[2])]
+            P = P[2:]
+    elif len(P) > 3:
         for q in divisors(P[-1]):
             for p in divisors(P[0]):
                 if math.gcd(p, q) != 1:
@@ -1345,6 +1317,15 @@ def _quadratic_roots(g: List[Fraction]) -> list:
     return roots
 
 
+def as_float(num, den: int, what: str) -> float:
+    """num / den, or a PreconditionError naming what and the value when no float holds it."""
+    try:
+        return num / den
+    except OverflowError:
+        shown = Context(prec=6).divide(num, den).normalize()
+        raise PreconditionError(f"{what} {shown} is beyond float range") from None
+
+
 def eigen_data(M: RatMatrix, tol: float = 1e-9) -> EigenData:
     """Exact characteristic polynomial, exact rational roots, numeric rest.
 
@@ -1360,7 +1341,7 @@ def eigen_data(M: RatMatrix, tol: float = 1e-9) -> EigenData:
     coeffs = char_poly(M)
     rats, residual = rational_roots(coeffs)
     rats.sort()
-    numeric = [complex(Fraction(r)) for r in rats]
+    numeric = [complex(as_float(r.numerator, r.denominator, "eigenvalue")) for r in rats]
     if len(residual) > 1:
         import mpmath
 

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -254,6 +257,44 @@ def test_linearize_nonfinite_tol_exit2(capsys, monkeypatch, tol):
                                     "--matrix", "2,0;0,3"])
     _assert_input_error(*invoke(capsys, ["linearize", "-", "--type2", "--order", "3",
                                          "--tol", tol], fixture, monkeypatch))
+
+
+@pytest.mark.parametrize("flags, env", [(["--tol", "-1"], None), (["--tol", "nan"], None),
+                                        ([], "garbage"), ([], "0")])
+def test_linearize_type1_checks_tol(capsys, monkeypatch, flags, env):
+    # the tolerance is read once for both types, so --type1 rejects what --type2 does
+    _, fixture, _ = invoke(capsys, ["generate", "type1", "--n", "5", "--q", "3",
+                                    "--r", "3", "--s", "0", "--signs", "+-++", "--form"])
+    if env is not None:
+        monkeypatch.setenv("NAMBU_TOL", env)
+    _assert_input_error(*invoke(capsys, ["linearize", "-", "--form", "--type1", "--order", "3",
+                                         *flags], fixture, monkeypatch))
+
+
+@pytest.mark.parametrize("matrix, code, value", [
+    ([[1000000007, 1], [0, 998244353]], 0, None),
+    ([[1000000007, 1], [1, 998244353]], 0, None),
+    ([[1e308]], 3, "2E+308"),
+    ([["1e400"]], 3, "1E+400"),
+])
+def test_resonance_answers_large_entries(matrix, code, value):
+    # rational roots of linear and quadratic factors in closed form; a value
+    # that no float holds is a precondition, named on one line. Run in a
+    # subprocess with a timeout, so that a trial division fails the test
+    # instead of hanging it.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "nambu.cli", "resonance", "-"],
+                          input=json.dumps({"matrix": matrix}), capture_output=True,
+                          text=True, env=env, timeout=20)
+    assert proc.returncode == code
+    if value is None:
+        assert proc.stderr == "" and json.loads(proc.stdout)["resonances"] == []
+    else:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("precondition unmet:") and proc.stderr.count("\n") == 1
+        assert f"{value} is beyond float range" in proc.stderr
 
 
 @pytest.mark.parametrize("bryuno", ["nan,0.5", "1.0,nan", "inf,0.5"])

@@ -1,5 +1,6 @@
 """Formal normalization: divisions, Type-1/Type-2 inductions, resonances."""
 
+import functools
 import hashlib
 import io
 import itertools
@@ -17,7 +18,6 @@ from nambu import formal
 from nambu.cli import run
 
 from nambu.polyalg import (
-    GradedSystem,
     Poly,
     PreconditionError,
     RatMatrix,
@@ -25,6 +25,7 @@ from nambu.polyalg import (
     _monomials_of_degree,
     eigen_data,
     parse_poly,
+    solve_sparse,
 )
 from nambu.exterior import (
     DiffForm,
@@ -38,6 +39,7 @@ from nambu.exterior import (
     formal_map_from_json,
     lie_bracket,
     lie_derivative,
+    linear_rows,
     merge_sign,
     pullback_form,
     scalar_form,
@@ -162,24 +164,44 @@ def _by_pattern(mons, active_set):
     return groups
 
 
-def per_pattern_solve_wedge_degree(lin_divisor, rhs, active, d, res_tuples, n, kind,
-                                   report, label):
-    if lin_divisor is None:
-        raise SolveInconsistencyError(
-            f"divisor has no linear part{': ' + label if label else ''}", degree=d)
+def scalar_solve(columns, rhs):
+    """The solution of sum_c x_c columns[c] = rhs as one scalar system, the
+    columns and rhs as {row label: Fraction}; None when it is inconsistent."""
+    rows = {}
+    for c, column in enumerate(columns):
+        for label, v in column.items():
+            rows.setdefault(label, {})[c] = v
+    for label in rhs:
+        rows.setdefault(label, {})
+    res = solve_sparse(list(rows.values()), len(columns), [rhs.get(label, 0) for label in rows])
+    return res.solution if res.consistent else None
+
+
+def _unit(n, t):
+    return tuple(int(i == t) for i in range(n))
+
+
+def per_pattern_wedge_solve(divisor, rhs, active, columns, degree, note, report, message):
+    """A stand-in for `formal._graded_solve` inside `graded_divide`: it
+    ignores the given columns and solves one scalar system per inert
+    pattern, over all degree-d monomials, with columns read off the Fraction
+    coefficients of divisor's linear part."""
+    n = rhs.nvars
     active_set = set(active)
-    lin_coeffs = {key[0]: {t: c for t, c in enumerate(poly.linear_coefficients()) if c}
-                  for key, poly in lin_divisor.comps.items()}
+    lin = {key[0]: {t: c for t in range(n) if (c := poly.coefficient(_unit(n, t)))}
+           for key, poly in divisor.comps.items()}
+    res_tuples = list(itertools.combinations(active, rhs.grade - 1))
     rhs_entries = {}
     for key, poly in rhs.comps.items():
         for exps, c in poly.terms.items():
             rhs_entries.setdefault(_inert_pattern(exps, active_set), {})[(exps, key)] = c
-    out_terms = {}
-    for pat, mons in sorted(_by_pattern(_all_monomials(n, d), active_set).items()):
+    out = {}
+    for pat, mons in sorted(_by_pattern(_all_monomials(n, degree), active_set).items()):
         cols = [(mon, J) for mon in mons for J in res_tuples]
-        system = GradedSystem(len(cols))
-        for col, (mon, J) in enumerate(cols):
-            for j, coeffs in lin_coeffs.items():
+        columns = []
+        for mon, J in cols:
+            column = {}
+            for j, coeffs in lin.items():
                 ms = merge_sign((j,), J)
                 if ms is None:
                     continue
@@ -187,24 +209,21 @@ def per_pattern_solve_wedge_degree(lin_divisor, rhs, active, d, res_tuples, n, k
                 for t, c in coeffs.items():
                     new = list(mon)
                     new[t] += 1
-                    system.add((tuple(new), key), col, sign * c)
-        for row_key, v in rhs_entries.get(pat, {}).items():
-            system.rhs(row_key, v)
-        res = system.solve()
-        if not res.consistent:
-            raise SolveInconsistencyError(
-                f"inconsistent wedge division at degree {d}{': ' + label if label else ''}",
-                degree=d, residual=rhs)
-        for (mon, J), v in zip(cols, res.solution):
+                    column[(tuple(new), key)] = sign * c
+            columns.append(column)
+        solution = scalar_solve(columns, rhs_entries.get(pat, {}))
+        if solution is None:
+            raise SolveInconsistencyError(message, degree=degree, residual=rhs)
+        for (mon, J), v in zip(cols, solution):
             if v:
-                out_terms.setdefault(J, {})[mon] = v
-    return kind(n, len(res_tuples[0]) if res_tuples else 0,
-                {J: Poly(n, terms) for J, terms in out_terms.items()})
+                act = tuple(e if i in active_set else 0 for i, e in enumerate(mon))
+                out.setdefault((act, J), {})[pat] = v
+    return [(label, Poly(n, terms)) for label, terms in out.items()]
 
 
 def per_pattern_split_multiplier(alpha1, rho, y, r, n):
     active_set = set(y)
-    diag = {key[0]: poly.linear_coefficients()[key[0]] for key, poly in alpha1.comps.items()}
+    diag = {key[0]: poly.coefficient(_unit(n, key[0])) for key, poly in alpha1.comps.items()}
     groups_f = _by_pattern(_all_monomials(n, r - 1), active_set)
     groups_h = _by_pattern([m for m in _all_monomials(n, r + 1) if any(m[i] for i in y)],
                            active_set)
@@ -216,25 +235,19 @@ def per_pattern_split_multiplier(alpha1, rho, y, r, n):
     for pat in sorted(set(groups_f) | set(groups_h) | set(rho_entries)):
         cols = ([("f", mon) for mon in groups_f.get(pat, [])]
                 + [("h", mon) for mon in groups_h.get(pat, [])])
-        system = GradedSystem(len(cols))
-        for col, (kind_, mon) in enumerate(cols):
-            if kind_ == "f":
-                for j, dj in diag.items():
-                    new = list(mon)
-                    new[j] += 1
-                    system.add((tuple(new), j), col, dj)
-                continue
-            for j in y:
-                if mon[j]:
-                    new = list(mon)
-                    new[j] -= 1
-                    system.add((tuple(new), j), col, Fraction(mon[j]))
-        for key, v in rho_entries.get(pat, {}).items():
-            system.rhs(key, v)
-        res = system.solve()
-        if not res.consistent:
+        columns = []
+        for kind_, mon in cols:
+            if kind_ == "f":  # f * alpha1
+                column = {(tuple(e + (i == j) for i, e in enumerate(mon)), j): dj
+                          for j, dj in diag.items()}
+            else:             # d_y(x^mon)
+                column = {(tuple(e - (i == j) for i, e in enumerate(mon)), j): Fraction(mon[j])
+                          for j in y if mon[j]}
+            columns.append(column)
+        solution = scalar_solve(columns, rho_entries.get(pat, {}))
+        if solution is None:
             raise SolveInconsistencyError("multiplier split inconsistent", degree=r, residual=rho)
-        for (kind_, mon), v in zip(cols, res.solution):
+        for (kind_, mon), v in zip(cols, solution):
             terms[kind_][mon] = v
     return Poly(n, terms["f"]), Poly(n, terms["h"])
 
@@ -296,7 +309,8 @@ def test_division_matches_per_pattern_solves(case, nondegenerate):
         return formal.graded_divide(divisor, target, active, N,
                                     require_nondegenerate=nondegenerate)
 
-    with mock.patch.object(formal, "_solve_wedge_degree", per_pattern_solve_wedge_degree):
+    with mock.patch.object(formal, "_graded_solve",
+                           functools.partial(per_pattern_wedge_solve, divisor)):
         expected = _outcome(divide)
     assert _outcome(divide) == expected
 
@@ -356,8 +370,8 @@ def split_inputs(draw):
 @given(split_inputs())
 def test_multiplier_split_matches_per_pattern_solves(case):
     alpha1, rho, y, r, n = case
-    diag = formal._type1_linear_data(alpha1, require_full_rank=False)[2]
-    got = _outcome(lambda: formal._split_multiplier(diag, rho, y, r, n, GradedSolveReport()))
+    columns = formal._split_columns(*linear_rows(alpha1.comps, n), y, n)
+    got = _outcome(lambda: formal._split_multiplier(columns, rho, y, r, n, GradedSolveReport()))
     assert got == _outcome(lambda: per_pattern_split_multiplier(alpha1, rho, y, r, n))
 
 
@@ -628,14 +642,78 @@ def test_remove_multiplier_and_prelinearization_invert_no_map(monkeypatch):
     assert calls == []
 
 
-def column_terms(entries, den):
-    """A `_lie_columns` column as {(key, exps): Fraction}."""
+def column_terms(_, entries, den):
+    """A `_lie_columns` column as {(exps, key): Fraction}."""
     return {label: Fraction(v, den) for label, v in entries.items()}
 
 
 def lie_terms(T: Multivector):
     """T's nonzero terms, labelled as the graded systems label them."""
-    return {(key, exps): c for key, p in T.comps.items() for exps, c in p.terms.items()}
+    return {(exps, key): c for key, p in T.comps.items() for exps, c in p.terms.items()}
+
+
+def scalar_lie_solve(T, bases, fields, rhs):
+    """L_U T = rhs on the columns of `_lie_columns` as one system with a
+    scalar right-hand side, U = sum c h bases[b]; None when inconsistent."""
+    solution = scalar_solve([column_terms(*column)
+                             for column in formal._lie_columns(T, bases, fields)],
+                            lie_terms(rhs))
+    if solution is None:
+        return None
+    U = Multivector(T.nvars, 1, {})
+    for (b, h), c in zip(fields, solution):
+        U = U + bases[b].poly_scale(h).scale(c)
+    return U
+
+
+@st.composite
+def lie_equations(draw):
+    """(T, bases, fields, rhs, degree): the multiplier equation L_X Pi_1 =
+    f_r Pi_1 on `_lie_multiplier_basis`, or the homological equation on
+    the unit fields times degree-d monomials for a rational linear field;
+    the right-hand side is solvable half the time, random otherwise."""
+    if draw(st.booleans()):
+        n = draw(st.integers(4, 5))
+        q = draw(st.integers(3, n - 1))
+        r = draw(st.integers(1, 2))
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=q + 1, max_size=q + 1))
+        T, _ = normal_form_generator("type1", n, q, r=q, s=0, signs=signs)
+        bases, fields = formal._lie_multiplier_basis(signs, r, range(q + 1), n)
+        if draw(st.booleans()):
+            rhs = T.poly_scale(_draw_poly(draw, n, [r], 4))
+        else:
+            keys = draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), q))),
+                                 min_size=1, max_size=2, unique=True))
+            rhs = Multivector(n, q, {K: _draw_poly(draw, n, [r + 1]) for K in keys})
+        return T, bases, fields, rhs, r
+    n = draw(st.integers(2, 3))
+    d = draw(st.integers(2, 3))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    T = Multivector(n, 1, {(j,): Poly(n, {_unit(n, i): draw(entry) for i in range(n)})
+                           for j in range(n)})
+    bases = [coordinate_field(n, i) for i in range(n)]
+    fields = [(i, Poly.monomial(n, mon)) for mon in _monomials_of_degree(n, d) for i in range(n)]
+    rhs = Multivector(n, 1, {(j,): _draw_poly(draw, n, [d]) for j in range(n)})
+    return T, bases, fields, rhs, d
+
+
+@settings(max_examples=60, deadline=None)
+@given(lie_equations())
+def test_lie_solve_matches_one_scalar_solve(case):
+    # the graded solve, every variable active, answers the equation as the
+    # one scalar system on the same columns does, and reports its residual
+    T, bases, fields, rhs, degree = case
+    expected = scalar_lie_solve(T, bases, fields, rhs)
+    report = GradedSolveReport()
+    try:
+        got = formal._lie_solve(T, bases, fields, rhs, degree, "note", "inconsistent", report)
+    except SolveInconsistencyError as exc:
+        assert expected is None
+        assert (exc.degree, exc.residual) == (degree, rhs)
+    else:
+        assert got == expected
+    assert [(r.degree, r.cols, r.solved) for r in report.records] == (
+        [] if rhs.is_zero() else [(degree, len(fields), expected is not None)])
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -647,7 +725,8 @@ def test_lie_multiplier_columns_are_the_lie_derivatives(r):
         signs = [rng.choice([1, -1]) for _ in range(q + 1)]
         P1, _ = normal_form_generator("type1", n, q, r=q, s=0, signs=signs)
         bases, fields = formal._lie_multiplier_basis(signs, r, range(q + 1), n)
-        for (b, h), column in zip(fields, formal._lie_columns(P1, bases, fields)):
+        for column in formal._lie_columns(P1, bases, fields):
+            b, h = column[0]
             assert column_terms(*column) == lie_terms(lie_derivative(bases[b].poly_scale(h), P1))
 
 
@@ -1210,7 +1289,8 @@ def test_homological_columns_are_the_brackets(n, d, data):
     units = [coordinate_field(n, i) for i in range(n)]
     fields = [(i, Poly.monomial(n, mon))
               for mon in _monomials_of_degree(n, d) for i in range(n)]
-    for (i, h), column in zip(fields, formal._lie_columns(L, units, fields)):
+    for column in formal._lie_columns(L, units, fields):
+        i, h = column[0]
         bracket = lie_bracket(L, units[i].poly_scale(h))
         assert column_terms(*column) == lie_terms(-bracket)
 

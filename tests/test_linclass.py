@@ -287,7 +287,7 @@ def _quadratic_slots(omega):
     keys = [set(K) for K in omega.comps]
     prefix = set.intersection(*keys)
     return {j: d for K, c in omega.comps.items() for j in set(K) - prefix
-            if (d := c.linear_coefficients()[j])}
+            if (d := c.coefficient(tuple(int(t == j) for t in range(c.nvars))))}
 
 
 @pytest.mark.parametrize("n, q, r, s", [(5, 3, 1, 0), (5, 3, 2, 1), (6, 4, 3, 1),
@@ -616,7 +616,9 @@ def _lowest_terms(rows, den):
 @given(linear_forms_and_moves())
 def test_integer_pull_back_matches_the_fraction_pullback(case):
     omega, moves = case
-    reference = {K: c.linear_coefficients() for K, c in omega.comps.items()}
+    n = omega.nvars
+    reference = {K: [c.coefficient(tuple(int(t == i) for t in range(n))) for i in range(n)]
+                 for K, c in omega.comps.items()}
     state = _State(omega)
     _lowest_terms(state.num, state.den)
     assert state.coeffs == reference

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from nambu.polyalg import (
-    GradedSystem,
     _back_substitute,
     _quadratic_roots,
     Poly,
@@ -766,24 +765,6 @@ def test_solve_sparse_poly_rhs_is_one_solve_per_monomial(system):
             res.witness
 
 
-def test_graded_system_labels_and_accumulation():
-    # x0 + x1 = 3 (entered in two pieces), x1 = 1, and a row seen only on the rhs
-    system = GradedSystem(3)
-    system.add("a", 0, Fraction(1))
-    system.add("b", 1, Fraction(1))
-    system.add("a", 1, Fraction(1, 2))
-    system.add("a", 1, Fraction(1, 2))
-    system.rhs("a", Fraction(3))
-    system.rhs("b", Fraction(1))
-    assert (len(system.rows), system.ncols) == (2, 3)
-    res = system.solve()
-    assert res.solution == [2, 1, 0] and res.pivots == [0, 1]
-    system.rhs("c", Fraction(1))
-    res = system.solve()
-    assert len(system.rows) == 3 and not res.consistent
-    assert res.witness == [0, 0, 1]
-
-
 # -- inertia -------------------------------------------------------------------
 
 def test_inertia_diagonal():
@@ -1090,6 +1071,36 @@ def irreducible_quadratics(draw, complex_pair, entry=_rational):
     else:
         assume(disc > 0 and not _is_rational_square(disc))
     return [c0, c1, c2]
+
+
+def _root_order(roots):
+    return sorted(roots, key=lambda f: (abs(f), f < 0))
+
+
+_big = st.integers(-10**12, 10**12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_coeff.filter(bool), st.integers(0, 3), _big, st.integers(1, 10**12), _big,
+       st.integers(1, 10**12))
+def test_rational_roots_of_split_quadratics(c, k, p1, q1, p2, q2):
+    # c t^k (q1 t - p1)(q2 t - p2): the roots in closed form, at any size,
+    # and as the trial division finds them where it finishes
+    coeffs = _poly_times(_poly_times([Fraction(0)] * k + [c], [-p1, q1]), [-p2, q2])
+    got = rational_roots(coeffs)
+    assert got == (_root_order([Fraction(0)] * k + [Fraction(p1, q1), Fraction(p2, q2)]),
+                   [c * q1 * q2])
+    if max(abs(p1), q1, abs(p2), q2) <= 1000:
+        assert got == _fraction_rational_roots(coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_coeff.filter(bool), st.integers(0, 3),
+       st.one_of(irreducible_quadratics(True), irreducible_quadratics(False)))
+def test_rational_roots_of_irreducible_quadratics(c, k, g):
+    # c t^k g with g irreducible: only the k zero roots, and c g is left
+    coeffs = [Fraction(0)] * k + [c * v for v in g]
+    assert rational_roots(coeffs) == ([Fraction(0)] * k, [c * v for v in g])
 
 
 def _polyroots_floats(g):
