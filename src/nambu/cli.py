@@ -111,7 +111,7 @@ def _read_matrix(data) -> RatMatrix:
 
 def _emit(payload: dict, args) -> None:
     if getattr(args, "format", "json") == "json":
-        sys.stdout.write(json.dumps(payload) + "\n")
+        sys.stdout.write(json.dumps(payload, allow_nan=False) + "\n")
     else:
         sys.stdout.write(_render_text(payload) + "\n")
 

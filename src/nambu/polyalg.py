@@ -1283,80 +1283,131 @@ def _mpf(c: Fraction):
     return mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
 
 
-def _quadratic_roots(g: List[Fraction]) -> list:
-    """The two roots of the quadratic g (coefficients ascending, no rational
-    root), at mpmath's working precision.
-
-    The discriminant is exact. A complex pair is -c1 / (2 c2) exactly plus or
-    minus i sqrt(-disc) / (2 |c2|); a real pair is t / c2 and c0 / t with
-    t = -(c1 + sign(c1) sqrt(disc)) / 2, which subtracts no close numbers.
-    Small parts are then cleaned up as `mpmath.polyroots` cleans them: a root
-    below eps becomes 0, an imaginary part below eps is dropped, and a real
-    part below eps too.
-    """
-    import mpmath
-
-    c0, c1, c2 = g
-    disc = c1 * c1 - 4 * c0 * c2
-    if disc < 0:
-        re = _mpf(-c1 / (2 * c2))
-        im = mpmath.sqrt(_mpf(-disc)) / _mpf(2 * abs(c2))
-        roots = [mpmath.mpc(re, im), mpmath.mpc(re, -im)]
-    else:
-        s = mpmath.sqrt(_mpf(disc))
-        t = -(_mpf(c1) + s) / 2 if c1 >= 0 else -(_mpf(c1) - s) / 2
-        roots = [t / _mpf(c2), _mpf(c0) / t]
-    tol = mpmath.eps
-    for i, r in enumerate(roots):
-        if abs(r) < tol:
-            roots[i] = mpmath.mpf(0)
-        elif abs(mpmath.im(r)) < tol:
-            roots[i] = mpmath.re(r)
-        elif abs(mpmath.re(r)) < tol:
-            roots[i] = mpmath.im(r) * 1j
-    return roots
+def _sign(x: Fraction, y: Fraction, r: Fraction) -> int:
+    """The sign of x + y sqrt(r) (r >= 0), exactly."""
+    sx, sy = (x > 0) - (x < 0), (y > 0) - (y < 0)
+    if sx * sy >= 0:
+        return sx or sy
+    return sx * ((x * x > y * y * r) - (x * x < y * y * r))
 
 
-def as_float(num, den: int, what: str) -> float:
-    """num / den, or a PreconditionError naming what and the value when no float holds it."""
+def _rounded(num: int, den: int) -> float:
+    """The float nearest num / den (den > 0), infinite beyond float range."""
     try:
         return num / den
     except OverflowError:
-        shown = Context(prec=6).divide(num, den).normalize()
-        raise PreconditionError(f"{what} {shown} is beyond float range") from None
+        return math.inf if num > 0 else -math.inf
+
+
+def _nearest_float(a: Fraction, b: Fraction, r: Fraction) -> float:
+    """The float nearest a + b sqrt(r) (r > 0), or a PreconditionError when
+    no float holds it.
+
+    On integers the value is (p + q sqrt(m)) / den, with m = num(r) den(r).
+    A rational sqrt(m) is exact. Otherwise sqrt(m) lies in [s, s + 1] / 2^k
+    with s = isqrt(m 4^k), and k doubles from 64 until both ends of the
+    value's bracket round to one float (Ziv's strategy). The value is then
+    irrational, so neither a float nor a midpoint between two, and the loop
+    ends. An end beyond float range rounds to infinity, so a value just
+    inside the range is refined, not refused.
+    """
+    m = r.numerator * r.denominator
+    den = a.denominator * b.denominator * r.denominator
+    p = a.numerator * b.denominator * r.denominator
+    q = b.numerator * a.denominator
+    s = math.isqrt(m)
+    if s * s == m:
+        return as_float(p + q * s, den, "eigenvalue")
+    k = 64
+    while True:
+        s = math.isqrt(m << 2 * k)
+        lo = (p << k) + q * s
+        if _rounded(lo, den << k) == _rounded(lo + q, den << k):
+            return as_float(lo, den << k, "eigenvalue")
+        k *= 2
+
+
+def _quadratic_roots(g: List[Fraction], eps: Fraction) -> List[complex]:
+    """The two roots of the quadratic g (coefficients ascending, no rational
+    root), correctly rounded, with the eps rule.
+
+    Each part is a + b sqrt(r) on exact rationals: a complex pair is
+    -c1 / (2 c2) plus or minus i sqrt(-disc) / (2 |c2|), a real pair is
+    (-c1 +- sqrt(disc)) / (2 c2). The eps rule is the clean-up of
+    `mpmath.polyroots`, decided exactly: a root of modulus below eps becomes
+    0, else an imaginary part below eps is dropped, else a real part below
+    eps is. Rounding is monotone, so a real root below eps has a float at
+    most float(eps), and only such a float needs the exact sign test.
+    """
+    c0, c1, c2 = g
+    disc = c1 * c1 - 4 * c0 * c2
+    a = -c1 / (2 * c2)
+    if disc > 0:
+        roots = [(b, _nearest_float(a, b, disc)) for b in (1 / (2 * c2), -1 / (2 * c2))]
+        return [0j if abs(f) <= float(eps) and _sign(a - eps, b, disc) < 0 < _sign(a + eps, b, disc)
+                else complex(f) for b, f in roots]
+    r, eps2 = -disc / (4 * c2 * c2), eps * eps
+    if c0 / c2 < eps2:  # the squared modulus a^2 + r
+        return [0j, 0j]
+    re = as_float(a.numerator, a.denominator, "eigenvalue")
+    if r < eps2:
+        return [complex(re), complex(re)]
+    im = _nearest_float(Fraction(0), Fraction(1), r)
+    re = 0.0 if abs(a) < eps else re
+    return [complex(re, im), complex(re, -im)]
+
+
+def as_float(num, den: int, what: str) -> float:
+    """num / den as a finite float; when no finite float holds it, a
+    PreconditionError naming what, and the value when num is an int."""
+    try:
+        value = num / den
+    except OverflowError:
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    shown = f" {Context(prec=6).divide(num, den).normalize()}" if isinstance(num, int) else ""
+    raise PreconditionError(f"{what}{shown} is beyond float range")
 
 
 def eigen_data(M: RatMatrix, tol: float = 1e-9) -> EigenData:
     """Exact characteristic polynomial, exact rational roots, numeric rest.
 
     The rest is found on each exact square-free factor of the residual, each
-    root repeated by its multiplicity: a quadratic factor by the quadratic
-    formula (`_quadratic_roots`), a factor of higher degree by
-    `mpmath.polyroots`; a residual that is square-free is one factor.
+    root repeated by its multiplicity; a residual that is square-free is one
+    factor. A quadratic factor's roots are correctly rounded, with the eps
+    rule (`_quadratic_roots`). A factor of higher degree goes to
+    `mpmath.polyroots` at `digits` decimal digits, the one use of mpmath.
+    eps is 2^(1 - prec), prec being mpmath's binary precision at `digits`.
     """
     if M.rows != M.cols:
         raise PreconditionError("eigen_data requires a square matrix")
-    if tol <= 0:
-        raise PreconditionError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise PreconditionError("tol must be positive and finite")
     coeffs = char_poly(M)
     rats, residual = rational_roots(coeffs)
     rats.sort()
     numeric = [complex(as_float(r.numerator, r.denominator, "eigenvalue")) for r in rats]
     if len(residual) > 1:
-        import mpmath
-
         digits = max(30, int(-math.log10(tol)) + 15)
+        prec = round((digits + 1) * 3.3219280948873626)  # as mpmath's dps_to_prec
+        eps = Fraction(1, 1 << (prec - 1))
         extra = []
-        with mpmath.workdps(digits):
-            for g, k in _square_free_factors(residual):
+        for g, k in _square_free_factors(residual):
+            if len(g) == 3:
+                rest = _quadratic_roots(g, eps)
+            else:
+                import mpmath
+
                 try:
-                    rest = _quadratic_roots(g) if len(g) == 3 else mpmath.polyroots(
-                        [_mpf(c) for c in reversed(g)], maxsteps=200, extraprec=80)
+                    with mpmath.workdps(digits):
+                        found = mpmath.polyroots([_mpf(c) for c in reversed(g)],
+                                                 maxsteps=200, extraprec=80)
                 except mpmath.libmp.NoConvergence as exc:
                     raise PreconditionError(
                         f"irrational eigenvalues not found to tolerance: {exc}")
-                extra += [complex(float(mpmath.re(r)), float(mpmath.im(r)))
-                          for r in rest] * k
+                rest = [complex(float(mpmath.re(r)), float(mpmath.im(r))) for r in found]
+            extra += rest * k
         extra.sort(key=lambda z: (z.real, z.imag))
         numeric.extend(extra)
     return EigenData(coeffs, rats, numeric)

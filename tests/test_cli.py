@@ -271,23 +271,31 @@ def test_linearize_type1_checks_tol(capsys, monkeypatch, flags, env):
                                          *flags], fixture, monkeypatch))
 
 
+def _run_python(argv, stdin):
+    """Run `python argv` on stdin against this checkout's src/, with a timeout."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, *argv], input=stdin, capture_output=True,
+                          text=True, env=env, timeout=20)
+
+
 @pytest.mark.parametrize("matrix, code, value", [
     ([[1000000007, 1], [0, 998244353]], 0, None),
     ([[1000000007, 1], [1, 998244353]], 0, None),
     ([[1e308]], 3, "2E+308"),
     ([["1e400"]], 3, "1E+400"),
+    # an irrational pair whose larger root is about 1e400
+    ([["1e400", "1"], ["1", "1"]], 3, "eigenvalue 1E+400"),
+    # 1e308 +- i: every order-2 sum is about 2e308
+    ([["1e308", "1"], ["-1", "1e308"]], 3, "the order-2 small divisor"),
 ])
 def test_resonance_answers_large_entries(matrix, code, value):
     # rational roots of linear and quadratic factors in closed form; a value
     # that no float holds is a precondition, named on one line. Run in a
     # subprocess with a timeout, so that a trial division fails the test
     # instead of hanging it.
-    root = pathlib.Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-m", "nambu.cli", "resonance", "-"],
-                          input=json.dumps({"matrix": matrix}), capture_output=True,
-                          text=True, env=env, timeout=20)
+    proc = _run_python(["-m", "nambu.cli", "resonance", "-"], json.dumps({"matrix": matrix}))
     assert proc.returncode == code
     if value is None:
         assert proc.stderr == "" and json.loads(proc.stdout)["resonances"] == []
@@ -295,6 +303,28 @@ def test_resonance_answers_large_entries(matrix, code, value):
         assert proc.stdout == ""
         assert proc.stderr.startswith("precondition unmet:") and proc.stderr.count("\n") == 1
         assert f"{value} is beyond float range" in proc.stderr
+
+
+_RESONANCE_THEN_MODULES = ("import sys; from nambu.cli import run; code = run(['resonance', '-']); "
+                           "sys.stderr.write(str('mpmath' in sys.modules)); sys.exit(code)")
+
+
+_PHI, _CBRT2 = (1 + 5 ** 0.5) / 2, 2 ** (1 / 3)
+
+
+@pytest.mark.parametrize("matrix, code, loaded, eigenvalues", [
+    # t^2 - t - 1: the golden pair from integer square roots
+    ([[1, 1], [1, 0]], 0, False, [1 - _PHI, _PHI]),
+    # t^3 - 2, irreducible over Q: its roots come from mpmath.polyroots
+    ([[0, 0, 2], [1, 0, 0], [0, 1, 0]], 1, True,
+     [_CBRT2 * complex(-0.5, -3 ** 0.5 / 2), _CBRT2 * complex(-0.5, 3 ** 0.5 / 2), _CBRT2]),
+])
+def test_resonance_imports_mpmath_only_for_a_factor_of_degree_3(matrix, code, loaded,
+                                                                eigenvalues):
+    proc = _run_python(["-c", _RESONANCE_THEN_MODULES], json.dumps({"matrix": matrix}))
+    assert proc.returncode == code and proc.stderr == str(loaded)
+    got = [complex(*z) for z in json.loads(proc.stdout)["eigenvalues"]]
+    assert got == pytest.approx(eigenvalues)
 
 
 @pytest.mark.parametrize("bryuno", ["nan,0.5", "1.0,nan", "inf,0.5"])

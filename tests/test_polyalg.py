@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from nambu.polyalg import (
     _back_substitute,
+    _nearest_float,
     _quadratic_roots,
     Poly,
     PolyParseError,
@@ -952,6 +954,12 @@ def test_eigen_rejects_nonsquare():
         eigen_data(RatMatrix([[1, 0, 0], [0, 1, 0]]))
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
+def test_eigen_rejects_a_tol_outside_the_positive_reals(tol):
+    with pytest.raises(PreconditionError, match="tol must be positive and finite"):
+        eigen_data(RatMatrix([[1, 1], [1, 0]]), tol)
+
+
 def test_char_poly_companion():
     # companion matrix of t^3 - 6t^2 + 11t - 6 = (t-1)(t-2)(t-3)
     M = RatMatrix([[0, 0, 6], [1, 0, -11], [0, 1, 6]])
@@ -1103,27 +1111,118 @@ def test_rational_roots_of_irreducible_quadratics(c, k, g):
     assert rational_roots(coeffs) == ([Fraction(0)] * k, [c * v for v in g])
 
 
-def _polyroots_floats(g):
+def _polyroots_floats(g, digits=30):
+    """The roots of g by `mpmath.polyroots`, cleaned up at mpmath's eps at
+    `digits` as polyroots cleans them, as floats.
+
+    polyroots stops when every step is below its eps in absolute terms, so a
+    root of 2^-e needs e bits beyond that eps to be read to float precision.
+    Every root lies between 2^-2h and 2^2h, h the largest bit size of a
+    coefficient, so the roots are found 2h bits beyond `digits` and cleaned
+    up at eps here."""
     import mpmath
 
-    with mpmath.workdps(30):
-        rest = mpmath.polyroots([mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-                                 for c in reversed(g)], maxsteps=200, extraprec=80)
-        return sorted((complex(float(mpmath.re(r)), float(mpmath.im(r))) for r in rest),
-                      key=lambda z: (z.real, z.imag))
+    h = max(c.numerator.bit_length() + c.denominator.bit_length() for c in g)
+    with mpmath.workdps(digits):
+        eps = mpmath.eps
+        with mpmath.extraprec(2 * h):
+            found = mpmath.polyroots([mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
+                                      for c in reversed(g)], maxsteps=200, extraprec=80 + 2 * h)
+        rest = []
+        for r in found:
+            if abs(r) < eps:
+                r = mpmath.mpf(0)
+            elif abs(mpmath.im(r)) < eps:
+                r = mpmath.re(r)
+            elif abs(mpmath.re(r)) < eps:
+                r = mpmath.im(r) * 1j
+            rest.append(complex(float(mpmath.re(r)), float(mpmath.im(r))))
+    return sorted(rest, key=lambda z: (z.real, z.imag))
+
+
+# eigen_data's working digits at tol, and mpmath's eps there, 2^(1 - prec)
+_TOLS = [(1e-9, 30, 102), (1e-20, 35, 119)]
+
+# small fractions, or ratios up to 10^12 / 10^6 scaled by 10^-40 .. 10^40
+_wide = st.one_of(_rational, st.builds(lambda p, q, e: Fraction(p, q) * Fraction(10) ** e,
+                                       st.integers(-10**12, 10**12), st.integers(1, 10**6),
+                                       st.integers(-40, 40)))
+_wide_quadratics = st.one_of(irreducible_quadratics(True, _wide),
+                             irreducible_quadratics(False, _wide))
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(_TOLS), _wide_quadratics)
+# roots near -10^10 and -10^-10: (-c1 + sqrt(disc)) / (2 c2) cancels 20 digits
+@example(_TOLS[0], [Fraction(1, 10**4), Fraction(10**6), Fraction(1, 10**4)])
+# a complex pair whose imaginary part is rational: exactly +-i
+@example(_TOLS[0], [Fraction(1), Fraction(0), Fraction(1)])
+def test_quadratic_roots_match_polyroots(at, g):
+    import mpmath
+
+    _, digits, eps_bits = at
+    with mpmath.workdps(digits):
+        assert mpmath.eps == mpmath.mpf(2) ** -eps_bits
+    got = sorted(_quadratic_roots(g, Fraction(1, 2 ** eps_bits)), key=lambda z: (z.real, z.imag))
+    assert got == _polyroots_floats(g, digits)
+
+
+def _rounding_interval(f):
+    """The midpoints between the float f and its neighbours, as Fractions."""
+    return [(Fraction(f) + Fraction(math.nextafter(f, to))) / 2 for to in (-math.inf, math.inf)]
+
+
+def _sign_change(p, f):
+    lo, hi = (p(x) for x in _rounding_interval(f))
+    return lo * hi < 0
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(irreducible_quadratics(True), irreducible_quadratics(False)))
-# roots near -10^10 and -10^-10: (-c1 + sqrt(disc)) / (2 c2) would cancel 20 digits
-@example([Fraction(1, 10**4), Fraction(10**6), Fraction(1, 10**4)])
-def test_quadratic_roots_match_polyroots(g):
-    import mpmath
+@given(_wide_quadratics)
+def test_quadratic_roots_are_correctly_rounded(g):
+    # exact oracle: the exact root lies between the midpoints around each
+    # float returned, so that float is the nearest one
+    c0, c1, c2 = g
+    eps = Fraction(1, 2 ** 102)
+    roots = _quadratic_roots(g, eps)
+    disc = c1 * c1 - 4 * c0 * c2
+    if disc > 0:
+        for z in roots:
+            assert z.imag == 0
+            if z.real:
+                assert _sign_change(lambda x: c0 + c1 * x + c2 * x * x, z.real)
+        return
+    im2 = -disc / (4 * c2 * c2)
+    for z in roots:
+        if z.real:
+            assert z.real == float(-c1 / (2 * c2))
+        if z.imag:
+            assert _sign_change(lambda x: x * x - im2, abs(z.imag))
+    assert roots[0] == roots[1].conjugate()
 
-    with mpmath.workdps(30):
-        got = sorted((complex(float(mpmath.re(r)), float(mpmath.im(r)))
-                      for r in _quadratic_roots(g)), key=lambda z: (z.real, z.imag))
-    assert got == _polyroots_floats(g)
+
+def test_quadratic_roots_decide_the_eps_rule_exactly():
+    # t^2 + t - x has the root x - x^2 + 2 x^3 - ...: just below eps at
+    # x = eps, just above it at x = eps + 2 eps^2, and both round to the float eps
+    eps = Fraction(1, 2 ** 102)
+    assert _quadratic_roots([-eps, Fraction(1), Fraction(1)], eps)[0] == 0j
+    kept = _quadratic_roots([-eps - 2 * eps * eps, Fraction(1), Fraction(1)], eps)[0]
+    assert kept == complex(float(eps))
+
+
+def test_nearest_float_at_the_overflow_boundary():
+    # a + b sqrt(2) within 2^870 of 2^1024 - 2^970, the least value that
+    # rounds beyond float range: the first bracket straddles it, so the one
+    # end that overflows is refined away below the boundary, and raised above
+    limit = 2 ** 1024 - 2 ** 970
+    c = Fraction(math.isqrt(2 << 200), 2 ** 100)  # sqrt 2 cut to 100 bits
+    for up, want in ((0, sys.float_info.max), (Fraction(1, 2 ** 99), None)):
+        a = limit + 2 ** 970 * (c + up)
+        if want is None:
+            with pytest.raises(PreconditionError, match="beyond float range"):
+                _nearest_float(a, Fraction(-2 ** 970), Fraction(2))
+        else:
+            assert _nearest_float(a, Fraction(-2 ** 970), Fraction(2)) == want
 
 
 # small entries: rational_roots finds divisors by trial division up to the
@@ -1131,10 +1230,12 @@ def test_quadratic_roots_match_polyroots(g):
 _small_rational = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6))
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.one_of(irreducible_quadratics(True, _small_rational),
-                 irreducible_quadratics(False, _small_rational)), st.integers(1, 2))
-def test_eigen_data_on_a_quadratic_factor_matches_polyroots(g, k):
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_TOLS), st.one_of(irreducible_quadratics(True, _small_rational),
+                                         irreducible_quadratics(False, _small_rational)),
+       st.integers(1, 2))
+def test_eigen_data_on_a_quadratic_factor_matches_polyroots(at, g, k):
+    tol, digits, _ = at
     # k companion blocks of g: the residual is g^k, one square-free factor g
     c0, c1, c2 = g
     n = 2 * k
@@ -1143,6 +1244,6 @@ def test_eigen_data_on_a_quadratic_factor_matches_polyroots(g, k):
         M[i][i + 1] = -c0 / c2
         M[i + 1][i] = Fraction(1)
         M[i + 1][i + 1] = -c1 / c2
-    ed = eigen_data(RatMatrix(M))
-    want = sorted(_polyroots_floats(g) * k, key=lambda z: (z.real, z.imag))
+    ed = eigen_data(RatMatrix(M), tol)
+    want = sorted(_polyroots_floats(g, digits) * k, key=lambda z: (z.real, z.imag))
     assert ed.rational_eigenvalues == [] and ed.numeric_eigenvalues == want
