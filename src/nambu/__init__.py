@@ -1,8 +1,18 @@
 """Exact-arithmetic toolkit for Nambu tensors and co-Nambu differential forms.
 
-Verification of the decomposability/integrability conditions, classification
-of linear structures into the two normal-form families with exact coordinate
-changes, and finite-order formal linearization at nondegenerate singularities.
+The public API is `__all__`, exactly the names imported below:
+
+- the types the operations take and return, and the errors they raise;
+- reading and writing the CLI's JSON (`graded_from_json`, `parse_poly`, the
+  printed-map format) and the transports it applies (the volume duality,
+  `pullback_form`, `pushforward_tensor`);
+- verification of the decomposability/integrability conditions, and the
+  fundamental identity that serves as its oracle;
+- classification of linear structures into the Type 1 and Type 2 normal
+  forms, with exact coordinate changes;
+- finite-order formal linearization at nondegenerate singularities (Type 1,
+  its multiplier, Type 2 prelinearization, Poincaré, resonance), and the
+  formal decomposition of a Type 1 form.
 """
 
 from .polyalg import (
@@ -13,28 +23,19 @@ from .polyalg import (
     PreconditionError,
     RatMatrix,
     SolveInconsistencyError,
-    eigen_data,
-    inertia,
     parse_poly,
-    solve_linear,
 )
 from .exterior import (
     DiffForm,
     FormalMap,
     Multivector,
-    coordinate_field,
-    coordinate_form,
-    dform,
     form_to_tensor,
+    formal_map_from_json,
+    formal_map_to_json,
     graded_from_json,
-    interior,
-    lie_bracket,
-    lie_derivative,
     pullback_form,
     pushforward_tensor,
-    standard_volume,
     tensor_to_form,
-    wedge,
 )
 from .verify import (
     ConambuVerdict,
@@ -43,23 +44,19 @@ from .verify import (
     is_conambu,
     is_nambu,
     nambu_bracket,
-    search_identity_violation,
 )
 from .linclass import (
     ClassificationReport,
-    NormalForm,
-    SpanTable,
     classify_linear,
     classify_linear_tensor,
-    nondegeneracy,
     normal_form_generator,
-    span_table,
 )
 from .formal import (
-    GradedSolveReport,
+    MultiplierRemovalResult,
+    PoincareResult,
     ResonanceReport,
-    contract_residual,
-    derham_divide,
+    Type1LinearizationResult,
+    Type2PrelinResult,
     formal_decompose_type1,
     formal_linearize_type1,
     poincare_linearize,
@@ -67,5 +64,18 @@ from .formal import (
     remove_multiplier,
     resonance_report,
 )
+
+__all__ = [
+    "InputError", "NambuError", "PolyParseError", "PreconditionError", "SolveInconsistencyError",
+    "Poly", "RatMatrix", "DiffForm", "Multivector", "FormalMap",
+    "ConambuVerdict", "ClassificationReport", "Type1LinearizationResult",
+    "MultiplierRemovalResult", "Type2PrelinResult", "PoincareResult", "ResonanceReport",
+    "parse_poly", "graded_from_json", "formal_map_to_json", "formal_map_from_json",
+    "tensor_to_form", "form_to_tensor", "pullback_form", "pushforward_tensor",
+    "is_nambu", "is_conambu", "fundamental_identity_residual", "nambu_bracket", "hamiltonian_vf",
+    "classify_linear", "classify_linear_tensor", "normal_form_generator",
+    "formal_linearize_type1", "remove_multiplier", "prelinearize_type2", "poincare_linearize",
+    "resonance_report", "formal_decompose_type1",
+]
 
 __version__ = "0.1.0"

@@ -1,5 +1,8 @@
 """Command-line front end: verify / classify / linearize / resonance / generate.
 
+Input is JSON; a JSON number with a fraction or an exponent is read as the
+exact decimal it spells (so 0.1 is 1/10), never as a binary float.
+
 Exit codes: 0 success or verified-pass, 1 verified-fail or resonance found,
 2 malformed input or flag value (a --tol, NAMBU_TOL or --bryuno value that
 is not finite, a --tol that is not positive), 3 precondition unmet (q < 3,
@@ -65,7 +68,7 @@ def _read_payload(path: str) -> dict:
     except OSError as exc:
         raise InputError(f"cannot read input: {exc}")
     try:
-        return json.loads(text)
+        return json.loads(text, parse_float=Fraction)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON: {exc}")
 
@@ -93,7 +96,9 @@ def _default_tol(args) -> float:
 
 
 def _read_matrix(data) -> RatMatrix:
-    """The matrix of {"matrix": [[...], ...]}: rows of JSON numbers or rational strings."""
+    """The matrix of {"matrix": [[...], ...]}: rows of JSON numbers, each the
+    exact decimal it spells (`_read_payload` reads them as Fractions), or
+    rational strings."""
     if not isinstance(data, dict) or "matrix" not in data:
         raise InputError('resonance input needs {"matrix": [[...], ...]}')
     rows = data["matrix"]
@@ -101,7 +106,7 @@ def _read_matrix(data) -> RatMatrix:
         raise InputError("matrix must be a list of rows")
     for row in rows:
         for v in row:
-            if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+            if isinstance(v, bool) or not isinstance(v, (int, Fraction, str)):
                 raise InputError(f"bad matrix entries: {v!r} is not a number")
     try:
         return RatMatrix([[Fraction(v) for v in row] for row in rows])

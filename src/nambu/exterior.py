@@ -279,10 +279,6 @@ def basis_multivector(nvars: int, key: Sequence[int]) -> Multivector:
     return Multivector(nvars, len(key), {tuple(key): Poly.one(nvars)})
 
 
-def standard_volume(nvars: int) -> DiffForm:
-    return DiffForm(nvars, nvars, {tuple(range(nvars)): Poly.one(nvars)})
-
-
 # -- exterior algebra ----------------------------------------------------------
 #
 # The kernel below works on raw component dicts {index tuple: coefficient}
@@ -411,7 +407,7 @@ def wedge_all(objs, trunc: Optional[int] = None):
     return result
 
 
-def interior(A: Multivector, omega: DiffForm, trunc: Optional[int] = None) -> DiffForm:
+def interior(A: Multivector, omega: DiffForm) -> DiffForm:
     """Interior product i_A omega, contracting the lowest index of A first."""
     if A.nvars != omega.nvars:
         raise ValueError("nvars mismatch")
@@ -421,11 +417,11 @@ def interior(A: Multivector, omega: DiffForm, trunc: Optional[int] = None) -> Di
     total: Dict[IndexTuple, Poly] = {}
     for I, a in A.comps.items():
         for K, c in _contract(omega.comps, I).items():
-            _accumulate(total, K, a.mul(c, trunc))
+            _accumulate(total, K, a.mul(c))
     return DiffForm._make(A.nvars, omega.grade - A.grade, total)
 
 
-def contract_oneform(beta: DiffForm, T: Multivector, trunc: Optional[int] = None) -> Multivector:
+def contract_oneform(beta: DiffForm, T: Multivector) -> Multivector:
     """Contraction i_beta T of a 1-form into a multivector (leading slot)."""
     if beta.grade != 1:
         raise ValueError("contract_oneform needs a 1-form")
@@ -436,7 +432,7 @@ def contract_oneform(beta: DiffForm, T: Multivector, trunc: Optional[int] = None
     out: Dict[IndexTuple, Poly] = {}
     for (j,), b in beta.comps.items():
         for K, c in _contract_single(T.comps, j).items():
-            _accumulate(out, K, b.mul(c, trunc))
+            _accumulate(out, K, b.mul(c))
     return Multivector._make(T.nvars, T.grade - 1, out)
 
 
@@ -626,9 +622,6 @@ class FormalMap:
     def is_linear(self) -> bool:
         return all(c.degree <= 1 for c in self.comps)
 
-    def is_identity(self) -> bool:
-        return all(c == Poly.variable(self.nvars, i) for i, c in enumerate(self.comps))
-
     def compose(self, inner: "FormalMap", trunc: Optional[int] = None) -> "FormalMap":
         """self after inner, self(inner(x)), cut at trunc (exact when None)."""
         if self.nvars != inner.nvars:
@@ -785,14 +778,6 @@ def embed_poly(p: Poly, indices: Sequence[int], nvars: int) -> Poly:
             full[k] = e
         terms[tuple(full)] = c
     return Poly._make(nvars, terms, p.den)
-
-
-def embed(obj, indices: Sequence[int], nvars: int):
-    comps = {}
-    for K, c in obj.comps.items():
-        key = tuple(sorted(indices[i] for i in K))
-        comps[key] = embed_poly(c, indices, nvars)
-    return type(obj)(nvars, obj.grade, comps)
 
 
 def extend_map(phi: FormalMap, indices: Sequence[int], nvars: int) -> FormalMap:

@@ -142,10 +142,6 @@ class SpanTable:
     p: int
     entries: List[Optional[RatMatrix]]  # None when omega_j = 0
 
-    def dim(self, j: int) -> int:
-        E = self.entries[j]
-        return 0 if E is None else E.rows
-
     def nonzero_indices(self) -> List[int]:
         return [j for j, E in enumerate(self.entries) if E is not None]
 
@@ -251,8 +247,7 @@ class _State:
 
     The form is sum_K (sum_k num[K][k] z_k / den) dz_K, with integer rows
     num[K] (none zero) over den > 0 in lowest terms; x_input =
-    (back / back_den) . z_current is kept the same way, and `coeffs` is the
-    Fraction view of the array, built when read.
+    (back / back_den) . z_current is kept the same way.
     """
 
     def __init__(self, omega: DiffForm):
@@ -268,11 +263,6 @@ class _State:
         self.num, self.den = _pull_back(self.num, self.den, a, d)
         self.back, self.back_den = _lowest_terms(
             {i: _row_times(row, a) for i, row in self.back.items()}, self.back_den * d)
-
-    @property
-    def coeffs(self) -> Dict[Tuple[int, ...], List[Fraction]]:
-        """{K: Fraction coefficients of component K}, built when read."""
-        return {K: [Fraction(v, self.den) for v in row] for K, row in self.num.items()}
 
     def row(self, K: Tuple[int, ...]) -> List[int]:
         """The numerators of component K over den."""

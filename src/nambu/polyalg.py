@@ -256,17 +256,17 @@ class Poly:
     def __rmul__(self, other):
         return self.scale(other)
 
-    def pow(self, k: int, trunc: Optional[int] = None) -> "Poly":
+    def pow(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative power")
         result = Poly.one(self.nvars)
         base = self
         while k:
             if k & 1:
-                result = result.mul(base, trunc)
+                result = result.mul(base)
             k >>= 1
             if k:
-                base = base.mul(base, trunc)
+                base = base.mul(base)
         return result
 
     # -- calculus and grading ---------------------------------------------
@@ -673,12 +673,6 @@ class RatMatrix:
         return RatMatrix._make([[sum(map(mul, row, col)) for col in cols] for row in self.num],
                                self.den * other.den)
 
-    def matvec(self, vec: Sequence) -> List[Fraction]:
-        if len(vec) != self.cols:
-            raise ValueError("dimension mismatch")
-        (v,), d = _integer_rows([[_as_fraction(x) for x in vec]])
-        return [Fraction(sum(map(mul, row, v)), self.den * d) for row in self.num]
-
     def is_symmetric(self) -> bool:
         if self.rows != self.cols:
             return False
@@ -698,10 +692,6 @@ class RatMatrix:
 
     def rank(self) -> int:
         return len(_eliminate(self.num, self.cols).pivots)
-
-    def nullspace(self) -> List[List[Fraction]]:
-        """Basis of the right kernel, free variables set to canonical units."""
-        return _eliminate(self.num, self.cols).kernel
 
     def det(self) -> Fraction:
         """det(num) / den^n, det(num) by Bareiss: each division by a pivot is
@@ -796,13 +786,6 @@ class LinearSolveResult:
         return out, d
 
     @functools.cached_property
-    def reduced_rows(self) -> List[List[Fraction]]:
-        """The RREF rows of M, one per pivot: 1 at the pivot, 0 at the other
-        pivots."""
-        rows, d = self.reduced_ints
-        return [[Fraction(v, d) for v in row] for row in rows]
-
-    @functools.cached_property
     def kernel_ints(self) -> Tuple[List[List[int]], int]:
         """(K, d): the kernel basis as integer vectors over one denominator d,
         read off the reduced rows (empty when inconsistent)."""
@@ -810,13 +793,6 @@ class LinearSolveResult:
             return [], 1
         rows, d = self.reduced_ints
         return _rref_kernel(rows, self.pivots, d, self.ncols), d
-
-    @functools.cached_property
-    def kernel(self) -> List[List[Fraction]]:
-        """Basis of the right kernel of M, one vector per free column f with
-        x_f = 1 and the other free variables zero (empty when inconsistent)."""
-        K, d = self.kernel_ints
-        return [[Fraction(v, d) for v in k] for k in K]
 
     @functools.cached_property
     def witness(self) -> Optional[List[Fraction]]:
@@ -1036,9 +1012,6 @@ class InertiaResult:
     n_minus: int
     congruence: RatMatrix          # C with C^T S C diagonal
     diagonal: List[Fraction]
-
-    def counts(self) -> Tuple[int, int, int]:
-        return (self.n_plus, self.n_zero, self.n_minus)
 
 
 def inertia(S: RatMatrix) -> InertiaResult:

@@ -13,11 +13,10 @@ soon as they hold on the basis.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from .polyalg import Poly, PreconditionError, _monomials_of_degree
+from .polyalg import Poly, PreconditionError
 from .exterior import (
     DiffForm,
     Multivector,
@@ -219,51 +218,3 @@ def fundamental_identity_residual(P: Multivector, fs: Sequence[Poly],
         rhs = rhs + nambu_bracket(P, args)
     return lhs - rhs
 
-
-# ---------------------------------------------------------------------------
-# bounded refutation search (the artifact's own oracle device)
-# ---------------------------------------------------------------------------
-
-def monomials_up_to(nvars: int, max_degree: int) -> List[Poly]:
-    """All monomials of total degree 0..max_degree, degree by degree."""
-    return [Poly.monomial(nvars, exps) for d in range(max_degree + 1)
-            for exps in _monomials_of_degree(nvars, d)]
-
-
-def search_identity_violation(P: Multivector, max_degree: int = 2,
-                              limit: Optional[int] = None):
-    """Search monomial argument tuples for a nonzero fundamental-identity residual.
-
-    Arguments run over strictly increasing combinations of nonconstant
-    monomials in graded-lexicographic order (the residual is antisymmetric in
-    fs and in gs separately and vanishes identically when any argument is
-    constant, so nothing is lost). The Hamiltonian field of each fs is hoisted
-    out of the inner loop and fs with a vanishing field are pruned, since the
-    residual is then identically zero. Returns (fs, gs, residual) for the
-    first violation, or None if the bounded search is exhausted.
-    """
-    q = P.grade
-    n = P.nvars
-    mons = [m for m in monomials_up_to(n, max_degree) if m.degree >= 1]
-    count = 0
-    for fs in itertools.combinations(mons, q - 1):
-        X = hamiltonian_vf(P, fs)
-        if X.is_zero():
-            continue
-        images = [apply_vector(X, m) for m in mons]
-        for gs_idx in itertools.combinations(range(len(mons)), q):
-            gs = [mons[i] for i in gs_idx]
-            lhs = apply_vector(X, nambu_bracket(P, gs))
-            residual = lhs
-            for slot, i in enumerate(gs_idx):
-                if images[i].is_zero():
-                    continue
-                args = list(gs)
-                args[slot] = images[i]
-                residual = residual - nambu_bracket(P, args)
-            if not residual.is_zero():
-                return tuple(fs), tuple(gs), residual
-            count += 1
-            if limit is not None and count >= limit:
-                return None
-    return None

@@ -17,7 +17,6 @@ from nambu.exterior import (
     Multivector,
     coordinate_form,
     dform,
-    embed,
     extend_map,
     form_to_tensor,
     interior,
@@ -27,13 +26,7 @@ from nambu.exterior import (
     wedge,
     wedge_all,
 )
-from nambu.verify import (
-    fundamental_identity_residual,
-    is_conambu,
-    is_nambu,
-    monomials_up_to,
-    search_identity_violation,
-)
+from nambu.verify import fundamental_identity_residual, is_conambu, is_nambu
 from nambu.linclass import classify_linear, normal_form_generator
 from nambu.formal import (
     formal_linearize_type1,
@@ -43,7 +36,7 @@ from nambu.formal import (
     remove_multiplier,
     resonance_report,
 )
-from reference import pushforward
+from reference import embed, monomials_up_to, pushforward, search_identity_violation
 
 
 def report(num, name, t0):

@@ -194,12 +194,28 @@ def test_resonance_exit_codes(capsys, monkeypatch):
     assert json.loads(out)["resonances"] == []
 
 
-@pytest.mark.parametrize("payload", ['{"matrix": [["1/0", 1], [0, 1]]}',
-                                     '{"matrix": [[1e400, 1], [0, 1]]}'])
+@pytest.mark.parametrize("payload", ['{"matrix": [["1/0", 1], [0, 1]]}'])
 def test_resonance_bad_number_exit2(capsys, monkeypatch, payload):
     code, out, err = invoke(capsys, ["resonance", "-"], payload, monkeypatch)
     assert code == 2 and out == ""
     assert "bad matrix entries" in err
+
+
+@pytest.mark.parametrize("entries, exact, resonance", [
+    ([["0.1", 0], [0, "0.3"]], True, {"i": 2, "m": [3, 0]}),
+    ([["1e-400", 1], [1, 0]], False, {"i": 1, "m": [2, 1]}),
+])
+def test_resonance_reads_json_numbers_as_decimals(capsys, monkeypatch, entries, exact, resonance):
+    # a JSON number is the exact decimal it spells, as the same entry written
+    # as a string is: 0.3 is 3 * 0.1, and 1e-400 is not 0
+    strings = json.dumps(entries)
+    argv = ["resonance", "-", "--max-order", "3"]
+    got = [invoke(capsys, argv, f'{{"matrix": {text}}}', monkeypatch)
+           for text in (strings.replace('"', ""), strings)]
+    assert got[0] == got[1]
+    code, out, _ = got[0]
+    data = json.loads(out)
+    assert code == 1 and data["exact"] == exact and resonance in data["resonances"]
 
 
 def test_resonance_bryuno_flag(capsys, monkeypatch):
@@ -289,13 +305,17 @@ def _run_python(argv, stdin):
     ([["1e400", "1"], ["1", "1"]], 3, "eigenvalue 1E+400"),
     # 1e308 +- i: every order-2 sum is about 2e308
     ([["1e308", "1"], ["-1", "1e308"]], 3, "the order-2 small divisor"),
+    # JSON text: a JSON number is the decimal it spells, so 1e400 is no
+    # float overflow but an eigenvalue beyond float range
+    ("[[1e400, 1], [0, 1]]", 3, "eigenvalue 1E+400"),
 ])
 def test_resonance_answers_large_entries(matrix, code, value):
     # rational roots of linear and quadratic factors in closed form; a value
     # that no float holds is a precondition, named on one line. Run in a
     # subprocess with a timeout, so that a trial division fails the test
     # instead of hanging it.
-    proc = _run_python(["-m", "nambu.cli", "resonance", "-"], json.dumps({"matrix": matrix}))
+    text = matrix if isinstance(matrix, str) else json.dumps(matrix)
+    proc = _run_python(["-m", "nambu.cli", "resonance", "-"], f'{{"matrix": {text}}}')
     assert proc.returncode == code
     if value is None:
         assert proc.stderr == "" and json.loads(proc.stdout)["resonances"] == []

@@ -19,7 +19,6 @@ from nambu.exterior import (
     coordinate_field,
     coordinate_form,
     dform,
-    embed,
     form_to_tensor,
     formal_map_from_json,
     formal_map_to_json,
@@ -31,12 +30,11 @@ from nambu.exterior import (
     pullback_form,
     pushforward_tensor,
     restrict,
-    standard_volume,
     tensor_to_form,
     wedge,
     wedge_all,
 )
-from reference import pushforward
+from reference import embed, pushforward
 
 
 def x(n, i):
@@ -250,7 +248,7 @@ def test_tensor_to_form_matches_interior_of_the_volume():
         for k in range(n + 1):
             for _ in range(3):
                 P = random_tensor(rng, n, k)
-                form, ref = tensor_to_form(P), interior(P, standard_volume(n))
+                form, ref = tensor_to_form(P), interior(P, DiffForm(n, n, {tuple(range(n)): Poly.one(n)}))
                 assert form == ref
                 assert list(form.comps) == list(ref.comps)
 
@@ -293,7 +291,7 @@ def test_duality_round_trip_randomized():
 
 def test_formal_inverse_examples():
     ident = FormalMap.identity(3)
-    assert ident.inverse().is_identity()
+    assert ident.inverse().comps == ident.comps
     # single variable x' = x + x^2: inverse x = x' - x'^2 + 2x'^3 (Lagrange reversion)
     phi = FormalMap([parse_poly("x1 + x1^2", 1)], trunc=3)
     inv = phi.inverse(3)
@@ -498,7 +496,7 @@ def _pushforward_by_duality(P, phi, N):
     by the transported Jacobian determinant, dualize back."""
     n = P.nvars
     inv = phi.inverse(N)
-    detj = pullback_form(standard_volume(n), phi).component(range(n))
+    detj = pullback_form(DiffForm(n, n, {tuple(range(n)): Poly.one(n)}), phi).component(range(n))
     pulled = pullback_form(tensor_to_form(P), inv, N)
     jac = detj if N is None else detj.substitute(inv.comps, N)
     return form_to_tensor(pulled.poly_scale(jac, N))

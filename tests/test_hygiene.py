@@ -1,12 +1,17 @@
 """Source hygiene: every name a module imports is used in that module, every
-local a library function assigns is read, every library function is
-referenced somewhere, and every field of a library dataclass is read."""
+local a library function assigns is read, every library function is read by
+the library or the benchmark or is public API (`nambu.__all__`, exactly the
+names the package imports), and every field of a library dataclass is read."""
 
 import ast
 import collections
+import importlib
+import json
 import pathlib
 
 import pytest
+
+import nambu
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 # the package's __init__.py imports only to re-export
@@ -110,39 +115,83 @@ def test_locals_are_read(path):
     assert unused_locals(path.read_text(encoding="utf-8")) == []
 
 
-def _names(tree):
-    """How often each name is read, as a bare name or as an attribute."""
-    counts = collections.Counter()
+def _reads(tree):
+    """How often each name is read: (as a bare name or as an attribute, as an
+    attribute only)."""
+    names, attrs = collections.Counter(), collections.Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            counts[node.id] += 1
-        elif isinstance(node, ast.Attribute):
-            counts[node.attr] += 1
-    return counts
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            attrs[node.attr] += 1
+    return names + attrs, attrs
 
 
-def unreferenced_functions(defining, referencing):
-    """Functions and methods defined in `defining` ({label: source}) whose name
-    no source in `referencing` reads outside the function's own body, as
-    "label line N: name". Dunder methods are exempt. An import is not a
-    reference, so a re-export does not keep a function alive."""
-    read = collections.Counter()
+def _functions(node, prefix="", in_class=False):
+    """(qualified name, node, is a method) of every function defined under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + child.name, child, in_class
+            yield from _functions(child, f"{prefix}{child.name}.")
+        elif isinstance(child, ast.ClassDef):
+            yield from _functions(child, f"{prefix}{child.name}.", True)
+        else:
+            yield from _functions(child, prefix, in_class)
+
+
+def unreferenced_functions(defining, referencing, kept=frozenset()):
+    """Functions and methods defined in `defining` ({module: source}) that no
+    source in `referencing` reads outside the function's own body, as
+    "module line N: qualified name". A method is read only as an attribute
+    (obj.name), so a local variable of the same name does not keep it.
+    Dunder methods are exempt, and so is each "module.qualified name" in
+    `kept`. An import is not a read, so a re-export does not keep a function."""
+    read, attrs = collections.Counter(), collections.Counter()
     for source in referencing:
-        read += _names(ast.parse(source))
+        both, attr = _reads(ast.parse(source))
+        read += both
+        attrs += attr
     found = []
-    for label, source in defining.items():
-        for node in ast.walk(ast.parse(source)):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
+    for module, source in defining.items():
+        for qualname, node, method in _functions(ast.parse(source)):
             name = node.name
-            if name.startswith("__") and name.endswith("__"):
+            if name.startswith("__") and name.endswith("__") or f"{module}.{qualname}" in kept:
                 continue
-            if read[name] - _names(node)[name] <= 0:
-                found.append(f"{label} line {node.lineno}: {name}")
+            if (attrs if method else read)[name] - _reads(node)[method][name] <= 0:
+                found.append(f"{module} line {node.lineno}: {qualname}")
     return found
 
 
-def test_scan_finds_unreferenced_functions():
+def package_api(source):
+    """(the names the package's __all__ lists, {name: "module.name"} for each
+    name it imports from its own modules)."""
+    tree = ast.parse(source)
+    listed = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)]
+    imported = {a.asname or a.name: f"{node.module}.{a.name}" for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1 for a in node.names}
+    return (listed[0] if listed else []), imported
+
+
+def unread_library_functions(root):
+    """The library functions of root's package that nothing keeps. Readers
+    are the package's modules (not its __init__.py, which only re-exports)
+    and perfbench/*.py, whose tracer wraps functions by name; kept are the
+    top-level functions __all__ lists and the functions behind
+    BENCHMARK.json's per-layer metrics ("module.[Class.]function.metric").
+    The tests are not readers: a function only they call leaves the library."""
+    package = root / "src" / "nambu"
+    modules = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
+    listed, imported = package_api((package / "__init__.py").read_text(encoding="utf-8"))
+    kept = {imported[name] for name in listed if name in imported}
+    kept |= {m["name"].rsplit(".", 1)[0] for m in
+             json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]}
+    readers = modules + sorted((root / "perfbench").glob("*.py"))
+    return unreferenced_functions({p.stem: p.read_text(encoding="utf-8") for p in modules},
+                                  [p.read_text(encoding="utf-8") for p in readers], kept)
+
+
+def test_scan_finds_unreferenced_functions(tmp_path):
     module = ("def used():\n    return 1\n"
               "def unused():\n    return used()\n"
               "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
@@ -152,17 +201,55 @@ def test_scan_finds_unreferenced_functions():
               "    def caller(self):\n        return self.method()\n")
     package_init = "from .m import caller, unused\n"
     assert unreferenced_functions({"m": module}, [module]) == [
-        "m line 3: unused", "m line 5: recursive", "m line 12: caller"]
+        "m line 3: unused", "m line 5: recursive", "m line 12: C.caller"]
     # a use in another file counts; a re-export does not
     assert unreferenced_functions({"m": module}, [module, "C().caller()\n", package_init]) == [
         "m line 3: unused", "m line 5: recursive"]
+    # a method is read only as an attribute
+    assert unreferenced_functions({"m": module}, [module, "caller = 1\nprint(caller)\n"]) == [
+        "m line 3: unused", "m line 5: recursive", "m line 12: C.caller"]
+    assert unreferenced_functions({"m": module}, [module], {"m.unused", "m.C.caller"}) == [
+        "m line 5: recursive"]
+
+    files = {
+        "src/nambu/__init__.py": "from .m import exported, tested, user\n"
+                                 "__all__ = ['exported', 'user']\n",
+        "src/nambu/m.py": "def tested():\n    return 1\n"
+                          "def exported():\n    return 2\n"
+                          "def timed():\n    return 3\n"
+                          "def benched():\n    return 4\n"
+                          "class C:\n"
+                          "    def shadowed(self):\n        return 0\n"
+                          "    def measured(self):\n        return 0\n"
+                          "def user():\n"
+                          "    shadowed = C()\n"
+                          "    return shadowed\n",
+        "tests/test_m.py": "from nambu.m import C, tested\n"
+                           "def test_m():\n    assert tested() == 1 and C().shadowed() == 0\n",
+        "perfbench/run.py": "import nambu.m\nnambu.m.benched()\n",
+        "BENCHMARK.json": json.dumps({"per_layer": [{"name": "m.timed.calls"},
+                                                    {"name": "m.C.measured.self_s"}]}),
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    # read only by a test: flagged; listed in __all__, named by a per-layer
+    # metric or read by perfbench: kept; a method whose name is only a local
+    # variable: flagged
+    assert unread_library_functions(tmp_path) == ["m line 1: tested", "m line 10: C.shadowed"]
 
 
 def test_every_library_function_is_referenced():
-    # references come from the library and the tests; the package's
-    # __init__.py only re-exports
-    defining = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in LIBRARY}
-    assert unreferenced_functions(defining, [p.read_text(encoding="utf-8") for p in SOURCES]) == []
+    assert unread_library_functions(ROOT) == []
+
+
+def test_api_is_what_the_package_imports():
+    listed, imported = package_api((ROOT / "src" / "nambu" / "__init__.py").read_text(encoding="utf-8"))
+    assert sorted(listed) == sorted(imported)
+    assert len(set(listed)) == len(listed)
+    for name in listed:
+        module, attr = imported[name].split(".")
+        assert getattr(nambu, name) is getattr(importlib.import_module(f"nambu.{module}"), attr)
 
 
 def _is_dataclass(node):

@@ -31,8 +31,8 @@ from nambu.verify import (
     is_conambu,
     is_nambu,
     nambu_bracket,
-    search_identity_violation,
 )
+from reference import search_identity_violation
 
 
 def x(n, i):
